@@ -1,17 +1,18 @@
-"""choquard-lab benchmark: three workloads, checked outputs, one result line.
+"""choquard-lab benchmark: two workloads, checked outputs, one result line.
 
 Run from the root of a checkout:
 
-    python3 perfbench/run.py --workload odd-cold --seed 1 --seconds 50 --trace 0
+    python3 perfbench/run.py --workload cold --seed 1 --seconds 45 --trace 0
 
 Everything runs in this one process (closed loop, one client): a set-up,
 repeated at least SETUP_REPEATS times with its median reported, then ops
 back to back until --seconds have passed.  An op drives the user-facing verbs
-``solve`` (cold, then warm), ``verify``, ``spectrum`` and ``sweep``
-in-process through ``choquard_lab.cli.main``, then ``newton_continue``
-through the Python API, then times a fresh interpreter importing
-``choquard_lab.cli``.  Every output is checked; an op whose verb returns
-nonzero, raises, or misses a check counts as failed.
+``solve`` and ``spectrum`` at d=4, then ``solve`` (cold, then warm),
+``verify``, ``spectrum`` and ``sweep`` at d=3, in-process through
+``choquard_lab.cli.main``, then ``newton_continue`` through the Python API,
+then times a fresh interpreter importing ``choquard_lab.cli``.  Every output
+is checked; an op whose verb returns nonzero, raises, or misses a check
+counts as failed.
 
 With ``--trace 0`` the last stdout line carries the end-to-end metrics
 (medians over ops).  With ``--trace 1`` ops alternate untraced and traced
@@ -53,55 +54,60 @@ SRC = ROOT / "src"
 R_MAX = 25.0
 SOLVER_STRETCH = 25.0     # solver_grid: last cell = 25 x first cell
 TOL = 1e-10               # the CLI's default solver tolerance
-SETUP_REPEATS = 3
+SETUP_REPEATS = 5         # at least; more while the set-ups total under 5 s
+D = 3                     # the exact (odd-d) route
+EVEN_D, EVEN_N = 4, 80    # the angular (even-d) route, kept small: its
+                          # temporaries grow with n (about 345 MB peak here),
+                          # and its assembly stays below the exact route's
 LPLUS_TOL = 1e-6          # acceptance criterion 5
 TRANSLATION_TOL = 5e-3    # acceptance criterion 6
 ROUTE_TOL = 1e-8          # acceptance criterion 2
 
 END_TO_END = {
-    "setup_s": "s", "import_s": "s", "solve_cold_s": "s",
-    "solve_warm_s": "s", "verify_s": "s", "spectrum_s": "s",
-    "sweep_s": "s", "continue_s": "s", "peak_rss_mb": "MB",
+    "setup_s": "s", "import_s": "s", "solve_spectrum_d4_s": "s",
+    "solve_cold_s": "s", "solve_warm_s": "s", "verify_s": "s",
+    "spectrum_s": "s", "sweep_s": "s", "continue_s": "s",
+    "peak_rss_mb": "MB",
 }
 
 
 @dataclass(frozen=True)
 class Workload:
-    d: int
-    n: int
+    n: int                 # d=3 grid size
     warm: bool             # disk cache filled in set-up and kept by ops
-    # Calls per op of the phases that redo identical work, sized so that
-    # each phase's calls take about 0.5 s at the seed commit: the host's
-    # speed flips between two levels every few seconds, and a shorter
-    # sample sits in one of them.
+    # Calls per op of the short phases that redo identical work, so that
+    # each phase's calls take at least about 0.2 s at the seed commit.
+    # Longer samples mean fewer ops in a run, hence fewer samples for the
+    # median; both were tried on a host whose speed drifts by tens of
+    # percent within minutes.  In a cold workload every call of
+    # solve_spectrum_d4_s starts from an empty disk cache.
     repeats: dict
-    identity_tol: float | None = None
 
 
-# Why each workload exists is recorded in README.md.  BENCHMARK.json leaves
-# out even-cold, which could not be made steady on the host it was sized on.
+# Why each workload exists is recorded in README.md.
 WORKLOADS = {
-    "odd-cold": Workload(d=3, n=1200, warm=False, repeats={
-        "solve_warm_s": 3, "verify_s": 10, "sweep_s": 2}),
-    # At n=300 the d=4 Pohozaev relative residuals are 1.1e-4..5.3e-4,
-    # above verify's default 1e-4; 1e-3 is what this resolution supports.
-    "even-cold": Workload(d=4, n=300, warm=False, identity_tol=1e-3, repeats={
-        "solve_warm_s": 20, "verify_s": 30, "sweep_s": 6, "continue_s": 12}),
+    "cold": Workload(n=1200, warm=False, repeats={
+        "solve_warm_s": 2, "verify_s": 5}),
     # a cold solve here (empty memory cache, operator read from disk) is
     # repeatable
-    "sweep-warm": Workload(d=3, n=700, warm=True, repeats={
-        "solve_cold_s": 6, "solve_warm_s": 6, "verify_s": 15,
-        "spectrum_s": 2, "continue_s": 2}),
+    "sweep-warm": Workload(n=700, warm=True, repeats={
+        "solve_spectrum_d4_s": 3, "solve_cold_s": 3, "solve_warm_s": 3,
+        "verify_s": 8}),
 }
 
 
 def make_inputs(wl: Workload, seed: int) -> dict:
-    """Off-Newtonian offsets from the seed, inside |alpha-(d-2)| <= 0.05,
-    2 <= p <= 2.05, so an op costs the same on every seed."""
+    """Off-Newtonian offsets from the seed, inside the spectrum window
+    |alpha-(d-2)| <= 0.05, 2 <= p <= 2.05, narrowed so that an op costs
+    the same on every seed."""
     rng = random.Random(seed)
-    base = float(wl.d - 2)
-    alpha = base + rng.randint(10, 50) * rng.choice((-1, 1)) / 1000
-    p = 2.0 + rng.randint(10, 50) / 1000
+    base = float(D - 2)
+    # In these ranges continuation takes 13 Newton steps on both workloads
+    # (12 below p - 2 = 0.030 at some alphas, 14 and 15 above 0.040).
+    delta = -rng.randint(20, 35) / 1000
+    alpha = base + delta
+    p = 2.0 + rng.randint(30, 38) / 1000
+    even = {"even_alpha": EVEN_D - 2 + delta}
     if wl.warm:
         # 5x5 lattice from the Newtonian pair to (alpha, p), spaced like
         # newton_continue's 4-step path so the lattice alphas are exactly
@@ -109,31 +115,32 @@ def make_inputs(wl: Workload, seed: int) -> dict:
         s = [j / 4 for j in range(5)]
         return {"alpha": alpha, "p": 2.0, "corner": [alpha, p],
                 "alphas": [(1 - t) * base + t * alpha for t in s],
-                "ps": [(1 - t) * 2.0 + t * p for t in s]}
-    # continuation in p at the Newtonian alpha: no extra cold assembly
+                "ps": [(1 - t) * 2.0 + t * p for t in s], **even}
+    # continuation in p at the Newtonian alpha: it assembles the Newtonian
+    # operator, which the op has deleted
     return {"alpha": alpha, "p": 2.0, "corner": [base, p],
-            "alphas": [alpha], "ps": [p]}
+            "alphas": [alpha], "ps": [p], **even}
 
 
 @dataclass
 class Run:
     wl: Workload
-    n: int
     inputs: dict
     work: Path
     grid: object = None
+    even_grid: object = None
     reference: object = None
     first_csv: bytes | None = None
-    setup_files: set = field(default_factory=set)
     setup_failures: list = field(default_factory=list)
 
     @property
     def cache(self) -> Path:
         return self.work / "cache"
 
-    def grid_args(self) -> list:
-        return ["--r-max", repr(R_MAX), "--n", str(self.n),
-                "--stretch", repr(self.grid.stretch)]
+
+def grid_args(grid) -> list:
+    return ["--r-max", repr(R_MAX), "--n", str(grid.n),
+            "--stretch", repr(grid.stretch)]
 
 
 def _empty(path: Path) -> None:
@@ -152,7 +159,7 @@ def _bytes_written(before: dict, after: dict) -> int:
 
 
 def setup(run: Run) -> float:
-    """Grid, Newtonian reference state and, for the warm workload, a
+    """Grids, Newtonian reference state and, for the warm workload, a
     warm-up that writes every operator an op reads to the disk cache.
     Returns its wall time."""
     from choquard_lab import (ChoquardParams, newton_continue, riesz,
@@ -160,18 +167,17 @@ def setup(run: Run) -> float:
     t0 = time.perf_counter()
     riesz.clear_caches()
     _empty(run.cache)
-    d = run.wl.d
-    run.grid = solver_grid(d, R_MAX, run.n, SOLVER_STRETCH)
-    run.reference = solve_choquard(ChoquardParams(d, float(d - 2), 2.0),
+    run.grid = solver_grid(D, R_MAX, run.wl.n, SOLVER_STRETCH)
+    run.even_grid = solver_grid(EVEN_D, R_MAX, EVEN_N, SOLVER_STRETCH)
+    run.reference = solve_choquard(ChoquardParams(D, float(D - 2), 2.0),
                                    run.grid)
-    # the Newtonian operator stays on disk for every op
-    run.setup_files = set(os.listdir(run.cache))
     if run.wl.warm:
         for alpha in run.inputs["alphas"]:
             riesz_apply_matrix(run.grid, alpha, 0)
+        riesz_apply_matrix(run.even_grid, run.inputs["even_alpha"], 0)
         # also covers the path should continuation's step control change
         st = newton_continue(run.reference,
-                             ChoquardParams(d, *run.inputs["corner"]), steps=4)
+                             ChoquardParams(D, *run.inputs["corner"]), steps=4)
         if not st.residual <= TOL:
             run.setup_failures.append(
                 f"warm-up continuation residual {st.residual:.3e}")
@@ -191,11 +197,14 @@ def run_op(run: Run, tracer=None, op: int = -1, repeat: bool = True,
     wl, inp = run.wl, run.inputs
     times, fails = {}, []
     written = 0
-    riesz.clear_caches()
-    if not wl.warm:
-        for f in run.cache.iterdir():
-            if f.name not in run.setup_files:
-                f.unlink()
+
+    def empty_caches():
+        """Memory cache always; disk cache too in a cold workload."""
+        riesz.clear_caches()
+        if not wl.warm:
+            _empty(run.cache)
+
+    empty_caches()
     out = run.work / "op"
     _empty(out)
 
@@ -226,43 +235,59 @@ def run_op(run: Run, tracer=None, op: int = -1, repeat: bool = True,
             fails.append(f"{argv[0]} exited {rc}: {buf.getvalue()[-400:]}")
         return rc
 
-    def check_state(stem):
-        meta = json.loads((out / f"{stem}.json").read_text())
+    def check_state(path):
+        meta = json.loads(path.with_suffix(".json").read_text())
         if not meta["residual"] <= TOL:
-            fails.append(f"{stem} residual {meta['residual']:.3e} > {TOL}")
+            fails.append(f"{path.name} residual {meta['residual']:.3e} > {TOL}")
 
-    solve = ["solve", "--d", str(wl.d), "--alpha", repr(inp["alpha"]),
-             "--p", repr(inp["p"]), "--out-dir", str(out)] + run.grid_args()
-    verify = ["verify", str(out / "Q")] + (
-        ["--identity-tol", repr(wl.identity_tol)] if wl.identity_tol else [])
+    def check_spectrum(path):
+        rep = json.loads(path.read_text())
+        if not (rep["radial_kernel_trivial"] and rep["translation_mode_found"]
+                and abs(rep["nearest_eigenvalue_ell1"]) <= TRANSLATION_TOL):
+            fails.append(f"spectrum verdict failed: {rep}")
+
+    def solve_args(d, alpha, grid, out_dir):
+        return (["solve", "--d", str(d), "--alpha", repr(alpha),
+                 "--p", repr(inp["p"]), "--out-dir", str(out_dir)]
+                + grid_args(grid))
+
+    even = out / "even"
+    even_solve = solve_args(EVEN_D, inp["even_alpha"], run.even_grid, even)
+    even_spectrum = ["spectrum", str(even / "Q"), "--out-dir", str(even)]
+    solve = solve_args(D, inp["alpha"], run.grid, out)
+    verify = ["verify", str(out / "Q")]
     spectrum = ["spectrum", str(out / "Q"), "--out-dir", str(out)]
-    sweep = (["sweep", "--d", str(wl.d), "--alphas"]
+    sweep = (["sweep", "--d", str(D), "--alphas"]
              + [repr(a) for a in inp["alphas"]] + ["--ps"]
              + [repr(p) for p in inp["ps"]]
-             + ["--fresh", "--out-dir", str(out / "sweep")] + run.grid_args())
-    corner = ChoquardParams(wl.d, *inp["corner"])
+             + ["--fresh", "--out-dir", str(out / "sweep")]
+             + grid_args(run.grid))
+    corner = ChoquardParams(D, *inp["corner"])
     gc.collect()
     cpu0, wall0 = os.times(), time.perf_counter()
     if tracer:
         tracer.begin_op(op)
         tracer.install()
     try:
+        # d=4 first: in a cold workload each of its calls empties the disk
+        # cache, which the d=3 phases below fill again
+        if timed("solve_spectrum_d4_s",
+                 lambda: verb(even_solve) or verb(even_spectrum),
+                 before=empty_caches) == 0:
+            check_state(even / "Q")
+            check_spectrum(even / "spectral_report.json")
         if timed("solve_cold_s", lambda: verb(solve),
                  before=riesz.clear_caches) == 0:
-            check_state("Q")
+            check_state(out / "Q")
         if timed("solve_warm_s", lambda: verb(solve + ["--tag", "Qwarm"])) == 0:
-            check_state("Qwarm")
+            check_state(out / "Qwarm")
             if (out / "Qwarm.csv").read_bytes() != (out / "Q.csv").read_bytes():
                 fails.append("warm solve differs from cold solve")
         if tamper:
             tamper(out)
         timed("verify_s", lambda: verb(verify))
         if timed("spectrum_s", lambda: verb(spectrum)) == 0:
-            rep = json.loads((out / "spectral_report.json").read_text())
-            if not (rep["radial_kernel_trivial"]
-                    and rep["translation_mode_found"]
-                    and abs(rep["nearest_eigenvalue_ell1"]) <= TRANSLATION_TOL):
-                fails.append(f"spectrum verdict failed: {rep}")
+            check_spectrum(out / "spectral_report.json")
         # every sweep call reads its operators from disk
         if timed("sweep_s", lambda: verb(sweep),
                  before=riesz.clear_caches) == 0:
@@ -293,11 +318,12 @@ def run_op(run: Run, tracer=None, op: int = -1, repeat: bool = True,
     if tracer:
         fails += check_spans(tracer.ops[op])
     try:
-        if (out / "Q.csv").exists():
-            state = GroundState.load(out / "Q")
-            resid = lplus_identity_residual(state)
-            if not resid <= LPLUS_TOL:
-                fails.append(f"L+ Q identity residual {resid:.3e}")
+        for stem in (even / "Q", out / "Q"):
+            if stem.with_suffix(".csv").exists():
+                resid = lplus_identity_residual(GroundState.load(stem))
+                if not resid <= LPLUS_TOL:
+                    fails.append(f"L+ Q identity residual {resid:.3e} "
+                                 f"for {stem}")
     except Exception:
         fails.append(traceback.format_exc(limit=4))
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -315,19 +341,18 @@ def run_op(run: Run, tracer=None, op: int = -1, repeat: bool = True,
     return times, fails, extra
 
 
-def route_check(d: int) -> str | None:
-    """Newton and exact (odd d) or angular (even d) routes at alpha = d-2
-    on the acceptance grid of criterion 2."""
+def route_check() -> str | None:
+    """Newton and exact routes at alpha = d-2 on the acceptance grid of
+    criterion 2."""
     import numpy as np
     from choquard_lab import RadialField, make_grid, riesz_radial
-    g = make_grid(d, 8.0, 240, 1.0)
+    g = make_grid(D, 8.0, 240, 1.0)
     f = RadialField(g, np.exp(-g.nodes ** 2))
-    pn = riesz_radial(g, f, float(d - 2), method="newton").values
-    other = "exact" if d % 2 else "angular"
-    po = riesz_radial(g, f, float(d - 2), method=other).values
-    rel = float(np.max(np.abs(pn - po)) / np.max(np.abs(pn)))
+    pn = riesz_radial(g, f, float(D - 2), method="newton").values
+    pe = riesz_radial(g, f, float(D - 2), method="exact").values
+    rel = float(np.max(np.abs(pn - pe)) / np.max(np.abs(pn)))
     if not rel <= ROUTE_TOL:
-        return f"newton vs {other} routes differ by {rel:.3e}"
+        return f"newton vs exact routes differ by {rel:.3e}"
     return None
 
 
@@ -389,8 +414,6 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    ap.add_argument("--n", type=int, default=None,
-                    help="override the workload's grid size (smoke checks)")
     args = ap.parse_args(argv)
 
     if not (SRC / "choquard_lab" / "__init__.py").is_file():
@@ -405,14 +428,13 @@ def main(argv=None) -> int:
 
     wl = WORKLOADS[args.workload]
     work = HERE / ".work" / f"{args.workload}-{os.getpid()}"
-    run = Run(wl, args.n or wl.n, make_inputs(wl, args.seed), work)
+    run = Run(wl, make_inputs(wl, args.seed), work)
     os.environ["CHOQUARD_LAB_CACHE"] = str(run.cache)
     tracer = Tracer(run.cache) if args.trace else None
     try:
-        # cheap set-ups repeat until they have taken 1 s, for a steadier median
         setups = []
-        while len(setups) < SETUP_REPEATS or (sum(setups) < 1.0
-                                              and len(setups) < 10):
+        while len(setups) < SETUP_REPEATS or (sum(setups) < 5.0
+                                              and len(setups) < 20):
             setups.append(setup(run))
         samples = {k: [] for k in END_TO_END
                    if k not in ("setup_s", "peak_rss_mb")}
@@ -443,12 +465,12 @@ def main(argv=None) -> int:
                     samples[k].append(v)
             op += 1
         peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-        problem = route_check(wl.d)
+        problem = route_check()
         if problem:
             failures.append(problem)
 
         if tracer:
-            metrics, absent = layer_summary(tracer, extras)
+            metrics, absent, unlisted = layer_summary(tracer, extras)
             metrics["trace.overhead_frac"] = {
                 "value": statistics.median(traced_walls)
                 / statistics.median(plain_walls) - 1.0, "unit": "ratio"}
@@ -458,18 +480,19 @@ def main(argv=None) -> int:
              ).write_text(json.dumps([s.to_dict() for spans in
                                       tracer.ops.values() for s in spans]))
         else:
-            absent = []
+            absent, unlisted = [], {}
             values = {k: statistics.median(v) for k, v in samples.items() if v}
             values["setup_s"] = statistics.median(setups)
             values["peak_rss_mb"] = peak_rss_mb
             metrics = {k: {"value": values[k], "unit": unit}
                        for k, unit in END_TO_END.items() if k in values}
         detail = {
-            "workload": args.workload, "seed": args.seed, "n": run.n,
+            "workload": args.workload, "seed": args.seed, "n": wl.n,
             "inputs": run.inputs, "environment": environment(),
             "setup_samples": setups, "samples": samples,
             "tails": {k: tail(v) for k, v in samples.items()},
-            "absent_layer_metrics": absent, "failures": failures[:20],
+            "absent_layer_metrics": absent,
+            "unlisted_layer_values": unlisted, "failures": failures[:20],
         }
         print(json.dumps({"detail": detail}))
         print(json.dumps({"correct": not failures, "attempted": attempted,

@@ -3,13 +3,16 @@
     python3 perfbench/smoke_test.py
     python3 -m pytest perfbench/smoke_test.py
 
-Runs each workload's op once untraced and once traced (``even-cold``
-too, which BENCHMARK.json leaves out) and checks that every metric
-BENCHMARK.json names is printed with its unit; checks that a
-perturbed Q.csv before ``verify`` counts as a failed op; and checks that
-the benchmark refuses to run without the package sources.
+Runs each workload's op once untraced and once traced, in this process
+with the d=3 grid shrunk, and checks that every metric BENCHMARK.json
+names is printed with its unit; checks that a perturbed Q.csv before
+``verify`` counts as a failed op; and checks that the benchmark refuses
+to run without the package sources.
 """
 
+import contextlib
+import dataclasses
+import io
 import json
 import os
 import shutil
@@ -29,13 +32,17 @@ SMOKE_N = 300
 
 
 def _result(workload: str, trace: int) -> dict:
-    proc = subprocess.run(
-        [sys.executable, str(HERE / "run.py"), "--workload", workload,
-         "--seed", "0", "--seconds", "0", "--trace", str(trace),
-         "--n", str(SMOKE_N)],
-        cwd=ROOT, capture_output=True, text=True, timeout=600)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    wl = bench.WORKLOADS[workload]
+    bench.WORKLOADS[workload] = dataclasses.replace(wl, n=SMOKE_N)
+    buf = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(buf):
+            rc = bench.main(["--workload", workload, "--seed", "0",
+                             "--seconds", "0", "--trace", str(trace)])
+    finally:
+        bench.WORKLOADS[workload] = wl
+    assert rc == 0
+    return json.loads(buf.getvalue().strip().splitlines()[-1])
 
 
 def test_every_metric_printed_with_unit():
@@ -55,8 +62,8 @@ def test_every_metric_printed_with_unit():
 
 def test_corrupted_state_fails_the_op():
     work = HERE / ".work" / f"smoke-{os.getpid()}"
-    wl = bench.WORKLOADS["odd-cold"]
-    run = bench.Run(wl, SMOKE_N, bench.make_inputs(wl, 0), work)
+    wl = dataclasses.replace(bench.WORKLOADS["cold"], n=SMOKE_N)
+    run = bench.Run(wl, bench.make_inputs(wl, 0), work)
     os.environ["CHOQUARD_LAB_CACHE"] = str(run.cache)
 
     def perturb(out):
@@ -84,7 +91,7 @@ def test_refuses_without_sources():
                                                       "__pycache__"))
         shutil.copy(ROOT / "BENCHMARK.json", bare)
         proc = subprocess.run(
-            [sys.executable, "perfbench/run.py", "--workload", "odd-cold",
+            [sys.executable, "perfbench/run.py", "--workload", "cold",
              "--seed", "1", "--seconds", "1", "--trace", "0"],
             cwd=bare, capture_output=True, text=True, timeout=180)
     finally:

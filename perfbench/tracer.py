@@ -18,6 +18,7 @@ import statistics
 import sys
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 # (module, function) pairs wrapped in a traced op, by layer.
 WRAPPED = [
@@ -95,15 +96,6 @@ class Span:
                 "parent": self.parent, "op": self.op, "info": self.info}
 
 
-def riesz_route(d: int, alpha: float, ell: int, method: str) -> str:
-    """Kernel route ``riesz_apply_matrix`` takes for (d, alpha, ell)."""
-    if method != "auto":
-        return method
-    if ell == 0 and abs(alpha - (d - 2)) < 1e-14:
-        return "newton"
-    return "exact" if d % 2 == 1 else "angular"
-
-
 class Tracer:
     def __init__(self, cache_dir):
         self.cache_dir = cache_dir
@@ -120,11 +112,11 @@ class Tracer:
         self.ops[op] = []
         self._stack = []
 
-    def _cache_files(self) -> int:
+    def _cache_files(self) -> set:
         try:
-            return len(os.listdir(self.cache_dir))
+            return set(os.listdir(self.cache_dir))
         except FileNotFoundError:
-            return 0
+            return set()
 
     def _wrap(self, name, fn):
         tracer = self
@@ -146,7 +138,10 @@ class Tracer:
                 span.end = time.perf_counter()
                 tracer._stack.pop()
             if name == "riesz_apply_matrix":
-                info["assembled"] = tracer._cache_files() > info.pop("files")
+                new = tracer._cache_files() - info.pop("files")
+                if new:
+                    # the cache file is riesz_<key fields>_<route>.npy
+                    info["route"] = Path(new.pop()).stem.rsplit("_", 1)[-1]
             elif name == "solve_choquard":
                 info["iterations"] = int(result.iterations)
             return result
@@ -154,16 +149,15 @@ class Tracer:
         return wrapper
 
     def _riesz_info(self, args, kwargs) -> dict:
+        """The call's arguments, as the key of ``riesz.apply_hit_ratio``,
+        and the cache listing that shows whether the call assembled."""
         names = ("grid", "alpha", "ell", "method")
         bound = dict(zip(names, args))
         bound.update(kwargs)
         grid = bound["grid"]
-        alpha = float(bound["alpha"])
-        ell = int(bound.get("ell", 0))
-        route = riesz_route(grid.d, alpha, ell, bound.get("method", "auto"))
-        key = [grid.d, grid.n, grid.r_max, grid.stretch, round(alpha, 14),
-               ell, route]
-        return {"key": key, "route": route, "files": self._cache_files()}
+        key = [grid.d, grid.n, grid.r_max, grid.stretch, float(bound["alpha"]),
+               int(bound.get("ell", 0)), bound.get("method", "auto")]
+        return {"key": key, "files": self._cache_files()}
 
     # -- patching ---------------------------------------------------------
 
@@ -250,8 +244,10 @@ def op_layer_metrics(spans) -> dict:
         if s.name == "riesz_apply_matrix":
             m["riesz.apply_calls"] += 1
             keys.add(tuple(s.info["key"]))
-            if s.info.get("assembled"):
-                m[f"riesz.assemble_{s.info['route']}_s"] += s.dur
+            if "route" in s.info:
+                # a route not in LAYER_METRICS is reported as unlisted
+                key = f"riesz.assemble_{s.info['route']}_s"
+                m[key] = m.get(key, 0.0) + s.dur
             else:
                 m["riesz.cache_read_s"] += s.dur
             a = s.parent
@@ -302,12 +298,12 @@ def op_layer_metrics(spans) -> dict:
     return m
 
 
-def layer_summary(tracer: Tracer, extra) -> tuple[dict, list]:
+def layer_summary(tracer: Tracer, extra) -> tuple[dict, list, dict]:
     """Median over traced ops of every layer metric whose functions exist.
 
     ``extra`` maps op id -> values measured outside the spans
     (``cli.bytes_written``, ``proc.cpu_util``).  Returns (metrics, absent
-    metric names).
+    metric names, medians of assembly routes LAYER_METRICS does not list).
     """
     per_op = []
     for op, spans in tracer.ops.items():
@@ -321,4 +317,7 @@ def layer_summary(tracer: Tracer, extra) -> tuple[dict, list]:
             continue
         out[name] = {"value": statistics.median(v[name] for v in per_op),
                      "unit": unit}
-    return out, absent
+    unlisted = {k for v in per_op for k in v
+                if k.startswith("riesz.assemble_")} - set(LAYER_METRICS)
+    return out, absent, {k: statistics.median(v.get(k, 0.0) for v in per_op)
+                         for k in sorted(unlisted)}
