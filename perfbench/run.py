@@ -2,11 +2,11 @@
 
 Run from the root of a checkout:
 
-    python3 perfbench/run.py --workload cold --seed 1 --seconds 45 --trace 0
+    python3 perfbench/run.py --workload cold --seed 1 --seconds 50 --trace 0
 
 Everything runs in this one process (closed loop, one client): a set-up,
-repeated at least SETUP_REPEATS times with its median reported, then ops
-back to back until --seconds have passed.  An op drives the user-facing verbs
+repeated at least SETUP_REPEATS times, then ops back to back until
+--seconds have passed.  An op drives the user-facing verbs
 ``solve`` and ``spectrum`` at d=4, then ``solve`` (cold, then warm),
 ``verify``, ``spectrum`` and ``sweep`` at d=3, in-process through
 ``choquard_lab.cli.main``, then ``newton_continue`` through the Python API,
@@ -14,10 +14,11 @@ then times a fresh interpreter importing ``choquard_lab.cli``.  Every output
 is checked; an op whose verb returns nonzero, raises, or misses a check
 counts as failed.
 
-With ``--trace 0`` the last stdout line carries the end-to-end metrics
-(medians over ops).  With ``--trace 1`` ops alternate untraced and traced
-and the line carries the per-layer metrics of the traced ops (see
-tracer.py).  The line before it holds the environment record, the
+With ``--trace 0`` the last stdout line carries the end-to-end metrics:
+each timing is the mean of the run's samples, scaled to the reference
+host speed (see ``reference_work``).  With ``--trace 1`` ops alternate
+untraced and traced and the line carries the per-layer metrics of the
+traced ops (see tracer.py).  The line before it holds the environment record, the
 per-metric samples and tails, the seed's inputs and any failure.
 
 The package is imported from ``src/`` of the checkout and nowhere else;
@@ -75,24 +76,22 @@ END_TO_END = {
 class Workload:
     n: int                 # d=3 grid size
     warm: bool             # disk cache filled in set-up and kept by ops
-    # Calls per op of the short phases that redo identical work, so that
-    # each phase's calls take at least about 0.2 s at the seed commit.
-    # Longer samples mean fewer ops in a run, hence fewer samples for the
-    # median; both were tried on a host whose speed drifts by tens of
-    # percent within minutes.  In a cold workload every call of
-    # solve_spectrum_d4_s starts from an empty disk cache.
+    # Calls per op of the phases that redo identical work.  Each call is a
+    # sample of its own, so short phases get more samples per run.  In a
+    # cold workload every call of solve_spectrum_d4_s starts from an empty
+    # disk cache.
     repeats: dict
 
 
 # Why each workload exists is recorded in README.md.
 WORKLOADS = {
     "cold": Workload(n=1200, warm=False, repeats={
-        "solve_warm_s": 2, "verify_s": 5}),
+        "solve_warm_s": 2, "verify_s": 5, "import_s": 2}),
     # a cold solve here (empty memory cache, operator read from disk) is
     # repeatable
     "sweep-warm": Workload(n=700, warm=True, repeats={
         "solve_spectrum_d4_s": 3, "solve_cold_s": 3, "solve_warm_s": 3,
-        "verify_s": 8}),
+        "verify_s": 8, "import_s": 2}),
 }
 
 
@@ -131,6 +130,7 @@ class Run:
     even_grid: object = None
     reference: object = None
     first_csv: bytes | None = None
+    ref_samples: list = field(default_factory=list)
     setup_failures: list = field(default_factory=list)
 
     @property
@@ -184,9 +184,51 @@ def setup(run: Run) -> float:
     return time.perf_counter() - t0
 
 
+# Median time of one reference_work() call on the host of README.md's
+# tables (2-vCPU Intel Xeon, Python 3.11.7, numpy 2.4.6, OpenBLAS 0.3.31).
+REF_SECONDS = 0.03
+_REF_DATA = []
+
+
+def reference_work() -> float:
+    """Time a fixed piece of work built like an op's: a Python loop, numpy
+    element-wise passes, a small symmetric eigensolve and a dense solve of
+    the d=3 sweep's size.  It is the benchmark's own code with fixed inputs,
+    so its time tracks only the host.
+
+    The host is shared, and its speed drifts by tens of percent over
+    minutes (README.md, "Steadiness"); two sets of ten runs of the same
+    code disagreed by more than the bound.  So an untraced run times this
+    before every set-up and every timed phase, and reports each timing as
+    its mean times REF_SECONDS / the median of these calls: the time at
+    the reference speed.  The mean, not the median: a call's time is
+    bimodal, as the host alternates between contended and uncontended
+    periods of seconds, and a run's median jumps from one mode to the
+    other as the contended share changes, where the mean moves in
+    proportion.  The raw means and every sample are in the detail line."""
+    import numpy as np
+    if not _REF_DATA:
+        rng = np.random.default_rng(0)
+        m = rng.standard_normal((200, 200))
+        a = rng.standard_normal((700, 700)) + 700 * np.eye(700)
+        _REF_DATA.extend([rng.standard_normal(200_000), m + m.T, a,
+                          rng.standard_normal(700)])
+    v, sym, a, b = _REF_DATA
+    t0 = time.perf_counter()
+    acc = 0
+    for i in range(40_000):
+        acc += (i * 7) % 13
+    for _ in range(5):
+        np.sqrt(np.abs(v) + 1.0).sum()
+    np.linalg.eigh(sym)
+    np.linalg.solve(a, a @ b)
+    return time.perf_counter() - t0
+
+
 def run_op(run: Run, tracer=None, op: int = -1, repeat: bool = True,
            tamper=None):
-    """One op.  Returns (phase times, failures, extra layer values).
+    """One op.  Returns (phase times, failures, extra layer values); the
+    phase times map each metric to the list of its calls' times.
 
     With ``repeat`` the phases in ``Workload.repeats`` run several times
     (end-to-end runs); without it every verb runs once (traced runs), so
@@ -209,18 +251,17 @@ def run_op(run: Run, tracer=None, op: int = -1, repeat: bool = True,
     _empty(out)
 
     def timed(metric, fn, before=None):
-        """Time fn; a phase that redoes identical work runs several times
-        and its sample is the mean per call, so one sample spans more
-        than one of the host's fast/slow phases."""
+        """Time fn, once per repeat; every call is one sample."""
         repeats = wl.repeats.get(metric, 1) if repeat else 1
-        total = 0.0
+        if repeat:
+            run.ref_samples.append(reference_work())
+        times[metric] = []
         for _ in range(repeats):
             if before:
                 before()
             t0 = time.perf_counter()
             result = fn()
-            total += time.perf_counter() - t0
-        times[metric] = total / repeats
+            times[metric].append(time.perf_counter() - t0)
         return result
 
     def verb(argv):
@@ -327,17 +368,19 @@ def run_op(run: Run, tracer=None, op: int = -1, repeat: bool = True,
     except Exception:
         fails.append(traceback.format_exc(limit=4))
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    t0 = time.perf_counter()
-    try:
+
+    def import_cli():
         proc = subprocess.run([sys.executable, "-c", "import choquard_lab.cli"],
                               cwd=ROOT, env=env, capture_output=True,
-                              timeout=120)
-    except subprocess.TimeoutExpired:
-        fails.append("import of choquard_lab.cli timed out")
-    else:
-        times["import_s"] = time.perf_counter() - t0
+                              timeout=60)
         if proc.returncode != 0:
             fails.append(f"import failed: {proc.stderr.decode()[-400:]}")
+
+    try:
+        timed("import_s", import_cli)
+    except subprocess.TimeoutExpired:
+        times.pop("import_s", None)
+        fails.append("import of choquard_lab.cli timed out")
     return times, fails, extra
 
 
@@ -435,6 +478,7 @@ def main(argv=None) -> int:
         setups = []
         while len(setups) < SETUP_REPEATS or (sum(setups) < 5.0
                                               and len(setups) < 20):
+            run.ref_samples.append(reference_work())
             setups.append(setup(run))
         samples = {k: [] for k in END_TO_END
                    if k not in ("setup_s", "peak_rss_mb")}
@@ -462,7 +506,7 @@ def main(argv=None) -> int:
             else:
                 plain_walls.append(extra["op_wall_s"])
                 for k, v in times.items():
-                    samples[k].append(v)
+                    samples[k] += v
             op += 1
         peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         problem = route_check()
@@ -481,8 +525,10 @@ def main(argv=None) -> int:
                                       tracer.ops.values() for s in spans]))
         else:
             absent, unlisted = [], {}
-            values = {k: statistics.median(v) for k, v in samples.items() if v}
-            values["setup_s"] = statistics.median(setups)
+            scale = REF_SECONDS / statistics.median(run.ref_samples)
+            values = {k: statistics.mean(v) * scale
+                      for k, v in samples.items() if v}
+            values["setup_s"] = statistics.mean(setups) * scale
             values["peak_rss_mb"] = peak_rss_mb
             metrics = {k: {"value": values[k], "unit": unit}
                        for k, unit in END_TO_END.items() if k in values}
@@ -490,6 +536,9 @@ def main(argv=None) -> int:
             "workload": args.workload, "seed": args.seed, "n": wl.n,
             "inputs": run.inputs, "environment": environment(),
             "setup_samples": setups, "samples": samples,
+            "raw_means": {k: statistics.mean(v)
+                          for k, v in samples.items() if v},
+            "reference_median_s": statistics.median(run.ref_samples),
             "tails": {k: tail(v) for k, v in samples.items()},
             "absent_layer_metrics": absent,
             "unlisted_layer_values": unlisted, "failures": failures[:20],
