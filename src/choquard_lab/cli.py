@@ -14,10 +14,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .continuation import sweep, sweep_manifest, sweep_to_csv
+from .continuation import (SweepRecord, lattice, sweep_manifest, sweep_point,
+                           sweep_to_csv)
 from .diagnostics import feasible_exponents, pohozaev_report
 from .grid import (ChoquardParams, GridError, ParameterError, RadialField,
-                   make_grid)
+                   make_grid, solver_grid)
 from .riesz import RieszError, riesz_radial
 from .solver import (ConvergenceError, FitError, GroundState, SolverOptions,
                      solve_choquard, solve_model)
@@ -42,21 +43,31 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors are usage errors (exit 1), not argparse's exit 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UsageError(message)
+
+
 def _grid_from(args, cfg, d):
+    """Grid from flags over config; without a stretch, solver_grid's rule
+    (last cell 25 times the first) derives it from n."""
     gc = cfg.get("grid", {})
-    r_max = args.r_max if args.r_max is not None else gc.get("r_max", 25.0)
-    n = args.n if args.n is not None else gc.get("n", 600)
-    stretch = args.stretch if args.stretch is not None else gc.get("stretch", 1.006)
-    return make_grid(d, float(r_max), int(n), float(stretch))
+    r_max = float(args.r_max if args.r_max is not None else gc.get("r_max", 25.0))
+    n = int(args.n if args.n is not None else gc.get("n", 600))
+    stretch = args.stretch if args.stretch is not None else gc.get("stretch")
+    if stretch is None:
+        return solver_grid(d, r_max, n)
+    return make_grid(d, r_max, n, float(stretch))
 
 
 def _opts_from(args, cfg) -> SolverOptions:
     sc = cfg.get("solver", {})
-    opts = SolverOptions()
-    opts.tol = args.tol if args.tol is not None else sc.get("tol", 1e-10)
-    opts.max_iter = int(sc.get("max_iter", 2000))
-    opts.method = sc.get("method", "petviashvili")
-    return opts
+    tol = args.tol if args.tol is not None else sc.get("tol", 1e-10)
+    return SolverOptions(tol=tol, max_iter=int(sc.get("max_iter", 2000)),
+                         method=sc.get("method", "petviashvili"))
 
 
 def _out_dir(args, cfg) -> Path:
@@ -65,13 +76,16 @@ def _out_dir(args, cfg) -> Path:
     return out
 
 
-def _add_common(sub):
+def _add_common(sub, grid=True, tol=True):
+    """The shared flags; a verb registers only those it reads."""
     sub.add_argument("--config", help="JSON config file")
     sub.add_argument("--out-dir", help="output directory (default .)")
-    sub.add_argument("--r-max", type=float, default=None)
-    sub.add_argument("--n", type=int, default=None)
-    sub.add_argument("--stretch", type=float, default=None)
-    sub.add_argument("--tol", type=float, default=None)
+    if grid:
+        sub.add_argument("--r-max", type=float, default=None)
+        sub.add_argument("--n", type=int, default=None)
+        sub.add_argument("--stretch", type=float, default=None)
+    if tol:
+        sub.add_argument("--tol", type=float, default=None)
 
 
 def cmd_solve(args) -> int:
@@ -94,8 +108,6 @@ def cmd_solve(args) -> int:
                 raise UsageError("solve needs --alpha for the nonlocal equation")
             params = ChoquardParams(int(d), float(alpha), float(p))
             state = solve_choquard(params, grid, opts)
-    except (ParameterError, GridError) as exc:
-        raise UsageError(str(exc))
     except ConvergenceError as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return EXIT_NOCONV
@@ -114,7 +126,6 @@ def _load_state(stem: str) -> GroundState:
 
 
 def cmd_verify(args) -> int:
-    _ = _load_config(args.config)
     state = _load_state(args.state)
     rows = []
     rep = pohozaev_report(state)
@@ -181,12 +192,14 @@ def cmd_sweep(args) -> int:
     d = args.d if args.d is not None else sc.get("d")
     if d is None:
         raise UsageError("sweep needs --d")
+    d = int(d)
     alphas = args.alphas or sc.get("alphas")
     ps = args.ps or sc.get("ps")
     if not alphas or not ps:
         raise UsageError("sweep needs non-empty --alphas and --ps lattices")
-    grid = _grid_from(args, cfg, int(d))
+    grid = _grid_from(args, cfg, d)
     opts = _opts_from(args, cfg)
+    want = [(pt.alpha, pt.p) for pt in lattice(d, alphas, ps)]
 
     manifest_path = out / "sweep_manifest.json"
     csv_path = out / "sweep.csv"
@@ -199,37 +212,22 @@ def cmd_sweep(args) -> int:
         if old and old.get("grid") == grid.to_dict():
             for pt in old.get("points", []):
                 if pt.get("converged"):
-                    done[(pt["params"]["alpha"], pt["params"]["p"])] = pt
-    want = [(float(a), float(p)) for a in alphas for p in ps]
-    if done and all(pt in done for pt in want):
+                    rec = SweepRecord.from_dict(pt)
+                    done[(rec.params.alpha, rec.params.p)] = rec
+    if all(pt in done for pt in want):
         print("sweep already complete; keeping existing outputs")
         return EXIT_OK
-    from .continuation import SweepRecord
-    missing = [pt for pt in want if pt not in done]
     try:
-        reference = solve_choquard(ChoquardParams(int(d), float(d - 2), 2.0),
+        reference = solve_choquard(ChoquardParams(d, float(d - 2), 2.0),
                                    grid, opts)
     except ConvergenceError as exc:
         print(f"reference solve failed: {exc}", file=sys.stderr)
         return EXIT_NOCONV
-    solved = {}
-    for a, p in missing:
-        recs = sweep(int(d), [a], [p], grid, opts, reference=reference,
-                     with_spectrum=args.with_spectrum, jobs=args.jobs)
-        solved[(a, p)] = recs[0]
-    records = []
-    for a, p in want:
-        if (a, p) in done:
-            pt = done[(a, p)]
-            records.append(SweepRecord(
-                params=ChoquardParams(int(d), a, p), converged=True,
-                norms=pt["norms"], dist_to_newtonian=pt["dist_to_newtonian"],
-                spectral_summary=pt.get("spectral_summary"),
-                message=pt.get("message", "")))
-        else:
-            records.append(solved[(a, p)])
+    records = [done[pt] if pt in done else
+               sweep_point(d, *pt, grid, opts, reference, args.with_spectrum)
+               for pt in want]
     sweep_to_csv(records, csv_path)
-    manifest_path.write_text(sweep_manifest(records, grid, int(d)))
+    manifest_path.write_text(sweep_manifest(records, grid, d))
     bad = [r for r in records if not r.converged]
     print(f"wrote {csv_path} and {manifest_path} "
           f"({len(records) - len(bad)}/{len(records)} points converged)")
@@ -251,10 +249,7 @@ def cmd_riesz(args) -> int:
         raise UsageError("profile nodes are not a geometric grid this tool "
                          "can reconstruct; resample the profile")
     fld = RadialField(grid=grid, values=fld.values)
-    try:
-        pot = riesz_radial(grid, fld, args.alpha)
-    except RieszError as exc:
-        raise UsageError(str(exc))
+    pot = riesz_radial(grid, fld, args.alpha)
     path = out / "potential.csv"
     pot.to_csv(path)
     print(f"wrote {path}")
@@ -262,7 +257,7 @@ def cmd_riesz(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="choquard-lab",
         description="radial ground states of the nonlocal Choquard equation: "
                     "solver, identity checks, linearized spectra, sweeps")
@@ -279,13 +274,12 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_solve)
 
     s = sub.add_parser("verify", help="identity/decay/window checks on a state")
-    _add_common(s)
     s.add_argument("state", help="state file stem or JSON path")
     s.add_argument("--identity-tol", type=float, default=1e-4)
     s.set_defaults(func=cmd_verify)
 
     s = sub.add_parser("spectrum", help="sector eigenvalues and verdicts")
-    _add_common(s)
+    _add_common(s, tol=False)
     s.add_argument("state", nargs="?", help="state file stem")
     s.add_argument("--ell", type=int, default=0)
     s.add_argument("--k", type=int, default=6)
@@ -302,13 +296,12 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--alphas", type=float, nargs="*")
     s.add_argument("--ps", type=float, nargs="*")
     s.add_argument("--with-spectrum", action="store_true")
-    s.add_argument("--jobs", type=int, default=1)
     s.add_argument("--fresh", action="store_true",
                    help="ignore an existing manifest")
     s.set_defaults(func=cmd_sweep)
 
     s = sub.add_parser("riesz", help="potential of a CSV-supplied profile")
-    _add_common(s)
+    _add_common(s, grid=False, tol=False)
     s.add_argument("profile", help="CSV with columns r,value")
     s.add_argument("--d", type=int)
     s.add_argument("--alpha", type=float)

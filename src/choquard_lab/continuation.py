@@ -10,7 +10,7 @@ on residual increase) is mandatory here: the derivative of the map is
 continuous only at the Newtonian exponent pair itself, so undamped steps
 can overshoot even close to the target.
 
-Sweeps solve a lattice of parameter points (fresh or continued), record
+Sweeps solve a lattice of parameter points, one after another, record
 norms and distances to the stored Newtonian reference state, and attach
 nearest-to-zero sector eigenvalues on request.
 """
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,8 @@ from .grid import (ChoquardParams, GridError, RadialField, RadialGrid,
                    differentiate, integrate_radial)
 from .riesz import riesz_apply_matrix
 from .solver import (ConvergenceError, GroundState, SolverOptions,
-                     _newton_refine, fit_decay, solve_choquard, state_norms)
+                     _newton_refine, solve_choquard, state_from_field)
+from .spectrum import assemble_lplus, eig_smallest
 
 
 class ContinuationError(RuntimeError):
@@ -67,18 +67,9 @@ class SweepRecord:
                 "spectral_summary": self.spectral_summary,
                 "message": self.message}
 
-
-def _finish_state(params: ChoquardParams, grid: RadialGrid, u: np.ndarray,
-                  residual: float, iterations: int) -> GroundState:
-    fld = RadialField(grid=grid, values=u)
-    state = GroundState(params=params, field=fld, residual=residual,
-                        iterations=iterations, decay=None,
-                        norms=state_norms(grid, u))
-    try:
-        state.decay = fit_decay(state)
-    except Exception:
-        state.decay = None
-    return state
+    @classmethod
+    def from_dict(cls, data: dict) -> "SweepRecord":
+        return cls(**{**data, "params": ChoquardParams.from_dict(data["params"])})
 
 
 def newton_continue(base: GroundState, target: ChoquardParams,
@@ -100,9 +91,7 @@ def newton_continue(base: GroundState, target: ChoquardParams,
     if target.d != start.d:
         raise ContinuationError("cannot continue across dimensions")
     if target.alpha == start.alpha and target.p == start.p:
-        state = base
-        state.newton_history = [base.residual]
-        return state
+        return base
 
     u = base.field.values.copy()
     s_now = 0.0
@@ -131,70 +120,63 @@ def newton_continue(base: GroundState, target: ChoquardParams,
                 raise ContinuationError(
                     f"Newton diverged at s={s_try:.4f} "
                     f"(residual {hist[-1]:.2e})", last_good=last_good)
-    state = _finish_state(target, grid, u, history[-1],
-                          iterations=len(history))
-    state.newton_history = history
-    return state
+    return state_from_field(target, RadialField(grid=grid, values=u),
+                            history[-1], len(history), newton_history=history)
+
+
+def lattice(d: int, alphas, ps) -> list:
+    """Parameter points of the lattice (alphas outer, ps inner); raises
+    ParameterError unless every point lies in the existence window."""
+    ps = list(ps)
+    points = [ChoquardParams(d, float(a), float(p)).check_existence_window()
+              for a in alphas for p in ps]
+    if not points:
+        raise ValueError("sweep lattice is empty")
+    return points
+
+
+def sweep_point(d: int, alpha: float, p: float, grid: RadialGrid,
+                opts: SolverOptions, reference: GroundState,
+                with_spectrum: bool = False) -> SweepRecord:
+    """Solve one admissible lattice point and measure it against the
+    reference; a solve that does not converge is recorded, not raised."""
+    pars = ChoquardParams(d, alpha, p)
+    try:
+        st = solve_choquard(pars, grid, opts)
+    except ConvergenceError as exc:
+        return SweepRecord(params=pars, converged=False, norms={},
+                           dist_to_newtonian={}, message=str(exc))
+    summary = None
+    if with_spectrum:
+        summary = {}
+        for ell in (0, 1):
+            vals = [v for v, _ in eig_smallest(assemble_lplus(st, ell), 4)]
+            summary[f"nearest_zero_ell{ell}"] = min(vals, key=abs)
+    return SweepRecord(
+        params=pars, converged=True, norms=st.norms,
+        dist_to_newtonian=distances(grid, st.field.values,
+                                    reference.field.values),
+        spectral_summary=summary)
 
 
 def sweep(d: int, alphas, ps, grid: RadialGrid,
           opts: SolverOptions | None = None,
           reference: GroundState | None = None,
-          continue_from_reference: bool = False,
-          with_spectrum: bool = False,
-          jobs: int = 1):
+          with_spectrum: bool = False):
     """Solve every lattice point and record distances to the Newtonian state.
 
-    Per-point failures are recorded (``converged=False``) and the sweep
-    continues; records are returned in lattice order (alphas outer, ps
-    inner) regardless of the worker pool.
+    The whole lattice is checked before any solve; per-point
+    non-convergence is recorded (``converged=False``) and the sweep goes on.
     """
     opts = opts or SolverOptions()
     if grid.d != d:
         raise GridError(f"grid dimension {grid.d} != requested dimension {d}")
-    alphas = list(alphas)
-    ps = list(ps)
-    if not alphas or not ps:
-        raise ValueError("sweep lattice is empty")
+    points = lattice(d, alphas, ps)
     if reference is None:
         reference = solve_choquard(ChoquardParams(d, float(d - 2), 2.0),
                                    grid, opts)
-    ref_values = reference.field.values
-
-    points = [(a, p) for a in alphas for p in ps]
-
-    def run_point(point):
-        a, p = point
-        try:
-            pars = ChoquardParams(d, a, p)
-            if continue_from_reference:
-                st = newton_continue(reference, pars, opts=opts)
-            else:
-                st = solve_choquard(pars, grid, opts)
-        except (ConvergenceError, ContinuationError, ValueError) as exc:
-            return SweepRecord(
-                params=ChoquardParams(d, a, max(p, 1.0)),
-                converged=False, norms={}, dist_to_newtonian={},
-                message=str(exc))
-        summary = None
-        if with_spectrum:
-            from .spectrum import assemble_lplus, eig_smallest
-            summary = {}
-            for ell in (0, 1):
-                pairs = eig_smallest(assemble_lplus(st, ell), 4)
-                vals = [v for v, _ in pairs]
-                summary[f"nearest_zero_ell{ell}"] = min(vals, key=abs)
-        return SweepRecord(
-            params=st.params, converged=True, norms=st.norms,
-            dist_to_newtonian=distances(grid, st.field.values, ref_values),
-            spectral_summary=summary)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(run_point, points))
-    else:
-        records = [run_point(pt) for pt in points]
-    return records
+    return [sweep_point(d, pt.alpha, pt.p, grid, opts, reference,
+                        with_spectrum) for pt in points]
 
 
 def sweep_to_csv(records, path) -> None:

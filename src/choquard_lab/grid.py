@@ -81,15 +81,18 @@ class ChoquardParams:
         """
         return self.p >= 2.0 and self.p * (self.d - 2) < (2 * self.d - self.alpha)
 
+    def check_existence_window(self) -> "ChoquardParams":
+        """Self, or ParameterError when outside the existence window."""
+        if not self.in_existence_window:
+            raise ParameterError(
+                f"(d,alpha,p)=({self.d},{self.alpha},{self.p}) is outside "
+                "the existence window 1/2 >= 1/p > (d-2)/(2d-alpha)")
+        return self
+
     def near_newtonian(self, delta: float) -> bool:
         """True iff |alpha-(d-2)| <= delta and 0 <= p-2 <= delta."""
         return (abs(self.alpha - (self.d - 2)) <= delta
                 and 0.0 <= self.p - 2.0 <= delta)
-
-    @property
-    def newtonian(self) -> "ChoquardParams":
-        """The point (d-2, 2) in the same dimension."""
-        return ChoquardParams(self.d, float(self.d - 2), 2.0)
 
     def to_dict(self) -> dict:
         return {"d": self.d, "alpha": self.alpha, "p": self.p}
@@ -198,7 +201,8 @@ def solver_grid(d: int, r_max: float = 25.0, n: int = 600,
     """
     if total_stretch <= 1.0:
         return make_grid(d, r_max, n, 1.0)
-    return make_grid(d, r_max, n, math.exp(math.log(total_stretch) / (n - 1)))
+    return make_grid(d, r_max, n,
+                     math.exp(math.log(total_stretch) / max(n - 1, 1)))
 
 
 @dataclass
@@ -333,10 +337,6 @@ def integrate_radial(grid: RadialGrid, f: RadialField | np.ndarray) -> float:
     else:
         g[0] = _extrapolate_origin(grid.nodes, values)
     return sphere_area(grid.d) * _composite_parabolic(x, g)
-
-
-def l2_norm(grid: RadialGrid, values: np.ndarray) -> float:
-    return math.sqrt(max(integrate_radial(grid, np.asarray(values) ** 2), 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -537,10 +537,3 @@ def sector_symmetric(grid: RadialGrid, ell: int, shift: float = 0.0) -> np.ndarr
     if shift:
         mat[np.arange(grid.n), np.arange(grid.n)] += shift
     return mat
-
-
-def laplacian_matrix(grid: RadialGrid, ell: int) -> np.ndarray:
-    """Sector Laplacian acting on node values (flux form, not symmetric;
-    its conjugation by sqrt(w_i r_i^{d-1}) is)."""
-    S = sector_stiffness(grid, ell)
-    return S / grid.measure[:, None]

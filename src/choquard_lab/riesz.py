@@ -317,7 +317,7 @@ def _angular_kernel_values(d, ell, alpha, r, s, npts: int = 200):
 # application operators (product integration of f's interpolant)
 
 
-def _row_from_groups(rule: _CellRule, groups, r: float, surface=None):
+def _row_from_groups(rule: _CellRule, groups, r: float):
     """Row weights from grouped (side, exponent) -> poly tables.
 
     Integrates poly(s) * weight(s) * l_m(s) exactly on every cell; the
@@ -456,24 +456,17 @@ def _angular_rows(grid: RadialGrid, alpha: float, ell: int,
             Ksub = _angular_kernel_values(
                 d, ell, alpha, np.full_like(ssub, r), ssub, npts)
             gsub = wsub * Ksub * ssub ** (d - 1)
-            old = np.zeros(3)
-            new = np.zeros(3)
+            gold = base[j] * _angular_kernel_values(
+                d, ell, alpha, np.full_like(sq[j], r), sq[j], npts)
             for m in range(3):
                 others = [k for k in range(3) if k != m]
                 denom = ((rule.xs[m][j] - rule.xs[others[0]][j])
                          * (rule.xs[m][j] - rule.xs[others[1]][j]))
                 lm_sub = ((ssub - rule.xs[others[0]][j])
                           * (ssub - rule.xs[others[1]][j]) / denom)
-                new[m] = np.sum(gsub * lm_sub)
-                old[m] = np.sum(base[j] * _kvals_row_cache(
-                    d, ell, alpha, r, sq[j], npts) * lm_at_sq[m][j])
-            for m in range(3):
-                W[i, rule.j0[j] + m] += new[m] - old[m]
+                W[i, rule.j0[j] + m] += (np.sum(gsub * lm_sub)
+                                         - np.sum(gold * lm_at_sq[m][j]))
     return W
-
-
-def _kvals_row_cache(d, ell, alpha, r, s, npts):
-    return _angular_kernel_values(d, ell, alpha, np.full_like(s, r), s, npts)
 
 
 _APPLY_CACHE: dict = {}
@@ -482,6 +475,18 @@ _APPLY_CACHE: dict = {}
 def _cache_dir() -> Path | None:
     path = os.environ.get("CHOQUARD_LAB_CACHE")
     return Path(path) if path else None
+
+
+def _save_atomic(path: Path, W: np.ndarray) -> None:
+    """Write through a per-process temp file in the same directory and
+    rename it onto ``path``, so a reader sees either no file or a whole one."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:   # a handle: np.save adds no suffix
+            np.save(fh, W)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def clear_caches() -> None:
@@ -527,10 +532,13 @@ def riesz_apply_matrix(grid: RadialGrid, alpha: float, ell: int = 0,
     if cdir is not None:
         tag = "_".join(str(k).replace(".", "p") for k in key)
         fname = cdir / f"riesz_{tag}.npy"
-        if fname.exists():
+        try:
             W = np.load(fname)
+        except (OSError, ValueError, EOFError):   # missing or unreadable
+            W = None
+        if W is not None and W.shape == (grid.n, grid.n):
             _APPLY_CACHE[key] = W
-            return W
+            return W   # anything else is assembled again and rewritten
 
     rule = _cell_rule(grid)
     n = grid.n
@@ -546,7 +554,7 @@ def riesz_apply_matrix(grid: RadialGrid, alpha: float, ell: int = 0,
     _APPLY_CACHE[key] = W
     if fname is not None:
         cdir.mkdir(parents=True, exist_ok=True)
-        np.save(fname, W)
+        _save_atomic(fname, W)
     return W
 
 

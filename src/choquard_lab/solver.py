@@ -73,7 +73,6 @@ class SolverOptions:
     method: str = "petviashvili"   # or "flow"
     newton_polish: bool = True
     flow_step: float = 0.6
-    verbose: bool = False
 
 
 @dataclass
@@ -96,6 +95,8 @@ class GroundState:
     iterations: int
     decay: DecayFit | None
     norms: dict
+    # residuals of the last Newton solve of a continuation; not saved
+    newton_history: list = field(default_factory=list)
 
     @property
     def grid(self) -> RadialGrid:
@@ -320,23 +321,12 @@ def solve_choquard(params: ChoquardParams, grid: RadialGrid,
     opts = opts or SolverOptions()
     if grid.d != params.d:
         raise GridError(f"grid dimension {grid.d} != params dimension {params.d}")
-    if not params.in_existence_window:
-        raise ParameterError(
-            f"(d,alpha,p)=({params.d},{params.alpha},{params.p}) is outside "
-            "the existence window 1/2 >= 1/p > (d-2)/(2d-alpha)")
+    params.check_existence_window()
     W = riesz_apply_matrix(grid, params.alpha, 0)
     u0 = _initial_gaussian(grid, params.p, W)
     u, res, it = _petviashvili(grid, u0, params.p, W, opts)
     _validate_profile(u, "choquard solve")
-    fld = RadialField(grid=grid, values=u)
-    state = GroundState(params=params, field=fld, residual=res,
-                        iterations=it, decay=None,
-                        norms=state_norms(grid, u))
-    try:
-        state.decay = fit_decay(state)
-    except FitError:
-        state.decay = None
-    return state
+    return state_from_field(params, RadialField(grid=grid, values=u), res, it)
 
 
 def _solve_model_numerov(d: int, p: float, grid: RadialGrid,
@@ -395,16 +385,8 @@ def _solve_model_numerov(d: int, p: float, grid: RadialGrid,
                                iterations=len(res_hist))
     u = U[1:]
     _validate_profile(u, "model solve")
-    fld = RadialField(grid=grid, values=u)
-    state = GroundState(params=ModelParams(d, p), field=fld,
-                        residual=res_hist[-1],
-                        iterations=it0 + len(res_hist),
-                        decay=None, norms=state_norms(grid, u))
-    try:
-        state.decay = fit_decay(state)
-    except FitError:
-        state.decay = None
-    return state
+    return state_from_field(ModelParams(d, p), RadialField(grid=grid, values=u),
+                            res_hist[-1], it0 + len(res_hist))
 
 
 def solve_model(d: int, p: float, grid: RadialGrid,
@@ -424,14 +406,7 @@ def solve_model(d: int, p: float, grid: RadialGrid,
     u0 = _initial_gaussian(grid, p, None)
     u, res, it = _petviashvili(grid, u0, p, None, opts)
     _validate_profile(u, "model solve")
-    fld = RadialField(grid=grid, values=u)
-    state = GroundState(params=params, field=fld, residual=res, iterations=it,
-                        decay=None, norms=state_norms(grid, u))
-    try:
-        state.decay = fit_decay(state)
-    except FitError:
-        state.decay = None
-    return state
+    return state_from_field(params, RadialField(grid=grid, values=u), res, it)
 
 
 def decay_beta(d: int) -> float:
@@ -478,13 +453,15 @@ def model_soliton(p: float, r: np.ndarray) -> np.ndarray:
 
 
 def state_from_field(params, fld: RadialField, residual: float = 0.0,
-                     iterations: int = 0) -> GroundState:
-    """Wrap an existing profile (used by diagnostics and tests)."""
+                     iterations: int = 0, newton_history=()) -> GroundState:
+    """The one way a profile becomes a state: norms, then the tail fit
+    (``decay`` is None when the fit is unreliable)."""
     state = GroundState(params=params, field=fld, residual=residual,
                         iterations=iterations, decay=None,
-                        norms=state_norms(fld.grid, fld.values))
+                        norms=state_norms(fld.grid, fld.values),
+                        newton_history=list(newton_history))
     try:
         state.decay = fit_decay(state)
     except FitError:
-        state.decay = None
+        pass
     return state

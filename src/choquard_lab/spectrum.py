@@ -20,7 +20,6 @@ harmonic.  Two discrete realisations are used deliberately:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +29,7 @@ from .grid import (ChoquardParams, RadialField, RadialGrid,
                    differentiate, integrate_radial, laplacian_sector,
                    sector_symmetric)
 from .riesz import riesz_apply_matrix, sector_kernel
-from .solver import GroundState, ModelParams
+from .solver import GroundState, ModelParams, state_from_field
 
 
 class SpectrumError(RuntimeError):
@@ -45,8 +44,6 @@ class SectorOperator:
     params: ChoquardParams | ModelParams
     grid: RadialGrid
     matrix: np.ndarray          # in the sqrt(w r^{d-1})-weighted basis
-    potential_V: RadialField
-    state_ref: str
 
     def symmetry_defect(self) -> float:
         scale = np.max(np.abs(self.matrix))
@@ -78,8 +75,7 @@ def assemble_lplus(state: GroundState, ell: int) -> SectorOperator:
     params = state.params
     p = params.p
     mat = sector_symmetric(grid, ell, shift=1.0)
-    n = grid.n
-    idx = np.arange(n)
+    idx = np.arange(grid.n)
     if isinstance(params, ChoquardParams):
         V = _potential_V(state)
         mat[idx, idx] -= (p - 1) * V
@@ -87,14 +83,9 @@ def assemble_lplus(state: GroundState, ell: int) -> SectorOperator:
         qp = np.abs(q) ** (p - 1)
         sqm = np.sqrt(grid.measure)
         mat -= p * (sqm * qp)[:, None] * K * (sqm * qp)[None, :]
-        Vfield = RadialField(grid=grid, values=V)
     else:
-        V = p * np.abs(q) ** (p - 1)
-        mat[idx, idx] -= V
-        Vfield = RadialField(grid=grid, values=V)
-    ref = f"{state.equation}-{params.to_dict()}-n{n}"
-    return SectorOperator(ell=ell, params=params, grid=grid, matrix=mat,
-                          potential_V=Vfield, state_ref=ref)
+        mat[idx, idx] -= p * np.abs(q) ** (p - 1)
+    return SectorOperator(ell=ell, params=params, grid=grid, matrix=mat)
 
 
 def apply_lplus(state: GroundState, ell: int, xi: np.ndarray) -> np.ndarray:
@@ -247,15 +238,7 @@ def nondegeneracy_verdict(state: GroundState, gap_tol: float = 0.05,
     )
 
 
-def spectral_report_json(state: GroundState, k: int = 6,
-                         gap_tol: float = 0.05) -> str:
-    rep = nondegeneracy_verdict(state, gap_tol=gap_tol, k=k)
-    return json.dumps(rep.to_dict(), indent=2)
-
-
 def state_from_zero_field(params, grid: RadialGrid) -> GroundState:
     """Zero-profile state; its linearization is the free sector operator."""
-    fld = RadialField(grid=grid, values=np.zeros(grid.n))
-    return GroundState(params=params, field=fld, residual=0.0, iterations=0,
-                       decay=None, norms={"L2": 0.0, "grad_L2": 0.0,
-                                          "H1": 0.0, "Linf": 0.0})
+    return state_from_field(params, RadialField(grid=grid,
+                                                values=np.zeros(grid.n)))

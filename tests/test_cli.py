@@ -36,6 +36,12 @@ def test_solve_missing_args(tmp_path):
     assert run(["solve", "--out-dir", str(tmp_path)]) == 1
 
 
+def test_solve_too_few_nodes_for_the_default_grid(tmp_path, capsys):
+    assert run(["solve", "--d", "3", "--alpha", "1", "--p", "2", "--n", "1",
+                "--out-dir", str(tmp_path)]) == 1
+    assert "at least 16 nodes" in capsys.readouterr().err
+
+
 def test_solve_nonconvergence_exit_code(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"solver": {"max_iter": 2},
@@ -53,6 +59,14 @@ def test_determinism(tmp_path):
                     "--n", "300", "--out-dir", str(out)]) == 0
     assert (d1 / "Q.csv").read_bytes() == (d2 / "Q.csv").read_bytes()
     assert (d1 / "Q.json").read_bytes() == (d2 / "Q.json").read_bytes()
+
+
+def test_default_grid_converges_at_n1200(tmp_path):
+    # no --stretch: the grid's last cell is 25 times its first at any n
+    code = run(["solve", "--d", "3", "--alpha", "1", "--p", "2",
+                "--n", "1200", "--out-dir", str(tmp_path)])
+    assert code == 0
+    assert json.loads((tmp_path / "Q.json").read_text())["residual"] <= 1e-10
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +101,18 @@ def test_verify_fails_on_corrupted_profile(solved_dir, tmp_path, capsys):
 
 def test_verify_missing_file(tmp_path):
     assert run(["verify", str(tmp_path / "nope")]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "Q", "--n", "5"],
+    ["verify", "Q", "--out-dir", "x"],
+    ["riesz", "p.csv", "--d", "3", "--alpha", "1", "--n", "5"],
+    ["spectrum", "Q", "--tol", "1e-8"],
+    ["sweep", "--d", "3", "--alphas", "1", "--ps", "2", "--jobs", "2"],
+])
+def test_flags_a_verb_does_not_read_are_usage_errors(argv, capsys):
+    assert run(argv) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_spectrum_verdict(solved_dir, tmp_path):
@@ -141,6 +167,14 @@ def test_sweep_resumes_from_partial_manifest(tmp_path):
     merged = json.loads((tmp_path / "sweep_manifest.json").read_text())
     assert len(merged["points"]) == 2
     assert (tmp_path / "sweep.csv").read_text() == full_csv
+
+
+def test_sweep_inadmissible_lattice_is_a_usage_error(tmp_path, capsys):
+    code = run(["sweep", "--d", "3", "--alphas", "1.0", "--ps", "1.5",
+                "--n", "200", "--out-dir", str(tmp_path)])
+    assert code == 1
+    assert "existence window" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_sweep_empty_lattice(tmp_path):

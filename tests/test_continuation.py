@@ -1,8 +1,12 @@
+import dataclasses
+import json
+
 import pytest
 
-from choquard_lab import (ChoquardParams, ContinuationError, SolverOptions,
-                          distances, newton_continue, solve_choquard,
-                          solver_grid, sweep, sweep_to_csv)
+from choquard_lab import (ChoquardParams, ContinuationError, ParameterError,
+                          SolverOptions, SweepRecord, distances,
+                          newton_continue, solve_choquard, solver_grid, sweep,
+                          sweep_to_csv)
 
 
 @pytest.fixture(scope="module")
@@ -14,6 +18,19 @@ def base_500():
 def test_same_target_returns_base(base_500):
     st = newton_continue(base_500, base_500.params)
     assert st is base_500
+
+
+def test_same_target_leaves_base_unchanged(base_500):
+    base = dataclasses.replace(base_500, newton_history=[1e-3, 1e-11])
+    assert newton_continue(base, base.params) is base
+    assert base.newton_history == [1e-3, 1e-11]
+
+
+def test_continued_state_carries_newton_history(base_500):
+    st = newton_continue(base_500, ChoquardParams(3, 1.01, 2.01), steps=2)
+    assert len(st.newton_history) >= 2
+    assert st.newton_history[-1] == st.residual
+    assert st.iterations == len(st.newton_history)
 
 
 def test_continue_to_perturbed_point(base_500):
@@ -100,12 +117,18 @@ def test_sweep_empty_lattice_raises(base_500):
         sweep(3, [], [2.0], base_500.grid, reference=base_500)
 
 
-def test_sweep_parallel_matches_serial(base_500):
-    grid = base_500.grid
-    a = [1.0, 1.005]
-    p = [2.0]
-    serial = sweep(3, a, p, grid, reference=base_500)
-    parallel = sweep(3, a, p, grid, reference=base_500, jobs=2)
-    for r1, r2 in zip(serial, parallel):
-        assert r1.params == r2.params
-        assert r1.dist_to_newtonian == pytest.approx(r2.dist_to_newtonian)
+def test_sweep_rejects_inadmissible_lattice_before_solving(base_500):
+    # p = 1.5 < 2 lies outside the existence window; nothing is solved
+    with pytest.raises(ParameterError, match="existence window"):
+        sweep(3, [1.0], [2.0, 1.5], base_500.grid, reference=base_500)
+
+
+def test_sweep_record_round_trip(base_500):
+    recs = sweep(3, [1.0], [2.0], base_500.grid, reference=base_500,
+                 with_spectrum=True)
+    recs.append(SweepRecord(params=ChoquardParams(3, 1.01, 2.0),
+                            converged=False, norms={}, dist_to_newtonian={},
+                            message="no convergence"))
+    for rec in recs:
+        assert SweepRecord.from_dict(rec.to_dict()) == rec
+        assert SweepRecord.from_dict(json.loads(json.dumps(rec.to_dict()))) == rec

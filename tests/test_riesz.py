@@ -296,3 +296,29 @@ def test_disk_cache_roundtrip(tmp_path, monkeypatch):
     assert_allclose(W1, W2, rtol=0, atol=0)
     clear_caches()
     monkeypatch.delenv("CHOQUARD_LAB_CACHE")
+
+
+@pytest.mark.parametrize("damage", ["garbage", "truncated", "wrong_shape"])
+def test_disk_cache_heals_a_damaged_file(tmp_path, monkeypatch, damage):
+    from choquard_lab.riesz import clear_caches
+    g = make_grid(3, 8.0, 64, 1.0)
+    monkeypatch.delenv("CHOQUARD_LAB_CACHE", raising=False)
+    clear_caches()
+    fresh = riesz_apply_matrix(g, 1.25)   # assembled, no disk cache
+    monkeypatch.setenv("CHOQUARD_LAB_CACHE", str(tmp_path))
+    clear_caches()
+    riesz_apply_matrix(g, 1.25)
+    (path,) = tmp_path.glob("riesz_*.npy")
+    if damage == "garbage":
+        path.write_bytes(b"not an array at all" * 7)
+    elif damage == "truncated":
+        path.write_bytes(path.read_bytes()[:1000])
+    else:
+        np.save(path, np.zeros((3, 3)))
+    clear_caches()
+    assert_allclose(riesz_apply_matrix(g, 1.25), fresh, rtol=0, atol=0)
+    # the damaged file was rewritten in place, and no temp file is left
+    assert sorted(tmp_path.iterdir()) == [path]
+    assert_allclose(np.load(path), fresh, rtol=0, atol=0)
+    clear_caches()
+    monkeypatch.delenv("CHOQUARD_LAB_CACHE")
