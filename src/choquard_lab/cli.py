@@ -158,27 +158,30 @@ def cmd_verify(args) -> int:
 def cmd_spectrum(args) -> int:
     cfg = _load_config(args.config)
     out = _out_dir(args, cfg)
-    if args.ell not in (0, 1):
+    if args.ell not in (None, 0, 1):
         raise UsageError(f"unsupported sector --ell {args.ell}")
     if args.zero_field:
+        ell = args.ell or 0
         if args.d is None:
             raise UsageError("--zero-field needs --d")
         grid = _grid_from(args, cfg, args.d)
         alpha = args.alpha if args.alpha is not None else float(args.d - 2)
         state = state_from_zero_field(ChoquardParams(args.d, alpha, 2.0), grid)
-        pairs = eig_smallest(assemble_lplus(state, args.ell), args.k)
-        report = {"sector": args.ell, "zero_field": True,
+        pairs = eig_smallest(assemble_lplus(state, ell), args.k)
+        report = {"sector": ell, "zero_field": True,
                   "eigenvalues": [v for v, _ in pairs]}
     else:
         if not args.state:
             raise UsageError("spectrum needs a state file or --zero-field")
+        if args.ell is not None:
+            raise UsageError("--ell needs --zero-field: the report on a "
+                             "state covers both sectors")
         state = _load_state(args.state)
         try:
             rep = nondegeneracy_verdict(state, gap_tol=args.gap_tol, k=args.k)
         except (SpectrumError, RieszError) as exc:
             raise UsageError(str(exc))
         report = rep.to_dict()
-        report["sector"] = args.ell
     path = out / "spectral_report.json"
     path.write_text(json.dumps(report, indent=2))
     print(json.dumps(report, indent=2))
@@ -281,7 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("spectrum", help="sector eigenvalues and verdicts")
     _add_common(s, tol=False)
     s.add_argument("state", nargs="?", help="state file stem")
-    s.add_argument("--ell", type=int, default=0)
+    s.add_argument("--ell", type=int,
+                   help="sector of the --zero-field check (default 0)")
     s.add_argument("--k", type=int, default=6)
     s.add_argument("--gap-tol", type=float, default=0.05)
     s.add_argument("--zero-field", action="store_true",

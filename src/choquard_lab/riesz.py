@@ -47,66 +47,38 @@ class RieszError(ValueError):
 
 
 _LOG_EPS = 1e-13  # exponent window treated as the log case
+# Rows assembled together: every (rows, n) temporary of a block stays
+# small (0.5 MB at n = 1200), and no n x n temporary is held beside W.
+_BLOCK_ROWS = 48
+# Byte budget of one (rows, points, psi) temporary of the angular route.
+# glibc's mmap threshold follows the largest block freed, so the budget
+# also sets how later dense n x n work allocates: after a d = 4 assembly,
+# a 4-step continuation at n = 700 page-faulted 12x as often at 4 MiB.
+_CHUNK_BYTES = 8 << 20
 
 
 # ---------------------------------------------------------------------------
 # exact cell moments
 
 
-def _power_moments(a, b, c, gamma, kmax):
-    """M_k = int_a^b (s-c)^k |s-c|^gamma ds for k = 0..kmax.
-
-    ``c`` never lies strictly inside a cell (it is a node, the origin, or
-    -r).  Requires gamma > -1.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    left = b <= c + 1e-300  # s - c <= 0 on the whole cell
-    hi = np.where(left, c - a, b - c)
-    lo = np.where(left, c - b, a - c)
-    hi = np.maximum(hi, 0.0)
-    lo = np.maximum(lo, 0.0)
+def _origin_moments(rule: _CellRule, gamma: float, kmax: int):
+    """M_k = int_a^b s^(k+gamma) ds on every cell, k = 0..kmax (gamma > -1)."""
     out = []
     for k in range(kmax + 1):
         e = k + gamma + 1.0
-        if abs(e) < _LOG_EPS:
-            # the antiderivative degenerates to a logarithm; arguments are
-            # bounded away from zero whenever this exponent can occur
-            m = np.log(hi / lo)
-        else:
-            m = (hi ** e - lo ** e) / e
-        out.append(np.where(left, m * (-1.0) ** k, m))
+        out.append((rule.b ** e - rule.a ** e) / e)
     return out
 
 
-def _log_moments(a, b, c, kmax):
-    """int_a^b (s-c)^k ln|s-c| ds for k = 0..kmax."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    left = b <= c + 1e-300
-    hi = np.maximum(np.where(left, c - a, b - c), 0.0)
-    lo = np.maximum(np.where(left, c - b, a - c), 0.0)
-    out = []
-    for k in range(kmax + 1):
-        e = k + 1.0
+def _shift_poly(coeffs: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Rewrite sum_k coeffs[k] s^k in powers of (s - c).
 
-        def prim(u):
-            safe = np.where(u > 0, u, 1.0)
-            return np.where(u > 0, u ** e * (np.log(safe) / e - 1.0 / e ** 2),
-                            0.0)
-
-        m = prim(hi) - prim(lo)
-        out.append(np.where(left, m * (-1.0) ** k, m))
-    return out
-
-
-def _shift_poly(coeffs: np.ndarray, c: float) -> np.ndarray:
-    """Rewrite sum_k coeffs[k] s^k in powers of (s - c)."""
-    deg = len(coeffs) - 1
-    out = np.zeros(deg + 1)
-    for k, ck in enumerate(coeffs):
-        if ck == 0.0:
-            continue
+    ``coeffs`` has shape (deg+1, rows) and ``c`` shape (rows, 1); the
+    result has shape (deg+1, rows, 1).
+    """
+    out = np.zeros((len(coeffs),) + c.shape)
+    for k in range(len(coeffs)):
+        ck = coeffs[k][:, None]
         for j in range(k + 1):
             out[j] += ck * math.comb(k, j) * c ** (k - j)
     return out
@@ -122,23 +94,31 @@ class _CellRule:
     def __init__(self, grid: RadialGrid):
         x = grid.nodes
         n = grid.n
-        self.a = np.concatenate([[0.0], x[:-1]])
-        self.b = x.copy()
+        self.edges = np.concatenate([[0.0], x])   # n + 1 cell edges
+        self.a = self.edges[:-1]
+        self.b = self.edges[1:]
         self.j0 = np.clip(np.arange(n) - 1, 0, n - 3)
         self.xs = np.stack([x[self.j0 + m] for m in range(3)], axis=0)
-
-    def lagrange_polys(self, c: float):
-        """Per-cell coefficients of l_m in powers of (s - c), shape (3,3,n)."""
-        polys = []
+        # per stencil node m, the per-cell coefficients (l_m0, l_m1, l_m2)
+        # of the Lagrange polynomial l_m in powers of s
+        self.lagrange = []
         for m in range(3):
             others = [k for k in range(3) if k != m]
-            a1 = self.xs[others[0]] - c
-            a2 = self.xs[others[1]] - c
-            dm = ((self.xs[m] - self.xs[others[0]])
-                  * (self.xs[m] - self.xs[others[1]]))
-            polys.append(np.stack([a1 * a2 / dm, -(a1 + a2) / dm,
-                                   np.ones_like(dm) / dm]))
-        return polys
+            a1 = self.xs[others[0]]
+            a2 = self.xs[others[1]]
+            dm = (self.xs[m] - a1) * (self.xs[m] - a2)
+            self.lagrange.append((a1 * a2 / dm, -(a1 + a2) / dm, 1.0 / dm))
+
+    def add_cells(self, W: np.ndarray, cell: np.ndarray, m: int) -> None:
+        """W[:, j0 + m] += cell for the (rows, n) per-cell weights of node m.
+
+        Cells 0/1 and n-2/n-1 share a column, so the two end cells go
+        separately, in cell order, which is the order np.add.at takes.
+        """
+        n = cell.shape[1]
+        W[:, m] += cell[:, 0]
+        W[:, m:m + n - 2] += cell[:, 1:n - 1]
+        W[:, m + n - 3] += cell[:, n - 1]
 
 
 _CELL_RULES: dict = {}
@@ -250,14 +230,30 @@ def _group_terms(terms):
     return groups
 
 
-def _odd_kernel_times_sd(d, ell, alpha, r: float, s: np.ndarray) -> np.ndarray:
-    """Pointwise K_l(r, s) s^{d-1} from the closed-form term table."""
+def _term_table(d, ell, alpha, r: np.ndarray) -> dict:
+    """Grouped term polynomials for every radius in ``r``.
+
+    Maps (side, exponent) to coefficients in s of shape (deg+1, rows).
+    The keys depend on alpha only; each row is built by the scalar term
+    formulas, so a row does not depend on the rows beside it.
+    """
+    per_row = [_group_terms(_odd_term_polys(d, ell, alpha, ri)) for ri in r]
+    return {key: np.stack([g[key] for g in per_row], axis=1)
+            for key in per_row[0]}
+
+
+def _odd_kernel_times_sd(d, ell, alpha, r: np.ndarray,
+                         s: np.ndarray) -> np.ndarray:
+    """K_l(r_i, s_j) s_j^{d-1} from the closed-form term table, shape
+    (len(r), len(s))."""
     s = np.asarray(s, dtype=float)
-    acc = np.zeros_like(s)
-    A = s + r
-    B = np.abs(s - r)
+    r = np.asarray(r, dtype=float)
+    col = r[:, None]
+    acc = np.zeros((r.size, s.size))
+    A = s + col
+    B = np.abs(s - col)
     Bsafe = np.where(B > 0, B, 1.0)
-    for (side, e), poly in _group_terms(_odd_term_polys(d, ell, alpha, r)).items():
+    for (side, e), poly in _term_table(d, ell, alpha, r).items():
         pv = np.polynomial.polynomial.polyval(s, poly)
         if side == "A":
             acc += pv * A ** e
@@ -317,75 +313,73 @@ def _angular_kernel_values(d, ell, alpha, r, s, npts: int = 200):
 # application operators (product integration of f's interpolant)
 
 
-def _row_from_groups(rule: _CellRule, groups, r: float):
-    """Row weights from grouped (side, exponent) -> poly tables.
+def _rows_from_groups(rule: _CellRule, groups, r: np.ndarray) -> np.ndarray:
+    """Operator rows at the radii ``r`` from a term table (``_term_table``).
 
     Integrates poly(s) * weight(s) * l_m(s) exactly on every cell; the
-    result multiplies the f samples at the stencil nodes.
+    result multiplies the f samples at the stencil nodes.  With
+    t = s - c (c = -r for the A side, r for the B side), t^q w(t) has the
+    antiderivative t^{q+1} |t|^e / (q+e+1) for w = |t|^e and
+    t^{q+1} (ln|t| - 1/(q+1)) / (q+1) for w = ln|t|.  These are taken at
+    the n + 1 cell edges, combined into antiderivatives of s^k * term,
+    k = 0..2, summed over the groups, and differenced once per k.
     """
-    n = rule.b.size
-    row = np.zeros(n)
+    G = [0.0, 0.0, 0.0]
     for (side, e), poly in groups.items():
-        c = -r if side.startswith("A") else r
-        shifted = _shift_poly(poly, c)
-        lag = rule.lagrange_polys(c)
-        kmax = len(shifted) - 1 + 2
-        if side in ("Alog", "Blog"):
-            M = _log_moments(rule.a, rule.b, c, kmax)
-        else:
-            M = _power_moments(rule.a, rule.b, c, e, kmax)
-        for m in range(3):
-            lm = lag[m]  # (3, ncells) coefficients in (s-c)
-            cell = np.zeros(n)
-            for j, pj in enumerate(shifted):
-                if pj == 0.0:
-                    continue
-                for k in range(3):
-                    cell += pj * lm[k] * M[j + k]
-            np.add.at(row, rule.j0 + m, cell)
-    return row
+        c = (-r if side.startswith("A") else r)[:, None]
+        p = _shift_poly(poly, c)
+        t = rule.edges - c
+        at = np.abs(t)
+        safe = np.where(at > 0, at, 1.0)   # at t = 0, T = t^{q+1} zeroes F
+        logw = e is None
+        if logw:
+            e = 0.0
+        w = np.log(safe) if logw else safe ** e
+        # H[k]: antiderivative of t^k * term = sum_j p_j t^{j+k} w(t)
+        H = [0.0, 0.0, 0.0]
+        T = t
+        for q in range(len(p) + 2):
+            F = T * w
+            if logw:
+                F -= T / (q + 1)
+            for k in range(max(0, q - len(p) + 1), min(q, 2) + 1):
+                H[k] = H[k] + (p[q - k] / (q + e + 1)) * F
+            T = T * t
+        # s^k = (t + c)^k
+        G[0] = G[0] + H[0]
+        G[1] = G[1] + (H[1] + c * H[0])
+        G[2] = G[2] + (H[2] + c * (2.0 * H[1] + c * H[0]))
+    S = [np.diff(Gk, axis=1) for Gk in G]
+    W = np.zeros((r.size, rule.b.size))
+    for m, lm in enumerate(rule.lagrange):
+        rule.add_cells(W, lm[0] * S[0] + lm[1] * S[1] + lm[2] * S[2], m)
+    return W
 
 
-def _newton_row(grid: RadialGrid, rule: _CellRule, i: int) -> np.ndarray:
-    """Row of the Newtonian (alpha = d-2, l = 0) application operator.
+def _newton_rows(grid: RadialGrid, rule: _CellRule, lo: int,
+                 hi: int) -> np.ndarray:
+    """Rows lo..hi-1 of the Newtonian (alpha = d-2, l = 0) operator.
 
     Kernel |S^{d-1}| max(r,s)^{2-d}: polynomial s^{d-1} r^{2-d} inside,
     s outside, integrated exactly against f's interpolant.
     """
     d = grid.d
-    r = grid.nodes[i]
     n = grid.n
     area = sphere_area(d)
-    inside = np.arange(n) <= i
-
-    poly_in = np.zeros(d)
-    poly_in[d - 1] = area * r ** (2 - d)
-    poly_out = np.array([0.0, area])
-    kmax = max(d - 1, 1) + 2
-    M = _power_moments(rule.a, rule.b, 0.0, 0.0, kmax)
-    lag = rule.lagrange_polys(0.0)
-    row = np.zeros(n)
-    for m in range(3):
-        lm = lag[m]
-        cell_in = np.zeros(n)
-        cell_out = np.zeros(n)
-        for j in range(d):
-            if poly_in[j]:
-                for k in range(3):
-                    cell_in += poly_in[j] * lm[k] * M[j + k]
-        for j in range(2):
-            if poly_out[j]:
-                for k in range(3):
-                    cell_out += poly_out[j] * lm[k] * M[j + k]
-        np.add.at(row, rule.j0 + m, np.where(inside, cell_in, cell_out))
-    return row
-
-
-def _exact_row(grid: RadialGrid, rule: _CellRule, i: int, alpha: float,
-               ell: int) -> np.ndarray:
-    r = grid.nodes[i]
-    groups = _group_terms(_odd_term_polys(grid.d, ell, alpha, r))
-    return _row_from_groups(rule, groups, r)
+    # scalar pow per row, as in the term tables: numpy's vector pow may
+    # round differently
+    coef_in = np.array([area * ri ** (2 - d) for ri in grid.nodes[lo:hi]])
+    coef_in = coef_in[:, None]
+    inside = np.arange(n) <= np.arange(lo, hi)[:, None]
+    M = _origin_moments(rule, 0.0, max(d - 1, 1) + 2)
+    W = np.zeros((hi - lo, n))
+    for m, lm in enumerate(rule.lagrange):
+        cell_in = (coef_in * lm[0] * M[d - 1] + coef_in * lm[1] * M[d]
+                   + coef_in * lm[2] * M[d + 1])
+        cell_out = area * lm[0] * M[1] + area * lm[1] * M[2] \
+            + area * lm[2] * M[3]
+        rule.add_cells(W, np.where(inside, cell_in, cell_out), m)
+    return W
 
 
 def _angular_rows(grid: RadialGrid, alpha: float, ell: int,
@@ -415,8 +409,7 @@ def _angular_rows(grid: RadialGrid, alpha: float, ell: int,
     base = wq * sq ** (d - 1)
     W = np.zeros((n, n))
     flat_s = sq.ravel()
-    # keep the (rows x points x psi) intermediate around 50 MB
-    chunk = max(1, int(6e7 / (flat_s.size * npts)))
+    chunk = max(1, _CHUNK_BYTES // (8 * flat_s.size * npts))
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
         rr = np.repeat(grid.nodes[lo:hi, None], flat_s.size, axis=1)
@@ -425,9 +418,8 @@ def _angular_rows(grid: RadialGrid, alpha: float, ell: int,
         K = K.reshape(hi - lo, n, ngauss)
         G = K * base[None, :, :]
         for m in range(3):
-            contrib = np.sum(G * lm_at_sq[m][None, :, :], axis=2)
-            for ii in range(lo, hi):
-                np.add.at(W[ii], rule.j0 + m, contrib[ii - lo])
+            rule.add_cells(W[lo:hi],
+                           np.sum(G * lm_at_sq[m][None, :, :], axis=2), m)
 
     # The kernel is analytic inside every cell except for a fractional
     # |s - r_i| power at the diagonal endpoint; redo the two adjacent
@@ -470,6 +462,9 @@ def _angular_rows(grid: RadialGrid, alpha: float, ell: int,
 
 
 _APPLY_CACHE: dict = {}
+# Leads every disk-cache file name; raise it whenever an assembly change
+# alters W, so files written by older code are never read.
+_CACHE_VERSION = 2
 
 
 def _cache_dir() -> Path | None:
@@ -531,7 +526,7 @@ def riesz_apply_matrix(grid: RadialGrid, alpha: float, ell: int = 0,
     fname = None
     if cdir is not None:
         tag = "_".join(str(k).replace(".", "p") for k in key)
-        fname = cdir / f"riesz_{tag}.npy"
+        fname = cdir / f"riesz_v{_CACHE_VERSION}_{tag}.npy"
         try:
             W = np.load(fname)
         except (OSError, ValueError, EOFError):   # missing or unreadable
@@ -546,11 +541,14 @@ def riesz_apply_matrix(grid: RadialGrid, alpha: float, ell: int = 0,
         W = _angular_rows(grid, alpha, ell)
     else:
         W = np.empty((n, n))
-        for i in range(n):
+        for lo in range(0, n, _BLOCK_ROWS):
+            hi = min(lo + _BLOCK_ROWS, n)
             if method == "newton":
-                W[i] = _newton_row(grid, rule, i)
+                W[lo:hi] = _newton_rows(grid, rule, lo, hi)
             else:
-                W[i] = _exact_row(grid, rule, i, alpha, ell)
+                r = grid.nodes[lo:hi]
+                W[lo:hi] = _rows_from_groups(
+                    rule, _term_table(d, ell, alpha, r), r)
     _APPLY_CACHE[key] = W
     if fname is not None:
         cdir.mkdir(parents=True, exist_ok=True)
@@ -573,8 +571,8 @@ def riesz_at_zero(grid: RadialGrid, f: RadialField, alpha: float) -> float:
     if not (0.0 < alpha < d):
         raise RieszError(f"alpha outside (0,d): alpha={alpha}, d={d}")
     rule = _cell_rule(grid)
-    groups = {("B", d - 1.0 - alpha): _poly(sphere_area(d))}
-    row = _row_from_groups(rule, groups, 0.0)
+    groups = {("B", d - 1.0 - alpha): np.full((1, 1), sphere_area(d))}
+    row = _rows_from_groups(rule, groups, np.zeros(1))[0]
     return float(row @ values)
 
 
@@ -598,11 +596,9 @@ def riesz_bracket(grid: RadialGrid, f: RadialField, alpha: float) -> RadialField
     n = grid.n
 
     def cell_integrals(gamma):
-        M = _power_moments(rule.a, rule.b, 0.0, gamma, 2)
-        lag = rule.lagrange_polys(0.0)
+        M = _origin_moments(rule, gamma, 2)
         per_cell = np.zeros(n)
-        for m in range(3):
-            lm = lag[m]
+        for m, lm in enumerate(rule.lagrange):
             per_cell += values[rule.j0 + m] * (lm[0] * M[0] + lm[1] * M[1]
                                                + lm[2] * M[2])
         return per_cell
@@ -665,14 +661,14 @@ def sector_kernel(grid: RadialGrid, alpha: float, ell: int) -> SectorKernel:
             f"(alpha={alpha}, d={d}); use the application operator instead")
     r = grid.nodes
     n = grid.n
+    K = np.empty((n, n))
     if d % 2 == 1:
-        K = np.empty((n, n))
         sd = r ** (d - 1)
-        for i in range(n):
-            K[i] = _odd_kernel_times_sd(d, ell, alpha, r[i], r) / sd
+        for lo in range(0, n, _BLOCK_ROWS):
+            hi = min(lo + _BLOCK_ROWS, n)
+            K[lo:hi] = _odd_kernel_times_sd(d, ell, alpha, r[lo:hi], r) / sd
     else:
-        K = np.empty((n, n))
-        chunk = max(1, int(4e7 / (n * 200)))
+        chunk = max(1, _CHUNK_BYTES // (8 * n * 200))
         for lo in range(0, n, chunk):
             hi = min(lo + chunk, n)
             R = np.repeat(r[lo:hi, None], n, axis=1)

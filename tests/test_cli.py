@@ -122,6 +122,7 @@ def test_spectrum_verdict(solved_dir, tmp_path):
     rep = json.loads((tmp_path / "spectral_report.json").read_text())
     assert rep["radial_kernel_trivial"] is True
     assert rep["translation_mode_found"] is True
+    assert "sector" not in rep
 
 
 def test_spectrum_zero_field(tmp_path):
@@ -137,6 +138,13 @@ def test_spectrum_zero_field(tmp_path):
 def test_spectrum_unsupported_sector(solved_dir, tmp_path):
     assert run(["spectrum", str(solved_dir / "Q"), "--ell", "2",
                 "--out-dir", str(tmp_path)]) == 1
+
+
+def test_spectrum_ell_is_a_usage_error_for_a_state(solved_dir, tmp_path):
+    # the report on a stored state covers both sectors; --ell would be ignored
+    assert run(["spectrum", str(solved_dir / "Q"), "--ell", "1",
+                "--out-dir", str(tmp_path)]) == 1
+    assert not (tmp_path / "spectral_report.json").exists()
 
 
 def test_sweep_writes_csv_manifest_and_resumes(tmp_path, capsys):

@@ -8,8 +8,10 @@ from scipy.integrate import quad
 from choquard_lab import (RadialField, RieszError, ball_volume, make_grid,
                           overlap_volume, riesz_apply_matrix, riesz_at_zero,
                           riesz_bracket, riesz_radial, sector_kernel,
-                          sphere_area)
-from choquard_lab.riesz import _angular_kernel_values, _odd_kernel_times_sd
+                          solver_grid, sphere_area)
+from choquard_lab import riesz
+from choquard_lab.riesz import (_angular_kernel_values, _odd_kernel_times_sd,
+                                clear_caches)
 
 
 def kernel_oracle(d, ell, alpha, r, s):
@@ -37,7 +39,8 @@ def test_kernel_values_against_quadrature_oracle(d, ell, alpha):
         assert_allclose(got_ang, want, rtol=2e-9, atol=1e-12)
         if d % 2 == 1:
             got_exact = float(_odd_kernel_times_sd(
-                d, ell, alpha, r, np.asarray([s]))[0]) / s ** (d - 1)
+                d, ell, alpha, np.asarray([r]), np.asarray([s]))[0, 0]) \
+                / s ** (d - 1)
             assert_allclose(got_exact, want, rtol=2e-9, atol=1e-12)
 
 
@@ -111,6 +114,79 @@ def test_generic_paths_agree_on_random_smooth_inputs():
         pe = riesz_radial(g, f, 1.4, method="exact").values
         pa = riesz_radial(g, f, 1.4, method="angular").values
         assert np.max(np.abs(pe - pa)) / np.max(np.abs(pe)) <= 1e-8
+
+
+def _rel(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("d,tol_ell1", [(3, 1e-8), (5, 2e-6)])
+def test_exact_route_agrees_with_newton_and_angular(d, tol_ell1):
+    g = make_grid(d, 8.0, 240, 1.0)
+    f0 = np.exp(-g.nodes ** 2)
+    f1 = g.nodes * f0
+    alpha = d - 2.0
+    assert _rel(riesz_apply_matrix(g, alpha, 0, "exact") @ f0,
+                riesz_apply_matrix(g, alpha, 0, "newton") @ f0) <= 1e-8
+    alpha = d - 1.6
+    assert _rel(riesz_apply_matrix(g, alpha, 0, "exact") @ f0,
+                riesz_apply_matrix(g, alpha, 0, "angular") @ f0) <= 1e-8
+    assert _rel(riesz_apply_matrix(g, alpha, 1, "exact") @ f1,
+                riesz_apply_matrix(g, alpha, 1, "angular") @ f1) <= tol_ell1
+
+
+def test_exact_route_agrees_with_newton_on_the_solver_grid():
+    g = solver_grid(3, 25.0, 1200)
+    f = np.exp(-g.nodes ** 2)
+    assert _rel(riesz_apply_matrix(g, 1.0, 0, "exact") @ f,
+                riesz_apply_matrix(g, 1.0, 0, "newton") @ f) <= 5e-8
+
+
+@pytest.mark.parametrize("method", ["newton", "exact"])
+def test_constant_input_gives_the_uniform_ball_potential(method):
+    # product integration is exact on the constant interpolant, so every
+    # cell, the two end cells included, must be counted once:
+    # int_{|y|<R} |x-y|^{-1} dy = 2 pi (R^2 - |x|^2/3) for |x| <= R
+    g = make_grid(3, 8.0, 240, 1.0)
+    got = riesz_apply_matrix(g, 1.0, 0, method) @ np.ones(g.n)
+    assert_allclose(got, 2 * math.pi * (64.0 - g.nodes ** 2 / 3), rtol=1e-11)
+
+
+def test_add_cells_matches_add_at():
+    g = make_grid(3, 8.0, 20, 1.0)
+    rule = riesz._cell_rule(g)
+    rng = np.random.default_rng(5)
+    cells = rng.standard_normal((3, 4, g.n))
+    W = rng.standard_normal((4, g.n))
+    ref = W.copy()
+    for m in range(3):
+        rule.add_cells(W, cells[m], m)
+        for i in range(4):
+            np.add.at(ref[i], rule.j0 + m, cells[m][i])
+    assert np.array_equal(W, ref)
+
+
+def test_assembly_does_not_depend_on_the_row_block(monkeypatch):
+    # blocks of one row, and one block of all rows, give the same bits;
+    # alpha = 2 at d = 3 puts logarithmic weights into the exact route
+    monkeypatch.delenv("CHOQUARD_LAB_CACHE", raising=False)
+    g = make_grid(3, 8.0, 40, 1.02)
+
+    def assemble():
+        clear_caches()
+        return [riesz_apply_matrix(g, 1.0, 0, "newton"),
+                riesz_apply_matrix(g, 1.3, 0, "exact"),
+                riesz_apply_matrix(g, 1.3, 1, "exact"),
+                riesz_apply_matrix(g, 2.0, 0, "exact"),
+                sector_kernel(g, 1.3, 1).matrix]
+
+    monkeypatch.setattr(riesz, "_BLOCK_ROWS", 1)
+    by_row = assemble()
+    monkeypatch.setattr(riesz, "_BLOCK_ROWS", g.n)
+    whole = assemble()
+    clear_caches()
+    for a, b in zip(by_row, whole):
+        assert np.array_equal(a, b)
 
 
 def test_sector_kernel_symmetry_and_positivity():
@@ -296,6 +372,27 @@ def test_disk_cache_roundtrip(tmp_path, monkeypatch):
     assert_allclose(W1, W2, rtol=0, atol=0)
     clear_caches()
     monkeypatch.delenv("CHOQUARD_LAB_CACHE")
+
+
+def test_disk_cache_ignores_files_of_an_older_format(tmp_path, monkeypatch):
+    g = make_grid(3, 8.0, 64, 1.0)
+    monkeypatch.delenv("CHOQUARD_LAB_CACHE", raising=False)
+    clear_caches()
+    fresh = riesz_apply_matrix(g, 1.25)
+    monkeypatch.setenv("CHOQUARD_LAB_CACHE", str(tmp_path))
+    clear_caches()
+    riesz_apply_matrix(g, 1.25)
+    (path,) = tmp_path.glob("riesz_*.npy")
+    prefix = f"riesz_v{riesz._CACHE_VERSION}_"
+    assert path.name.startswith(prefix)
+    # a well-formed matrix under the unversioned name of the same key
+    old = path.with_name("riesz_" + path.name[len(prefix):])
+    np.save(old, np.zeros((g.n, g.n)))
+    path.unlink()
+    clear_caches()
+    assert_allclose(riesz_apply_matrix(g, 1.25), fresh, rtol=0, atol=0)
+    assert path.exists()
+    clear_caches()
 
 
 @pytest.mark.parametrize("damage", ["garbage", "truncated", "wrong_shape"])
