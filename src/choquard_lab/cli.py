@@ -18,7 +18,7 @@ from .continuation import (SweepRecord, lattice, sweep_manifest, sweep_point,
                            sweep_to_csv)
 from .diagnostics import feasible_exponents, pohozaev_report
 from .grid import (ChoquardParams, GridError, ParameterError, RadialField,
-                   make_grid, solver_grid)
+                   make_grid, solver_grid, write_atomic)
 from .riesz import RieszError, riesz_radial
 from .solver import (ConvergenceError, FitError, GroundState, SolverOptions,
                      solve_choquard, solve_model)
@@ -218,7 +218,9 @@ def cmd_sweep(args) -> int:
                     rec = SweepRecord.from_dict(pt)
                     done[(rec.params.alpha, rec.params.p)] = rec
     if all(pt in done for pt in want):
-        print("sweep already complete; keeping existing outputs")
+        # the manifest is written before the CSV, which may be lost or stale
+        sweep_to_csv([done[pt] for pt in want], csv_path)
+        print(f"sweep already complete; rebuilt {csv_path} from the manifest")
         return EXIT_OK
     try:
         reference = solve_choquard(ChoquardParams(d, float(d - 2), 2.0),
@@ -226,11 +228,17 @@ def cmd_sweep(args) -> int:
     except ConvergenceError as exc:
         print(f"reference solve failed: {exc}", file=sys.stderr)
         return EXIT_NOCONV
-    records = [done[pt] if pt in done else
-               sweep_point(d, *pt, grid, opts, reference, args.with_spectrum)
-               for pt in want]
+    known = dict(done)
+    for pt in want:
+        if pt in done:
+            continue
+        known[pt] = sweep_point(d, *pt, grid, opts, reference,
+                                args.with_spectrum)
+        # after every solved point, so an interrupted sweep resumes
+        text = sweep_manifest([known[q] for q in want if q in known], grid, d)
+        write_atomic(manifest_path, lambda fh: fh.write(text.encode()))
+    records = [known[pt] for pt in want]
     sweep_to_csv(records, csv_path)
-    manifest_path.write_text(sweep_manifest(records, grid, d))
     bad = [r for r in records if not r.converged]
     print(f"wrote {csv_path} and {manifest_path} "
           f"({len(records) - len(bad)}/{len(records)} points converged)")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (ChoquardParams, GridError, RadialField, RadialGrid,
-                   differentiate, integrate_radial)
+                   differentiate, integrate_radial, write_atomic)
 from .riesz import riesz_apply_matrix
 from .solver import (ConvergenceError, GroundState, SolverOptions,
                      _newton_refine, solve_choquard, state_from_field)
@@ -180,6 +180,7 @@ def sweep(d: int, alphas, ps, grid: RadialGrid,
 
 
 def sweep_to_csv(records, path) -> None:
+    """One CSV row per record, written atomically."""
     cols = ["alpha", "p", "converged", "L2", "H1", "Linf",
             "dist_L2", "dist_H1", "dist_Linf",
             "nearest_zero_ell0", "nearest_zero_ell1"]
@@ -195,8 +196,8 @@ def sweep_to_csv(records, path) -> None:
         row.append(f"{ss.get('nearest_zero_ell0', float('nan')):.17g}")
         row.append(f"{ss.get('nearest_zero_ell1', float('nan')):.17g}")
         lines.append(",".join(row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    text = "\n".join(lines) + "\n"
+    write_atomic(path, lambda fh: fh.write(text.encode()))
 
 
 def sweep_manifest(records, grid: RadialGrid, d: int) -> str:

@@ -39,7 +39,7 @@ import numpy as np
 from scipy.special import betainc, roots_legendre
 
 from .grid import (RadialField, RadialGrid, _check_field, ball_volume,
-                   sphere_area)
+                   sphere_area, write_atomic)
 
 
 class RieszError(ValueError):
@@ -472,18 +472,6 @@ def _cache_dir() -> Path | None:
     return Path(path) if path else None
 
 
-def _save_atomic(path: Path, W: np.ndarray) -> None:
-    """Write through a per-process temp file in the same directory and
-    rename it onto ``path``, so a reader sees either no file or a whole one."""
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:   # a handle: np.save adds no suffix
-            np.save(fh, W)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
 def clear_caches() -> None:
     _APPLY_CACHE.clear()
     _CELL_RULES.clear()
@@ -552,7 +540,8 @@ def riesz_apply_matrix(grid: RadialGrid, alpha: float, ell: int = 0,
     _APPLY_CACHE[key] = W
     if fname is not None:
         cdir.mkdir(parents=True, exist_ok=True)
-        _save_atomic(fname, W)
+        # a handle: np.save adds no suffix
+        write_atomic(fname, lambda fh: np.save(fh, W))
     return W
 
 

@@ -28,7 +28,7 @@ from scipy.linalg import solve_banded
 
 from .grid import (ChoquardParams, GridError, ParameterError, RadialField,
                    RadialGrid, differentiate, integrate_radial,
-                   kinetic_dense, kinetic_tridiag)
+                   kinetic_tridiag)
 from .riesz import riesz_apply_matrix
 
 
@@ -183,24 +183,37 @@ def state_norms(grid: RadialGrid, values: np.ndarray) -> dict:
 
 
 def linearized_matrix(grid: RadialGrid, u: np.ndarray, p: float,
-                      W: np.ndarray | None) -> np.ndarray:
+                      W: np.ndarray | None, ab=None) -> np.ndarray:
     """Dense Jacobian of (-Delta_h + 1) u - N(u) about u (radial sector).
 
     For the nonlocal equation this is the radial-sector restriction of
     the linearized operator: -Delta + 1 - (p-1) V - p A with
-    V = (W u^p) u^{p-2} and (A xi) = u^{p-1} W(u^{p-1} xi).
+    V = (W u^p) u^{p-2} and (A xi) = u^{p-1} W(u^{p-1} xi).  The only
+    n x n array allocated is J itself: p A is formed in it in place, then
+    subtracted from the kinetic bands ``ab`` in the order
+    (K - (p-1) V) - p A.
     """
-    J = kinetic_dense(grid, 0, shift=1.0)
+    if ab is None:
+        ab = kinetic_tridiag(grid, 0, shift=1.0)
     n = grid.n
     idx = np.arange(n)
     if W is None:
-        J[idx, idx] -= p * np.abs(u) ** (p - 1)
+        J = np.zeros((n, n))
+        diag = ab[1] - p * np.abs(u) ** (p - 1)
+        sup, sub = ab[0, 1:], ab[2, :-1]
     else:
         up = np.abs(u) ** p
         V = (W @ up) * np.abs(u) ** (p - 2)
-        J[idx, idx] -= (p - 1) * V
         upm1 = np.abs(u) ** (p - 1)
-        J -= p * upm1[:, None] * W * upm1[None, :]
+        J = np.multiply(p * upm1[:, None], W)
+        J *= upm1[None, :]
+        diag = (ab[1] - (p - 1) * V) - J.diagonal()
+        sup = ab[0, 1:] - J.diagonal(1)
+        sub = ab[2, :-1] - J.diagonal(-1)
+        np.subtract(0.0, J, out=J)
+    J[idx, idx] = diag
+    J[idx[:-1], idx[:-1] + 1] = sup
+    J[idx[1:], idx[1:] - 1] = sub
     return J
 
 
@@ -217,7 +230,7 @@ def _newton_refine(grid: RadialGrid, u: np.ndarray, p: float,
     for _ in range(max_steps):
         if res <= tol:
             break
-        J = linearized_matrix(grid, u, p, W)
+        J = linearized_matrix(grid, u, p, W, ab)
         step = np.linalg.solve(J, G)
         theta = 1.0
         while theta > 1e-4:
@@ -258,10 +271,17 @@ def _petviashvili(grid: RadialGrid, u0: np.ndarray, p: float,
             raise ConvergenceError("iteration lost positivity of the "
                                    "energy quotient", iterations=n_iter)
         S = num / den
+        if not math.isfinite(S):
+            raise ConvergenceError(f"energy quotient {S} is not finite at "
+                                   f"iteration {n_iter}", iterations=n_iter)
         u_new = S ** gamma * solve_banded((1, 1), ab, Nu)
         if opts.method == "flow":
             u_new = (1 - opts.flow_step) * u + opts.flow_step * u_new
         res = float(np.max(np.abs(equation_residual(grid, u_new, p, W, ab))))
+        if not math.isfinite(res):
+            raise ConvergenceError(f"residual {res} is not finite at "
+                                   f"iteration {n_iter}", last_residual=res,
+                                   iterations=n_iter)
         u = u_new
         if res <= opts.tol:
             return u, res, n_iter

@@ -177,6 +177,48 @@ def test_sweep_resumes_from_partial_manifest(tmp_path):
     assert (tmp_path / "sweep.csv").read_text() == full_csv
 
 
+def test_interrupted_sweep_resumes_only_missing_points(tmp_path, monkeypatch):
+    from choquard_lab import cli
+    lattice_args = ["sweep", "--d", "3", "--alphas", "0.99", "1.0",
+                    "--ps", "2.0", "2.01", "--n", "300", "--out-dir"]
+    assert run(lattice_args + [str(tmp_path / "whole")]) == 0
+    whole = (tmp_path / "whole" / "sweep.csv").read_bytes()
+
+    real = cli.sweep_point
+    solved = []
+
+    def interrupted_at_third(d, alpha, p, *rest):
+        if len(solved) == 2:
+            raise KeyboardInterrupt
+        solved.append((alpha, p))
+        return real(d, alpha, p, *rest)
+
+    out = tmp_path / "resumed"
+    monkeypatch.setattr(cli, "sweep_point", interrupted_at_third)
+    with pytest.raises(KeyboardInterrupt):
+        run(lattice_args + [str(out)])
+    partial = json.loads((out / "sweep_manifest.json").read_text())
+    assert len(partial["points"]) == 2
+    assert not (out / "sweep.csv").exists()
+    assert not list(out.glob("*.tmp"))
+
+    def counted(d, alpha, p, *rest):
+        solved.append((alpha, p))
+        return real(d, alpha, p, *rest)
+
+    monkeypatch.setattr(cli, "sweep_point", counted)
+    assert run(lattice_args + [str(out)]) == 0
+    assert solved == [(0.99, 2.0), (0.99, 2.01), (1.0, 2.0), (1.0, 2.01)]
+    assert (out / "sweep.csv").read_bytes() == whole
+    assert ((out / "sweep_manifest.json").read_bytes()
+            == (tmp_path / "whole" / "sweep_manifest.json").read_bytes())
+    # a complete manifest rebuilds a lost CSV without solving
+    (out / "sweep.csv").unlink()
+    assert run(lattice_args + [str(out)]) == 0
+    assert len(solved) == 4
+    assert (out / "sweep.csv").read_bytes() == whole
+
+
 def test_sweep_inadmissible_lattice_is_a_usage_error(tmp_path, capsys):
     code = run(["sweep", "--d", "3", "--alphas", "1.0", "--ps", "1.5",
                 "--n", "200", "--out-dir", str(tmp_path)])

@@ -2,13 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from choquard_lab import (ChoquardParams, GridError, ParameterError,
                           RadialField, differentiate, integrate_radial,
                           laplacian_sector, make_grid, sector_symmetric,
                           sphere_area)
-from choquard_lab.grid import field_from_callable
+from choquard_lab.grid import _fd_weights, field_from_callable, solver_grid
 
 
 def test_uniform_grid_construction():
@@ -149,6 +151,99 @@ def test_differentiate_fourth_order():
     g = make_grid(3, 10.0, 400, 1.005)
     du = differentiate(g, np.exp(-g.nodes))
     assert np.max(np.abs(du + np.exp(-g.nodes))) < 1e-8
+
+
+def _fornberg_oracle(z, x, m):
+    """Scalar Fornberg recursion for the m-th derivative at z from nodes x,
+    one stencil at a time (Math. Comp. 51, 1988)."""
+    n = x.size
+    c = np.zeros((n, m + 1))
+    c1 = 1.0
+    c4 = x[0] - z
+    c[0, 0] = 1.0
+    for i in range(1, n):
+        mn = min(i, m)
+        c2 = 1.0
+        c5 = c4
+        c4 = x[i] - z
+        for j in range(i):
+            c3 = x[i] - x[j]
+            c2 *= c3
+            if j == i - 1:
+                for k in range(mn, 0, -1):
+                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
+                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
+            for k in range(mn, 0, -1):
+                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
+            c[j, 0] = c4 * c[j, 0] / c3
+        c1 = c2
+    return c[:, m]
+
+
+def _stencil_table(n, k):
+    lo = np.clip(np.arange(n) - k // 2, 0, n - k)
+    return lo[:, None] + np.arange(k)
+
+
+def _layouts(n):
+    return [make_grid(3, 10.0, n, 1.0), make_grid(3, 10.0, n, 1.03),
+            solver_grid(3, 25.0, n)]
+
+
+@pytest.mark.parametrize("n", [16, 80, 700])
+@pytest.mark.parametrize("order", [1, 2])
+def test_rowwise_fd_weights_match_scalar_oracle_bitwise(n, order):
+    for g in _layouts(n):
+        r = g.nodes
+        idx = _stencil_table(n, 5)
+        w = _fd_weights(r, r[idx], order)
+        oracle = np.array([_fornberg_oracle(r[i], r[idx[i]], order)
+                           for i in range(n)])
+        assert w.shape == (n, 5)
+        assert np.array_equal(w, oracle)
+
+
+@pytest.mark.parametrize("n", [16, 80, 700])
+@pytest.mark.parametrize("order", [1, 2])
+def test_differentiate_matches_per_node_oracle(n, order):
+    rng = np.random.default_rng(n + order)
+    for g in _layouts(n):
+        r = g.nodes
+        idx = _stencil_table(n, 5)
+        for v in (np.exp(-r ** 2), rng.standard_normal(n)):
+            got = differentiate(g, v, order)
+            for i in range(n):
+                w = _fornberg_oracle(r[i], r[idx[i]], order)
+                scale = np.sum(np.abs(w) * np.abs(v[idx[i]]))
+                assert abs(got[i] - w @ v[idx[i]]) <= 1e-13 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 5), r_max=st.floats(1.0, 30.0),
+       n=st.integers(16, 400), stretch=st.floats(1.0, 1.01),
+       coeffs=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=5))
+def test_five_point_derivative_exact_on_quartics(d, r_max, n, stretch, coeffs):
+    g = make_grid(d, r_max, n, stretch)
+    x = g.nodes / r_max   # keeps the monomials of one size
+    poly = np.polynomial.Polynomial(coeffs)
+    got = differentiate(g, poly(x))
+    exact = poly.deriv()(x) / r_max
+    scale = np.max(np.abs(exact)) + np.max(np.abs(poly(x))) / r_max
+    assert np.max(np.abs(got - exact)) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("ell", [0, 1, 2])
+def test_laplacian_fence_row_matches_oracle(ell):
+    for g in _layouts(80):
+        r, d = g.nodes, g.d
+        v = np.exp(-r / 4)
+        out = laplacian_sector(g, RadialField(g, v), ell).values
+        w2 = _fornberg_oracle(r[-1], r[-3:], 2)
+        w1 = _fornberg_oracle(r[-1], r[-3:], 1)
+        kappa = ell * (ell + d - 2)
+        fence = (-(w2 @ v[-3:]) - (d - 1) / r[-1] * (w1 @ v[-3:])
+                 + kappa / r[-1] ** 2 * v[-1])
+        assert out[-1] == fence
 
 
 def test_params_validation_and_windows():

@@ -7,6 +7,9 @@ from choquard_lab import (ChoquardParams, ConvergenceError, FitError,
                           RadialField, SolverOptions, fit_decay, make_grid,
                           model_soliton, solve_choquard, solve_model,
                           solver_grid, state_from_field)
+from choquard_lab.grid import kinetic_tridiag
+from choquard_lab.riesz import riesz_apply_matrix
+from choquard_lab.solver import _petviashvili, linearized_matrix
 
 
 def test_model_d1_matches_soliton_family(state_model_d1_p3):
@@ -146,3 +149,38 @@ def test_flow_method_also_converges():
     opts = SolverOptions(method="flow", max_iter=4000)
     st = solve_choquard(ChoquardParams(3, 1.0, 2.0), grid, opts)
     assert st.residual <= opts.tol
+
+
+def test_nan_iterate_fails_fast():
+    grid = solver_grid(3, 25.0, 200)
+    W = riesz_apply_matrix(grid, 1.0, 0)
+    u0 = np.exp(-grid.nodes ** 2)
+    u0[3] = np.nan
+    with pytest.raises(ConvergenceError) as err:
+        _petviashvili(grid, u0, 2.0, W, SolverOptions())
+    assert err.value.iterations == 1
+
+
+@pytest.mark.parametrize("nonlocal_", [True, False])
+def test_linearized_matrix_matches_dense_formula(nonlocal_):
+    # the one-buffer Jacobian keeps the bits of K - (p-1) V - p A
+    grid = solver_grid(3, 25.0, 200)
+    rng = np.random.default_rng(5)
+    u = np.exp(-grid.nodes) * (1 + 0.1 * rng.standard_normal(grid.n))
+    u[5] = 0.0   # zero entries of p A keep their sign: 0 - (+0) = +0
+    p = 2.03
+    W = riesz_apply_matrix(grid, 1.02, 0) if nonlocal_ else None
+    ab = kinetic_tridiag(grid, 0, shift=1.0)
+    n, idx = grid.n, np.arange(grid.n)
+    K = np.zeros((n, n))
+    K[idx, idx] = ab[1]
+    K[idx[:-1], idx[:-1] + 1] = ab[0, 1:]
+    K[idx[1:], idx[1:] - 1] = ab[2, :-1]
+    if W is None:
+        K[idx, idx] -= p * np.abs(u) ** (p - 1)
+    else:
+        V = (W @ np.abs(u) ** p) * np.abs(u) ** (p - 2)
+        K[idx, idx] -= (p - 1) * V
+        upm1 = np.abs(u) ** (p - 1)
+        K -= p * upm1[:, None] * W * upm1[None, :]
+    assert linearized_matrix(grid, u, p, W).tobytes() == K.tobytes()
