@@ -4,10 +4,10 @@ functional-identity and decay diagnostics, linearized-operator spectra,
 and parameter continuation near the Newtonian exponent pair."""
 
 from .grid import (ChoquardParams, GridError, ParameterError, RadialField,
-                   RadialGrid, ball_volume, differentiate, field_from_callable,
-                   integrate_radial, laplacian_sector, make_grid,
-                   sector_symmetric, solver_grid, sphere_area)
-from .riesz import (RieszError, SectorKernel, overlap_volume, riesz_apply_matrix,
+                   RadialGrid, ball_volume, differentiate, integrate_radial,
+                   laplacian_sector, make_grid, sector_symmetric, solver_grid,
+                   sphere_area)
+from .riesz import (RieszError, overlap_volume, riesz_apply_matrix,
                     riesz_at_zero, riesz_bracket, riesz_radial, sector_kernel)
 from .solver import (ConvergenceError, DecayFit, FitError, GroundState,
                      ModelParams, SolverOptions, fit_decay, model_soliton,

@@ -12,8 +12,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .continuation import (SweepRecord, lattice, sweep_manifest, sweep_point,
                            sweep_to_csv)
 from .diagnostics import feasible_exponents, pohozaev_report
@@ -65,9 +63,12 @@ def _grid_from(args, cfg, d):
 
 def _opts_from(args, cfg) -> SolverOptions:
     sc = cfg.get("solver", {})
+    unknown = sorted(set(sc) - {"tol", "max_iter"})
+    if unknown:
+        raise UsageError(f"unknown solver config keys {unknown} "
+                         "(accepted: tol, max_iter)")
     tol = args.tol if args.tol is not None else sc.get("tol", 1e-10)
-    return SolverOptions(tol=tol, max_iter=int(sc.get("max_iter", 2000)),
-                         method=sc.get("method", "petviashvili"))
+    return SolverOptions(tol=tol, max_iter=int(sc.get("max_iter", 2000)))
 
 
 def _out_dir(args, cfg) -> Path:
@@ -182,9 +183,10 @@ def cmd_spectrum(args) -> int:
         except (SpectrumError, RieszError) as exc:
             raise UsageError(str(exc))
         report = rep.to_dict()
-    path = out / "spectral_report.json"
-    path.write_text(json.dumps(report, indent=2))
-    print(json.dumps(report, indent=2))
+    text = json.dumps(report, indent=2)
+    write_atomic(out / "spectral_report.json",
+                 lambda fh: fh.write(text.encode()))
+    print(text)
     return EXIT_OK
 
 
@@ -251,16 +253,10 @@ def cmd_riesz(args) -> int:
     if args.alpha is None or args.d is None:
         raise UsageError("riesz needs --d and --alpha")
     try:
-        fld = RadialField.from_csv(args.profile)
+        fld = RadialField.from_csv(args.profile, args.d)
     except OSError as exc:
         raise UsageError(f"cannot read profile: {exc}")
-    nodes = fld.grid.nodes
-    grid = make_grid(args.d, fld.grid.r_max, fld.grid.n, fld.grid.stretch)
-    if not np.allclose(grid.nodes, nodes, rtol=1e-9, atol=1e-12):
-        raise UsageError("profile nodes are not a geometric grid this tool "
-                         "can reconstruct; resample the profile")
-    fld = RadialField(grid=grid, values=fld.values)
-    pot = riesz_radial(grid, fld, args.alpha)
+    pot = riesz_radial(fld.grid, fld, args.alpha)
     path = out / "potential.csv"
     pot.to_csv(path)
     print(f"wrote {path}")

@@ -31,6 +31,10 @@ from .solver import (ConvergenceError, GroundState, SolverOptions,
 from .spectrum import assemble_lplus, eig_smallest
 
 
+# halvings of the continuation increment before a failure is reported
+_MAX_BISECTIONS = 6
+
+
 class ContinuationError(RuntimeError):
     """Newton continuation failed; carries the last good parameter point."""
 
@@ -73,12 +77,12 @@ class SweepRecord:
 
 
 def newton_continue(base: GroundState, target: ChoquardParams,
-                    steps: int = 4, opts: SolverOptions | None = None,
-                    max_bisections: int = 6) -> GroundState:
+                    steps: int = 4,
+                    opts: SolverOptions | None = None) -> GroundState:
     """Continue the base state to the target parameters.
 
     The homotopy is linear in (alpha, p) over ``steps`` increments; a
-    failed Newton solve bisects the increment (up to ``max_bisections``
+    failed Newton solve bisects the increment (up to ``_MAX_BISECTIONS``
     times) before reporting the last good parameter point.  Returns a
     state whose fixed-point residual meets opts.tol; iteration residual
     history of the last increment is kept in ``newton_history``.
@@ -116,7 +120,7 @@ def newton_continue(base: GroundState, target: ChoquardParams,
         else:
             ds *= 0.5
             bisections += 1
-            if bisections > max_bisections:
+            if bisections > _MAX_BISECTIONS:
                 raise ContinuationError(
                     f"Newton diverged at s={s_try:.4f} "
                     f"(residual {hist[-1]:.2e})", last_good=last_good)

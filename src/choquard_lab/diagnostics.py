@@ -18,7 +18,7 @@ from scipy.integrate import quad
 from .grid import (ChoquardParams, ParameterError, RadialGrid,
                    differentiate, integrate_radial)
 from .riesz import riesz_apply_matrix
-from .solver import GroundState
+from .solver import GroundState, nonlinear_term
 
 
 @dataclass
@@ -52,21 +52,6 @@ class PohozaevReport:
 
     def max_relative(self) -> float:
         return max(self.relative_residuals.values())
-
-    def to_dict(self) -> dict:
-        return {
-            "nonlocal_energy": self.nonlocal_energy,
-            "grad_sq": self.grad_sq,
-            "mass_sq": self.mass_sq,
-            "residual_func01": self.residual_func01,
-            "residual_func02": self.residual_func02,
-            "residual_func03": self.residual_func03,
-            "residual_func04": self.residual_func04,
-            "relative_residuals": self.relative_residuals,
-            "ratio_grad_mass": self.ratio_grad_mass,
-            "predicted_ratio": self.predicted_ratio,
-            "zero_field": self.zero_field,
-        }
 
 
 def predicted_grad_mass_ratio(params) -> float:
@@ -126,6 +111,9 @@ def pohozaev_report(state: GroundState) -> PohozaevReport:
 # ---------------------------------------------------------------------------
 # exponent-system feasibility (radial-symmetry parameter window)
 
+# subdivisions of each reciprocal-exponent interval in the lattice scan
+_SCAN_POINTS = 9
+
 
 @dataclass
 class ExponentWitness:
@@ -138,10 +126,6 @@ class ExponentWitness:
     t: Fraction
     t1: Fraction
     s: Fraction
-
-    def as_floats(self) -> dict:
-        return {k: float(getattr(self, k))
-                for k in ("r", "r1", "r2", "r3", "t", "t1", "s")}
 
     def equality_residuals(self, d: int, alpha: Fraction, p: Fraction) -> list:
         """The three coupling equalities, evaluated exactly."""
@@ -156,11 +140,6 @@ class FeasibilityReport:
     feasible: bool
     witness: ExponentWitness | None
     residuals: list
-
-    def to_dict(self) -> dict:
-        return {"feasible": self.feasible,
-                "witness": self.witness.as_floats() if self.witness else None,
-                "residuals": [float(x) for x in self.residuals]}
 
 
 def _exponent_intervals(d: int, alpha: Fraction, p: Fraction):
@@ -224,8 +203,7 @@ def _remark_witness(d: int, alpha: Fraction, p: Fraction) -> ExponentWitness | N
     return ExponentWitness(r=r, r1=r1, r2=r2, r3=r3, t=t, t1=t1, s=s)
 
 
-def feasible_exponents(params: ChoquardParams,
-                       scan_points: int = 9) -> FeasibilityReport:
+def feasible_exponents(params: ChoquardParams) -> FeasibilityReport:
     """Search for exponents satisfying the coupling system exactly.
 
     Works in reciprocal variables, where the three equalities are linear;
@@ -266,10 +244,10 @@ def feasible_exponents(params: ChoquardParams,
     ad = Fraction(alpha, d)
     r_cap = min(hi_r, Fraction(1) / (p - 1))   # 1/r2, 1/r3 must stay below
     if p > 2:
-        xr1_grid = lattice(lo_r, min(hi_r, Fraction(1) / (p - 2)), scan_points)
+        xr1_grid = lattice(lo_r, min(hi_r, 1 / (p - 2)), _SCAN_POINTS)
     else:
         xr1_grid = [lo_r]  # r1 unconstrained by the equalities when p = 2
-    for xr in lattice(lo_r, hi_r, scan_points):
+    for xr in lattice(lo_r, hi_r, _SCAN_POINTS):
         # x_t window forced by the r3 membership through equality (3)
         xt_lo = max(t_lo, (p - 1) * lo_r + xr - ad)
         xt_hi = min(t_hi, (p - 1) * r_cap + xr - ad)
@@ -333,12 +311,9 @@ def apriori_report(state: GroundState, r_exponents=(2.0,)) -> dict:
         "Linf": float(np.max(np.abs(u))),
     }
     # -Delta u = N(u) - u pointwise from the equation
-    if isinstance(params, ChoquardParams):
-        W = riesz_apply_matrix(grid, params.alpha, 0)
-        Nu = (W @ np.abs(u) ** params.p) * np.abs(u) ** (params.p - 2) * u
-    else:
-        Nu = np.abs(u) ** (params.p - 1) * u
-    lap = u - Nu
+    W = (riesz_apply_matrix(grid, params.alpha, 0)
+         if isinstance(params, ChoquardParams) else None)
+    lap = u - nonlinear_term(u, params.p, W)
     for q in r_exponents:
         out[f"L{q:g}"] = lq_norm(grid, u, q)
         out[f"W2_{q:g}"] = (lq_norm(grid, u, q) + lq_norm(grid, du, q)

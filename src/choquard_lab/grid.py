@@ -26,7 +26,6 @@ Two discrete realisations of the sector Laplacian coexist on purpose:
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -224,42 +223,31 @@ class RadialField:
         return bool(np.all(np.diff(self.values) <= tol))
 
     def to_csv(self, path) -> None:
+        """Columns r,value, written atomically."""
         data = np.column_stack([self.grid.nodes, self.values])
-        np.savetxt(path, data, delimiter=",", header="r,value", comments="",
-                   fmt="%.17g")
+        write_atomic(path, lambda fh: np.savetxt(
+            fh, data, delimiter=",", header="r,value", comments="",
+            fmt="%.17g"))
 
     @classmethod
-    def from_csv(cls, path, grid: RadialGrid | None = None) -> "RadialField":
+    def from_csv(cls, path, grid: RadialGrid | int) -> "RadialField":
+        """Read columns r,value onto ``grid``, or, given a dimension d,
+        onto the geometric d-dimensional grid rebuilt from the nodes."""
         data = np.loadtxt(path, delimiter=",", skiprows=1)
         r, v = data[:, 0], data[:, 1]
-        if grid is None:
-            n = r.size
-            r_max = r[-1]
-            # infer the stretch from the first two spacings
-            h0, h1 = r[0], r[1] - r[0]
-            stretch = h1 / h0
-            if abs(stretch - 1.0) < 1e-9:
-                stretch = 1.0
-            grid = make_grid(1, r_max, n, stretch)  # placeholder d
-            grid = RadialGrid(d=grid.d, nodes=r.copy(),
-                              quad_weights=grid.quad_weights,
-                              r_max=float(r_max), stretch=float(stretch))
-        else:
+        if isinstance(grid, RadialGrid):
             if not np.allclose(r, grid.nodes, rtol=1e-12, atol=1e-12):
                 raise GridError("CSV nodes do not match the supplied grid")
-        return cls(grid=grid, values=v)
-
-    def to_json_envelope(self) -> str:
-        return json.dumps({
-            "grid": self.grid.to_dict(),
-            "values": self.values.tolist(),
-        })
-
-    @classmethod
-    def from_json_envelope(cls, text: str) -> "RadialField":
-        data = json.loads(text)
-        grid = RadialGrid.from_dict(data["grid"])
-        return cls(grid=grid, values=np.asarray(data["values"]))
+            return cls(grid=grid, values=v)
+        # infer the stretch from the first two spacings
+        stretch = (r[1] - r[0]) / r[0]
+        if abs(stretch - 1.0) < 1e-9:
+            stretch = 1.0
+        rebuilt = make_grid(grid, float(r[-1]), r.size, float(stretch))
+        if not np.allclose(rebuilt.nodes, r, rtol=1e-9, atol=1e-12):
+            raise GridError("profile nodes are not a geometric grid this tool "
+                            "can reconstruct; resample the profile")
+        return cls(grid=rebuilt, values=v)
 
 
 def write_atomic(path, write) -> None:
@@ -274,10 +262,6 @@ def write_atomic(path, write) -> None:
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
-
-
-def field_from_callable(grid: RadialGrid, fn) -> RadialField:
-    return RadialField(grid=grid, values=np.asarray(fn(grid.nodes), dtype=float))
 
 
 def _check_field(grid: RadialGrid, f: RadialField) -> np.ndarray:
@@ -393,15 +377,14 @@ def _fd_weights(z: np.ndarray, X: np.ndarray, m: int) -> np.ndarray:
     return c[:, m].T
 
 
-def differentiate(grid: RadialGrid, values: np.ndarray, order: int = 1,
-                  acc_points: int = 5) -> np.ndarray:
+def differentiate(grid: RadialGrid, values: np.ndarray,
+                  order: int = 1) -> np.ndarray:
     """Derivative of node samples by sliding Fornberg stencils.
 
-    ``acc_points`` nodes per stencil; 5 gives fourth-order first
-    derivatives on smooth grids, which the diagnostics rely on.  Node i
-    uses the k = min(acc_points, n) nodes starting at
-    lo_i = clip(i - k//2, 0, n - k), centred where the grid allows and
-    one-sided at the ends.  The stencil table idx[i] = lo_i + arange(k)
+    Five nodes per stencil give fourth-order first derivatives on smooth
+    grids, which the diagnostics rely on.  Node i uses the k = min(5, n)
+    nodes starting at lo_i = clip(i - k//2, 0, n - k), centred where the
+    grid allows and one-sided at the ends.  The stencil table idx[i] = lo_i + arange(k)
     is built once per call and all weights come from one row-wise
     Fornberg pass.  The reduction is a batched (1, k) @ (k, 1) matmul
     because that reproduces, bit for bit, a per-node ``w @ v``; einsum
@@ -410,7 +393,7 @@ def differentiate(grid: RadialGrid, values: np.ndarray, order: int = 1,
     """
     values = np.asarray(values, dtype=float)
     n = grid.n
-    k = min(acc_points, n)
+    k = min(5, n)
     r = grid.nodes
     lo = np.clip(np.arange(n) - k // 2, 0, n - k)
     idx = lo[:, None] + np.arange(k)
@@ -491,8 +474,8 @@ def laplacian_sector(grid: RadialGrid, f: RadialField, ell: int) -> RadialField:
     return RadialField(grid=grid, values=out)
 
 
-def kinetic_tridiag(grid: RadialGrid, ell: int, shift: float = 1.0):
-    """Banded matrix of (-Delta_l + shift) with the pointwise stencils.
+def kinetic_tridiag(grid: RadialGrid, ell: int):
+    """Banded matrix of (-Delta_l + 1) with the pointwise stencils.
 
     Returned in ``scipy.linalg.solve_banded`` layout (3, n).  The fence
     row keeps the zero ghost, so the matrix is the one whose root the
@@ -502,7 +485,7 @@ def kinetic_tridiag(grid: RadialGrid, ell: int, shift: float = 1.0):
     n = grid.n
     ab = np.zeros((3, n))
     ab[0, 1:] = sup[:-1]
-    ab[1, :] = diag + shift
+    ab[1, :] = diag + 1.0
     ab[2, :-1] = sub[1:]
     return ab
 

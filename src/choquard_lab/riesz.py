@@ -29,10 +29,8 @@ by their kernel values, not by quadrature structure.
 
 from __future__ import annotations
 
-import json
 import math
 import os
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -119,18 +117,6 @@ class _CellRule:
         W[:, m] += cell[:, 0]
         W[:, m:m + n - 2] += cell[:, 1:n - 1]
         W[:, m + n - 3] += cell[:, n - 1]
-
-
-_CELL_RULES: dict = {}
-
-
-def _cell_rule(grid: RadialGrid) -> _CellRule:
-    key = (grid.d, grid.n, grid.r_max, grid.stretch)
-    rule = _CELL_RULES.get(key)
-    if rule is None:
-        rule = _CellRule(grid)
-        _CELL_RULES[key] = rule
-    return rule
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +368,7 @@ def _newton_rows(grid: RadialGrid, rule: _CellRule, lo: int,
     return W
 
 
-def _angular_rows(grid: RadialGrid, alpha: float, ell: int,
+def _angular_rows(grid: RadialGrid, rule: _CellRule, alpha: float, ell: int,
                   ngauss: int = 8, npts: int = 200) -> np.ndarray:
     """All rows of the angular-quadrature application operator.
 
@@ -391,7 +377,6 @@ def _angular_rows(grid: RadialGrid, alpha: float, ell: int,
     cell boundaries.
     """
     d = grid.d
-    rule = _cell_rule(grid)
     n = grid.n
     t, w = roots_legendre(ngauss)
     mid = 0.5 * (rule.a + rule.b)
@@ -474,7 +459,6 @@ def _cache_dir() -> Path | None:
 
 def clear_caches() -> None:
     _APPLY_CACHE.clear()
-    _CELL_RULES.clear()
 
 
 def riesz_apply_matrix(grid: RadialGrid, alpha: float, ell: int = 0,
@@ -523,10 +507,10 @@ def riesz_apply_matrix(grid: RadialGrid, alpha: float, ell: int = 0,
             _APPLY_CACHE[key] = W
             return W   # anything else is assembled again and rewritten
 
-    rule = _cell_rule(grid)
+    rule = _CellRule(grid)
     n = grid.n
     if method == "angular":
-        W = _angular_rows(grid, alpha, ell)
+        W = _angular_rows(grid, rule, alpha, ell)
     else:
         W = np.empty((n, n))
         for lo in range(0, n, _BLOCK_ROWS):
@@ -559,7 +543,7 @@ def riesz_at_zero(grid: RadialGrid, f: RadialField, alpha: float) -> float:
     d = grid.d
     if not (0.0 < alpha < d):
         raise RieszError(f"alpha outside (0,d): alpha={alpha}, d={d}")
-    rule = _cell_rule(grid)
+    rule = _CellRule(grid)
     groups = {("B", d - 1.0 - alpha): np.full((1, 1), sphere_area(d))}
     row = _rows_from_groups(rule, groups, np.zeros(1))[0]
     return float(row @ values)
@@ -581,7 +565,7 @@ def riesz_bracket(grid: RadialGrid, f: RadialField, alpha: float) -> RadialField
         raise RieszError("bracket requires a nonnegative input")
     if not RadialField(grid, values).is_radially_decreasing(tol=1e-12 * scale):
         raise RieszError("bracket requires a radially decreasing input")
-    rule = _cell_rule(grid)
+    rule = _CellRule(grid)
     n = grid.n
 
     def cell_integrals(gamma):
@@ -604,41 +588,9 @@ def riesz_bracket(grid: RadialGrid, f: RadialField, alpha: float) -> RadialField
 # sector kernel matrices
 
 
-@dataclass
-class SectorKernel:
-    """Raw reduced-kernel samples K_l(r_i, s_j) on a grid."""
-
-    d: int
-    alpha: float
-    ell: int
-    grid: RadialGrid
-    matrix: np.ndarray
-
-    def symmetry_defect(self) -> float:
-        m = np.max(np.abs(self.matrix))
-        return float(np.max(np.abs(self.matrix - self.matrix.T)) / m)
-
-    def save(self, stem) -> None:
-        """Binary row-major float64 dump plus a JSON sidecar."""
-        stem = Path(stem)
-        self.matrix.astype(np.float64).tofile(stem.with_suffix(".bin"))
-        sidecar = {"d": self.d, "alpha": self.alpha, "ell": self.ell,
-                   "n": self.grid.n, "grid": self.grid.to_dict()}
-        stem.with_suffix(".json").write_text(json.dumps(sidecar, indent=2))
-
-    @classmethod
-    def load(cls, stem) -> "SectorKernel":
-        stem = Path(stem)
-        sidecar = json.loads(stem.with_suffix(".json").read_text())
-        grid = RadialGrid.from_dict(sidecar["grid"])
-        mat = np.fromfile(stem.with_suffix(".bin"), dtype=np.float64)
-        mat = mat.reshape(sidecar["n"], sidecar["n"])
-        return cls(d=sidecar["d"], alpha=sidecar["alpha"], ell=sidecar["ell"],
-                   grid=grid, matrix=mat)
-
-
-def sector_kernel(grid: RadialGrid, alpha: float, ell: int) -> SectorKernel:
-    """Assemble K_l(r_i, s_j); finite entries require alpha < d - 1."""
+def sector_kernel(grid: RadialGrid, alpha: float, ell: int) -> np.ndarray:
+    """Raw reduced-kernel samples K_l(r_i, s_j), symmetrised as
+    (K + K^T)/2; finite entries require alpha < d - 1."""
     d = grid.d
     if ell not in (0, 1):
         raise RieszError(f"only sectors l in {{0,1}} are supported, got {ell}")
@@ -663,8 +615,7 @@ def sector_kernel(grid: RadialGrid, alpha: float, ell: int) -> SectorKernel:
             R = np.repeat(r[lo:hi, None], n, axis=1)
             S = np.broadcast_to(r, R.shape)
             K[lo:hi] = _angular_kernel_values(d, ell, alpha, R, S)
-    K = 0.5 * (K + K.T)
-    return SectorKernel(d=d, alpha=alpha, ell=ell, grid=grid, matrix=K)
+    return 0.5 * (K + K.T)
 
 
 # ---------------------------------------------------------------------------

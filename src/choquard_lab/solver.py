@@ -28,7 +28,7 @@ from scipy.linalg import solve_banded
 
 from .grid import (ChoquardParams, GridError, ParameterError, RadialField,
                    RadialGrid, differentiate, integrate_radial,
-                   kinetic_tridiag)
+                   kinetic_tridiag, write_atomic)
 from .riesz import riesz_apply_matrix
 
 
@@ -70,9 +70,6 @@ class ModelParams:
 class SolverOptions:
     tol: float = 1e-10
     max_iter: int = 2000
-    method: str = "petviashvili"   # or "flow"
-    newton_polish: bool = True
-    flow_step: float = 0.6
 
 
 @dataclass
@@ -118,9 +115,12 @@ class GroundState:
         }, indent=2)
 
     def save(self, stem) -> None:
-        """Write <stem>.json metadata and <stem>.csv profile."""
+        """Write <stem>.json metadata and <stem>.csv profile, each
+        atomically."""
         stem = Path(stem)
-        stem.with_suffix(".json").write_text(self.to_json())
+        text = self.to_json()
+        write_atomic(stem.with_suffix(".json"),
+                     lambda fh: fh.write(text.encode()))
         self.field.to_csv(stem.with_suffix(".csv"))
 
     @classmethod
@@ -166,7 +166,7 @@ def equation_residual(grid: RadialGrid, u: np.ndarray, p: float,
                       W: np.ndarray | None, ab=None) -> np.ndarray:
     """Pointwise residual (-Delta_h + 1) u - N(u)."""
     if ab is None:
-        ab = kinetic_tridiag(grid, 0, shift=1.0)
+        ab = kinetic_tridiag(grid, 0)
     return _apply_banded(ab, u) - nonlinear_term(u, p, W)
 
 
@@ -194,7 +194,7 @@ def linearized_matrix(grid: RadialGrid, u: np.ndarray, p: float,
     (K - (p-1) V) - p A.
     """
     if ab is None:
-        ab = kinetic_tridiag(grid, 0, shift=1.0)
+        ab = kinetic_tridiag(grid, 0)
     n = grid.n
     idx = np.arange(n)
     if W is None:
@@ -222,7 +222,7 @@ def _newton_refine(grid: RadialGrid, u: np.ndarray, p: float,
                    ab=None):
     """Damped Newton to the discrete root; returns (u, residuals)."""
     if ab is None:
-        ab = kinetic_tridiag(grid, 0, shift=1.0)
+        ab = kinetic_tridiag(grid, 0)
     res_hist = []
     G = equation_residual(grid, u, p, W, ab)
     res = float(np.max(np.abs(G)))
@@ -254,7 +254,7 @@ def _newton_refine(grid: RadialGrid, u: np.ndarray, p: float,
 def _petviashvili(grid: RadialGrid, u0: np.ndarray, p: float,
                   W: np.ndarray | None, opts: SolverOptions):
     """Returns (u, residual, n_iter).  W = None selects the local model."""
-    ab = kinetic_tridiag(grid, 0, shift=1.0)
+    ab = kinetic_tridiag(grid, 0)
     m = grid.measure
     # stabilizing exponent: homogeneity 2p of the nonlocal energy, p+1 local
     gamma = (2 * p) / (2 * p - 1) if W is not None else p / (p - 1.0)
@@ -275,8 +275,6 @@ def _petviashvili(grid: RadialGrid, u0: np.ndarray, p: float,
             raise ConvergenceError(f"energy quotient {S} is not finite at "
                                    f"iteration {n_iter}", iterations=n_iter)
         u_new = S ** gamma * solve_banded((1, 1), ab, Nu)
-        if opts.method == "flow":
-            u_new = (1 - opts.flow_step) * u + opts.flow_step * u_new
         res = float(np.max(np.abs(equation_residual(grid, u_new, p, W, ab))))
         if not math.isfinite(res):
             raise ConvergenceError(f"residual {res} is not finite at "
@@ -291,14 +289,13 @@ def _petviashvili(grid: RadialGrid, u0: np.ndarray, p: float,
             stall = 0
         res_prev = res
         # fixed-point tail converges slowly; hand over to Newton
-        if opts.newton_polish and (res < 1e-6 or stall >= 12) and k >= 20:
+        if (res < 1e-6 or stall >= 12) and k >= 20:
             break
-    if opts.newton_polish:
-        u, hist = _newton_refine(grid, u, p, W, opts.tol, ab=ab)
-        res = hist[-1]
-        n_iter += len(hist) - 1
-        if res <= opts.tol:
-            return u, res, n_iter
+    u, hist = _newton_refine(grid, u, p, W, opts.tol, ab=ab)
+    res = hist[-1]
+    n_iter += len(hist) - 1
+    if res <= opts.tol:
+        return u, res, n_iter
     raise ConvergenceError(
         f"no convergence after {n_iter} iterations (residual {res:.3e})",
         last_residual=res, iterations=n_iter)
@@ -308,7 +305,7 @@ def _initial_gaussian(grid: RadialGrid, p: float, W: np.ndarray | None,
                       width: float = 1.0) -> np.ndarray:
     """Gaussian seed scaled so the energy-balance identity holds exactly."""
     g = np.exp(-grid.nodes ** 2 / (2.0 * width ** 2))
-    ab = kinetic_tridiag(grid, 0, shift=1.0)
+    ab = kinetic_tridiag(grid, 0)
     m = grid.measure
     num = float(np.sum(m * g * _apply_banded(ab, g)))
     den = float(np.sum(m * g * nonlinear_term(g, p, W)))
@@ -361,8 +358,7 @@ def _solve_model_numerov(d: int, p: float, grid: RadialGrid,
     h = grid.nodes[0]
     x = np.concatenate([[0.0], grid.nodes])
 
-    seed_opts = SolverOptions(tol=max(opts.tol, 1e-8), max_iter=opts.max_iter,
-                              newton_polish=True)
+    seed_opts = SolverOptions(tol=max(opts.tol, 1e-8), max_iter=opts.max_iter)
     useed, _, it0 = _petviashvili(grid, _initial_gaussian(grid, p, None),
                                   p, None, seed_opts)
     U = np.concatenate([[useed[0] + (useed[0] - useed[1]) * 0.5], useed])
@@ -435,12 +431,12 @@ def decay_beta(d: int) -> float:
     return 0.0 if d <= 2 else (d - 1) / 2.0
 
 
-def fit_decay(state: GroundState, window: tuple | None = None) -> DecayFit:
+def fit_decay(state: GroundState) -> DecayFit:
     """Least-squares fit log Q = log C - gamma r - beta log r on the tail.
 
     ``beta`` is pinned to the comparison exponent for the dimension; the
-    window defaults to [0.55 rb, rb] with rb the last radius where the
-    profile stays above 1e-13 (capped below the Dirichlet fence).
+    window is [0.55 rb, rb] with rb the last radius where the profile
+    stays above 1e-13 (capped below the Dirichlet fence).
     """
     grid = state.grid
     q = state.field.values
@@ -452,8 +448,6 @@ def fit_decay(state: GroundState, window: tuple | None = None) -> DecayFit:
     # stay clear of the Dirichlet fence, whose pull steepens the tail
     rb = min(r[good][-1], grid.r_max - 2.5)
     ra = 0.55 * rb
-    if window is not None:
-        ra, rb = window
     mask = (r >= ra) & (r <= rb) & good
     if np.count_nonzero(mask) < 8:
         raise FitError(f"tail window [{ra:.3g},{rb:.3g}] has too few usable "

@@ -36,6 +36,10 @@ class SpectrumError(RuntimeError):
     """Eigensolver or assembly failure."""
 
 
+# half-width of the (alpha, p) box around (d-2, 2) that verdicts accept
+_WINDOW_DELTA = 0.06
+
+
 @dataclass
 class SectorOperator:
     """Dense symmetric form of L+ restricted to a harmonic sector."""
@@ -79,7 +83,7 @@ def assemble_lplus(state: GroundState, ell: int) -> SectorOperator:
     if isinstance(params, ChoquardParams):
         V = _potential_V(state)
         mat[idx, idx] -= (p - 1) * V
-        K = sector_kernel(grid, params.alpha, ell).matrix
+        K = sector_kernel(grid, params.alpha, ell)
         qp = np.abs(q) ** (p - 1)
         sqm = np.sqrt(grid.measure)
         mat -= p * (sqm * qp)[:, None] * K * (sqm * qp)[None, :]
@@ -196,20 +200,21 @@ class NondegeneracyReport:
 
 
 def nondegeneracy_verdict(state: GroundState, gap_tol: float = 0.05,
-                          k: int = 8, window_delta: float = 0.06) -> NondegeneracyReport:
+                          k: int = 8) -> NondegeneracyReport:
     """Kernel triviality in the radial sector, translation mode in l = 1.
 
     ``radial_kernel_trivial``: no l = 0 eigenvalue inside (-gap_tol,
     gap_tol).  ``translation_mode_found``: some l = 1 eigenvalue inside
     the window whose eigenfield correlates with -dQ/dr above 0.99.
     Intended near the Newtonian point; a state outside the
-    ``window_delta`` box raises.
+    ``_WINDOW_DELTA`` box raises.
     """
     params = state.params
-    if isinstance(params, ChoquardParams) and not params.near_newtonian(window_delta):
+    if (isinstance(params, ChoquardParams)
+            and not params.near_newtonian(_WINDOW_DELTA)):
         raise SpectrumError(
             f"state at (alpha,p)=({params.alpha},{params.p}) is outside the "
-            f"near-Newtonian window (delta={window_delta})")
+            f"near-Newtonian window (delta={_WINDOW_DELTA})")
     pairs0 = eig_smallest(assemble_lplus(state, 0), k)
     pairs1 = eig_smallest(assemble_lplus(state, 1), k)
     vals0 = [v for v, _ in pairs0]

@@ -52,6 +52,16 @@ def test_solve_nonconvergence_exit_code(tmp_path):
     assert code == 2
 
 
+def test_unknown_solver_config_key_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"solver": {"method": "flow"}}))
+    code = run(["solve", "--d", "3", "--alpha", "1", "--p", "2", "--n", "300",
+                "--config", str(cfg), "--out-dir", str(tmp_path)])
+    assert code == 1
+    assert "method" in capsys.readouterr().err
+    assert not (tmp_path / "Q.csv").exists()
+
+
 def test_determinism(tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     for out in (d1, d2):
@@ -243,6 +253,17 @@ def test_riesz_verb_matches_direct_call(tmp_path):
     got = np.loadtxt(tmp_path / "potential.csv", delimiter=",", skiprows=1)
     want = riesz_radial(grid, fld, 1.0).values
     assert_allclose(got[:, 1], want, rtol=1e-12, atol=1e-14)
+
+
+def test_riesz_rejects_a_non_geometric_profile(tmp_path, capsys):
+    r = np.linspace(0.1, 10.0, 100) ** 1.5
+    src = tmp_path / "p.csv"
+    np.savetxt(src, np.column_stack([r, np.exp(-r)]), delimiter=",",
+               header="r,value", comments="")
+    assert run(["riesz", str(src), "--d", "3", "--alpha", "1",
+                "--out-dir", str(tmp_path)]) == 1
+    assert "resample the profile" in capsys.readouterr().err
+    assert not (tmp_path / "potential.csv").exists()
 
 
 def test_riesz_verb_needs_args(tmp_path):

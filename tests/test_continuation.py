@@ -93,7 +93,7 @@ def test_two_route_consistency_on_small_lattice(base_500):
 
 
 def test_sweep_records_failures_and_continues(base_500):
-    opts = SolverOptions(tol=1e-10, max_iter=2, newton_polish=False)
+    opts = SolverOptions(tol=1e-10, max_iter=2)
     recs = sweep(3, [1.0, 1.01], [2.0], base_500.grid, opts,
                  reference=base_500)
     assert len(recs) == 2

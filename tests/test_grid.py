@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,10 +5,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from choquard_lab import (ChoquardParams, GridError, ParameterError,
-                          RadialField, differentiate, integrate_radial,
-                          laplacian_sector, make_grid, sector_symmetric,
-                          sphere_area)
-from choquard_lab.grid import _fd_weights, field_from_callable, solver_grid
+                          RadialField, RadialGrid, differentiate,
+                          integrate_radial, laplacian_sector, make_grid,
+                          sector_symmetric, sphere_area)
+from choquard_lab.grid import _fd_weights, solver_grid
 
 
 def test_uniform_grid_construction():
@@ -76,7 +74,7 @@ def test_integrate_unit_ball_indicator():
 
 def test_integrate_exponential():
     g = make_grid(3, 40.0, 2000, 1.0)
-    val = integrate_radial(g, field_from_callable(g, lambda r: np.exp(-r)))
+    val = integrate_radial(g, RadialField(g, np.exp(-g.nodes)))
     assert_allclose(val, 8.0 * np.pi, rtol=1e-8)
 
 
@@ -87,15 +85,15 @@ def test_integrate_zero():
 
 def test_laplacian_gaussian_pointwise():
     g = make_grid(3, 8.0, 200, 1.0)
-    f = field_from_callable(g, lambda r: np.exp(-r ** 2))
+    f = RadialField(g, np.exp(-g.nodes ** 2))
     got = laplacian_sector(g, f, 0).values
     # symbolic: -Laplacian exp(-r^2) = (6 - 4 r^2) exp(-r^2) in d = 3
     exact = (6 - 4 * g.nodes ** 2) * np.exp(-g.nodes ** 2)
     assert np.max(np.abs(got - exact)) < 2e-2
     # the first-node value continues to the origin limit 6 as h -> 0
     fine = make_grid(3, 8.0, 1600, 1.0)
-    got0 = laplacian_sector(fine, field_from_callable(
-        fine, lambda r: np.exp(-r ** 2)), 0).values[0]
+    got0 = laplacian_sector(fine, RadialField(
+        fine, np.exp(-fine.nodes ** 2)), 0).values[0]
     assert abs(got0 - 6.0) < 3e-3
 
 
@@ -103,7 +101,7 @@ def test_laplacian_second_order_convergence():
     errs = []
     for n in (100, 200, 400):
         g = make_grid(3, 8.0, n, 1.0)
-        f = field_from_callable(g, lambda r: np.exp(-r ** 2))
+        f = RadialField(g, np.exp(-g.nodes ** 2))
         exact = (6 - 4 * g.nodes ** 2) * np.exp(-g.nodes ** 2)
         errs.append(np.max(np.abs(laplacian_sector(g, f, 0).values - exact)))
     assert errs[0] / errs[1] >= 3.5
@@ -266,7 +264,7 @@ def test_params_validation_and_windows():
 
 def test_field_flags_and_roundtrip(tmp_path):
     g = make_grid(3, 10.0, 100, 1.0)
-    f = field_from_callable(g, lambda r: np.exp(-r))
+    f = RadialField(g, np.exp(-g.nodes))
     assert f.is_radially_decreasing()
     f2 = RadialField(g, np.sin(g.nodes))
     assert not f2.is_radially_decreasing()
@@ -276,12 +274,40 @@ def test_field_flags_and_roundtrip(tmp_path):
     back = RadialField.from_csv(path, grid=g)
     assert_allclose(back.values, f.values, rtol=0, atol=0)
 
-    env = f.to_json_envelope()
-    data = json.loads(env)
-    assert data["grid"] == {"d": 3, "n": 100, "r_max": 10.0, "stretch": 1.0}
-    back2 = RadialField.from_json_envelope(env)
-    assert_allclose(back2.values, f.values)
-    assert back2.grid.same_layout(g)
+
+def test_from_csv_rebuilds_the_grid_of_a_dimension(tmp_path):
+    g = make_grid(4, 12.0, 120, 1.02)
+    path = tmp_path / "f.csv"
+    RadialField(g, np.exp(-g.nodes)).to_csv(path)
+    back = RadialField.from_csv(path, 4)
+    assert back.grid.d == 4
+    # the d = 4 weights, not those of d = 1 (first and last differ)
+    assert_allclose(back.grid.quad_weights, g.quad_weights, rtol=1e-9)
+    assert_allclose(back.grid.nodes, g.nodes, rtol=1e-12)
+    bent = g.nodes.copy()
+    bent[60] += 1e-3
+    RadialField(RadialGrid(4, bent, g.quad_weights, g.r_max, g.stretch),
+                np.exp(-bent)).to_csv(path)
+    with pytest.raises(GridError, match="resample the profile"):
+        RadialField.from_csv(path, 4)
+
+
+def test_to_csv_failure_keeps_the_old_file(tmp_path, monkeypatch):
+    g = make_grid(3, 10.0, 100, 1.0)
+    path = tmp_path / "Q.csv"
+    RadialField(g, np.exp(-g.nodes)).to_csv(path)
+    old = path.read_bytes()
+    real = np.savetxt
+
+    def half_then_fail(fh, data, **kwargs):
+        real(fh, data[:3], **kwargs)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savetxt", half_then_fail)
+    with pytest.raises(OSError):
+        RadialField(g, np.zeros(g.n)).to_csv(path)
+    assert path.read_bytes() == old
+    assert list(tmp_path.glob("*.tmp")) == []
 
 
 def test_wrong_length_field():

@@ -154,7 +154,7 @@ def test_constant_input_gives_the_uniform_ball_potential(method):
 
 def test_add_cells_matches_add_at():
     g = make_grid(3, 8.0, 20, 1.0)
-    rule = riesz._cell_rule(g)
+    rule = riesz._CellRule(g)
     rng = np.random.default_rng(5)
     cells = rng.standard_normal((3, 4, g.n))
     W = rng.standard_normal((4, g.n))
@@ -178,7 +178,7 @@ def test_assembly_does_not_depend_on_the_row_block(monkeypatch):
                 riesz_apply_matrix(g, 1.3, 0, "exact"),
                 riesz_apply_matrix(g, 1.3, 1, "exact"),
                 riesz_apply_matrix(g, 2.0, 0, "exact"),
-                sector_kernel(g, 1.3, 1).matrix]
+                sector_kernel(g, 1.3, 1)]
 
     monkeypatch.setattr(riesz, "_BLOCK_ROWS", 1)
     by_row = assemble()
@@ -189,14 +189,29 @@ def test_assembly_does_not_depend_on_the_row_block(monkeypatch):
         assert np.array_equal(a, b)
 
 
+def raw_sector_kernel(g, alpha, ell):
+    """K_l(r_i, r_j) before sector_kernel symmetrises it."""
+    r, d = g.nodes, g.d
+    if d % 2:
+        return _odd_kernel_times_sd(d, ell, alpha, r, r) / r ** (d - 1)
+    return np.concatenate([_angular_kernel_values(
+        d, ell, alpha, np.repeat(r[lo:lo + 8, None], g.n, axis=1),
+        np.broadcast_to(r, (min(8, g.n - lo), g.n)))
+        for lo in range(0, g.n, 8)])
+
+
 def test_sector_kernel_symmetry_and_positivity():
+    # K_l(r, s) = K_l(s, r) on the raw samples: sector_kernel returns
+    # (K + K^T)/2, which is symmetric whatever K is
+    for d, alpha in ((3, 1.0), (4, 1.9), (5, 3.0)):
+        for g in (make_grid(d, 10.0, 90, 1.01), solver_grid(d, 25.0, 600)):
+            for ell in (0, 1):
+                K = raw_sector_kernel(g, alpha, ell)
+                assert np.all(np.isfinite(K))
+                defect = np.max(np.abs(K - K.T))
+                assert defect <= 1e-10 * np.max(np.abs(K)), (d, g.n, ell)
     g = make_grid(3, 10.0, 90, 1.01)
-    K = sector_kernel(g, 1.0, 0)
-    assert K.symmetry_defect() <= 1e-10
-    assert np.all(np.isfinite(K.matrix))
-    assert np.all(K.matrix > 0)
-    K1 = sector_kernel(g, 1.0, 1)
-    assert K1.symmetry_defect() <= 1e-10
+    assert np.all(sector_kernel(g, 1.0, 0) > 0)
 
 
 def test_sector_kernel_rejects_divergent_diagonal():
@@ -225,15 +240,6 @@ def test_ell1_application_against_tensor_oracle():
 
     for idx in (20, 120, 260):
         assert abs(got[idx] - oracle(g.nodes[idx])) <= 1e-5
-
-
-def test_sector_kernel_export_roundtrip(tmp_path):
-    g = make_grid(3, 8.0, 64, 1.0)
-    K = sector_kernel(g, 1.0, 0)
-    K.save(tmp_path / "k0")
-    back = type(K).load(tmp_path / "k0")
-    assert back.d == 3 and back.ell == 0 and back.alpha == 1.0
-    assert_allclose(back.matrix, K.matrix)
 
 
 def test_linearity():

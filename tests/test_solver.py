@@ -88,7 +88,7 @@ def test_window_violation_raises():
 
 def test_nonconvergence_reports_residual():
     grid = solver_grid(3, 25.0, 300)
-    opts = SolverOptions(tol=1e-10, max_iter=3, newton_polish=False)
+    opts = SolverOptions(tol=1e-10, max_iter=2)
     with pytest.raises(ConvergenceError) as err:
         solve_choquard(ChoquardParams(3, 1.0, 2.0), grid, opts)
     assert err.value.last_residual is not None
@@ -129,10 +129,11 @@ def test_decay_fit_choquard(state_312):
 
 def test_decay_fit_rejects_degenerate_tail():
     grid = make_grid(1, 15.0, 1000, 1.0)
-    vals = np.where(grid.nodes < 2.0, 1.0, 0.0) * np.exp(-grid.nodes)
+    # nonzero below r = 0.05 only: the tail window holds 2 nodes
+    vals = np.where(grid.nodes < 0.05, 1.0, 0.0) * np.exp(-grid.nodes)
     state = state_from_field(ModelParams(1, 3.0), RadialField(grid, vals))
     with pytest.raises(FitError):
-        fit_decay(state, window=(8.0, 12.0))
+        fit_decay(state)
 
 
 def test_state_roundtrip(tmp_path, state_model_d1_p3):
@@ -142,13 +143,6 @@ def test_state_roundtrip(tmp_path, state_model_d1_p3):
     assert back.params == state_model_d1_p3.params
     assert_allclose(back.field.values, state_model_d1_p3.field.values)
     assert back.norms == pytest.approx(state_model_d1_p3.norms)
-
-
-def test_flow_method_also_converges():
-    grid = solver_grid(3, 25.0, 300)
-    opts = SolverOptions(method="flow", max_iter=4000)
-    st = solve_choquard(ChoquardParams(3, 1.0, 2.0), grid, opts)
-    assert st.residual <= opts.tol
 
 
 def test_nan_iterate_fails_fast():
@@ -170,7 +164,7 @@ def test_linearized_matrix_matches_dense_formula(nonlocal_):
     u[5] = 0.0   # zero entries of p A keep their sign: 0 - (+0) = +0
     p = 2.03
     W = riesz_apply_matrix(grid, 1.02, 0) if nonlocal_ else None
-    ab = kinetic_tridiag(grid, 0, shift=1.0)
+    ab = kinetic_tridiag(grid, 0)
     n, idx = grid.n, np.arange(grid.n)
     K = np.zeros((n, n))
     K[idx, idx] = ab[1]
