@@ -233,7 +233,14 @@ class RadialField:
     def from_csv(cls, path, grid: RadialGrid | int) -> "RadialField":
         """Read columns r,value onto ``grid``, or, given a dimension d,
         onto the geometric d-dimensional grid rebuilt from the nodes."""
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
+        try:
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        except ValueError as exc:
+            raise GridError(f"profile {path} is not a numeric r,value "
+                            f"table: {exc}")
+        if data.shape[0] < 2 or data.shape[1] < 2:
+            raise GridError(f"profile {path} needs two columns r,value and "
+                            f"at least two rows, got shape {data.shape}")
         r, v = data[:, 0], data[:, 1]
         if isinstance(grid, RadialGrid):
             if not np.allclose(r, grid.nodes, rtol=1e-12, atol=1e-12):

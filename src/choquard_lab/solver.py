@@ -7,9 +7,10 @@ The discrete problem for the nonlocal equation is
 solved by a normalized fixed-point iteration: each step applies the
 inverse shifted Laplacian to the nonlinearity and rescales by a power of
 the Rayleigh quotient S = <(-Delta+1)u, u> / <N(u), u> so that the
-energy-balance identity holds at the fixed point.  A damped Newton
-polish (same Jacobian as the continuation module) finishes to the
-requested residual when the fixed-point tail stalls.
+energy-balance identity holds at the fixed point.  A damped
+Newton-Krylov polish (shared with the continuation module; GMRES
+preconditioned by the kinetic tridiagonal, no n x n Jacobian) finishes
+to the requested residual when the fixed-point tail stalls.
 
 The local model -u'' + u - u^p = 0 in d = 1 is additionally offered on a
 Numerov discretization (fourth order), accurate enough to compare
@@ -25,11 +26,17 @@ from pathlib import Path
 
 import numpy as np
 from scipy.linalg import solve_banded
+from scipy.sparse.linalg import LinearOperator, gmres
 
 from .grid import (ChoquardParams, GridError, ParameterError, RadialField,
                    RadialGrid, differentiate, integrate_radial,
                    kinetic_tridiag, write_atomic)
 from .riesz import riesz_apply_matrix
+
+# GMRES of a Newton step stops at this residual of the preconditioned
+# system, relative to K^{-1} G, or after one cycle of 60 iterations
+# (8 to 11 are needed near the Newtonian pair)
+_KRYLOV_RTOL = 1e-12
 
 
 class ConvergenceError(RuntimeError):
@@ -183,44 +190,54 @@ def state_norms(grid: RadialGrid, values: np.ndarray) -> dict:
 
 
 def linearized_matrix(grid: RadialGrid, u: np.ndarray, p: float,
-                      W: np.ndarray | None, ab=None) -> np.ndarray:
-    """Dense Jacobian of (-Delta_h + 1) u - N(u) about u (radial sector).
+                      W: np.ndarray | None, ab=None) -> LinearOperator:
+    """Jacobian J = K - B of (-Delta_h + 1) u - N(u) about u (radial
+    sector), as a LinearOperator; no n x n array is formed.
 
-    For the nonlocal equation this is the radial-sector restriction of
-    the linearized operator: -Delta + 1 - (p-1) V - p A with
-    V = (W u^p) u^{p-2} and (A xi) = u^{p-1} W(u^{p-1} xi).  The only
-    n x n array allocated is J itself: p A is formed in it in place, then
-    subtracted from the kinetic bands ``ab`` in the order
-    (K - (p-1) V) - p A.
+    K is the kinetic tridiagonal ``ab``.  For the nonlocal equation
+    B v = (p-1) V v + p a W(a v) with V = (W |u|^p) |u|^{p-2} and
+    a = |u|^{p-1}, the radial-sector restriction of the linearized
+    operator; for the local model (W = None) B v = p |u|^{p-1} v.
     """
     if ab is None:
         ab = kinetic_tridiag(grid, 0)
-    n = grid.n
-    idx = np.arange(n)
+    a = np.abs(u) ** (p - 1)
     if W is None:
-        J = np.zeros((n, n))
-        diag = ab[1] - p * np.abs(u) ** (p - 1)
-        sup, sub = ab[0, 1:], ab[2, :-1]
+        def coupling(v):
+            return p * a * v
     else:
-        up = np.abs(u) ** p
-        V = (W @ up) * np.abs(u) ** (p - 2)
-        upm1 = np.abs(u) ** (p - 1)
-        J = np.multiply(p * upm1[:, None], W)
-        J *= upm1[None, :]
-        diag = (ab[1] - (p - 1) * V) - J.diagonal()
-        sup = ab[0, 1:] - J.diagonal(1)
-        sub = ab[2, :-1] - J.diagonal(-1)
-        np.subtract(0.0, J, out=J)
-    J[idx, idx] = diag
-    J[idx[:-1], idx[:-1] + 1] = sup
-    J[idx[1:], idx[1:] - 1] = sub
-    return J
+        V = (W @ np.abs(u) ** p) * np.abs(u) ** (p - 2)
+
+        def coupling(v):
+            return (p - 1) * V * v + p * a * (W @ (a * v))
+
+    def matvec(v):
+        v = np.ravel(v)
+        return _apply_banded(ab, v) - coupling(v)
+
+    return LinearOperator((grid.n, grid.n), matvec=matvec, dtype=float)
+
+
+def _krylov_step(J: LinearOperator, G: np.ndarray, ab: np.ndarray):
+    """Newton step s with J s = G by GMRES on (K^{-1} J) s = K^{-1} G, K the
+    kinetic tridiagonal ``ab``.  K^{-1} J = I - K^{-1} B, with B smoothing,
+    so the iteration count does not grow with n.  A step short of
+    _KRYLOV_RTOL is returned too; the line search judges it."""
+    def kinv(v):
+        return solve_banded((1, 1), ab, v)
+
+    A = LinearOperator(J.shape, matvec=lambda v: kinv(J.matvec(v)),
+                       dtype=float)
+    step, _ = gmres(A, kinv(G), rtol=_KRYLOV_RTOL, atol=0.0,
+                    restart=60, maxiter=1)
+    return step
 
 
 def _newton_refine(grid: RadialGrid, u: np.ndarray, p: float,
                    W: np.ndarray | None, tol: float, max_steps: int = 25,
                    ab=None):
-    """Damped Newton to the discrete root; returns (u, residuals)."""
+    """Damped Newton to the discrete root; returns (u, residuals).  Stops
+    at the first residual or Krylov step that is not finite."""
     if ab is None:
         ab = kinetic_tridiag(grid, 0)
     res_hist = []
@@ -228,10 +245,11 @@ def _newton_refine(grid: RadialGrid, u: np.ndarray, p: float,
     res = float(np.max(np.abs(G)))
     res_hist.append(res)
     for _ in range(max_steps):
-        if res <= tol:
+        if res <= tol or not math.isfinite(res):
             break
-        J = linearized_matrix(grid, u, p, W, ab)
-        step = np.linalg.solve(J, G)
+        step = _krylov_step(linearized_matrix(grid, u, p, W, ab), G, ab)
+        if not np.all(np.isfinite(step)):
+            break
         theta = 1.0
         while theta > 1e-4:
             trial = u - theta * step
@@ -259,13 +277,15 @@ def _petviashvili(grid: RadialGrid, u0: np.ndarray, p: float,
     # stabilizing exponent: homogeneity 2p of the nonlocal energy, p+1 local
     gamma = (2 * p) / (2 * p - 1) if W is not None else p / (p - 1.0)
     u = u0.copy()
+    # K u and N(u) of the current iterate, carried from the residual of
+    # one iteration to the energy quotient of the next
+    Ku, Nu = _apply_banded(ab, u), nonlinear_term(u, p, W)
     res_prev = np.inf
     stall = 0
     n_iter = 0
     for k in range(opts.max_iter):
         n_iter = k + 1
-        Nu = nonlinear_term(u, p, W)
-        num = float(np.sum(m * u * _apply_banded(ab, u)))
+        num = float(np.sum(m * u * Ku))
         den = float(np.sum(m * u * Nu))
         if den <= 0 or num <= 0:
             raise ConvergenceError("iteration lost positivity of the "
@@ -274,13 +294,13 @@ def _petviashvili(grid: RadialGrid, u0: np.ndarray, p: float,
         if not math.isfinite(S):
             raise ConvergenceError(f"energy quotient {S} is not finite at "
                                    f"iteration {n_iter}", iterations=n_iter)
-        u_new = S ** gamma * solve_banded((1, 1), ab, Nu)
-        res = float(np.max(np.abs(equation_residual(grid, u_new, p, W, ab))))
+        u = S ** gamma * solve_banded((1, 1), ab, Nu)
+        Ku, Nu = _apply_banded(ab, u), nonlinear_term(u, p, W)
+        res = float(np.max(np.abs(Ku - Nu)))
         if not math.isfinite(res):
             raise ConvergenceError(f"residual {res} is not finite at "
                                    f"iteration {n_iter}", last_residual=res,
                                    iterations=n_iter)
-        u = u_new
         if res <= opts.tol:
             return u, res, n_iter
         if res > 0.97 * res_prev:

@@ -266,6 +266,32 @@ def test_riesz_rejects_a_non_geometric_profile(tmp_path, capsys):
     assert not (tmp_path / "potential.csv").exists()
 
 
+@pytest.mark.parametrize("body, message", [
+    ("0.1,1.0\n0.2,abc\n", "not a numeric r,value table"),
+    ("0.1,1.0\n", "at least two rows"),
+], ids=["non-numeric-cell", "one-row"])
+def test_riesz_rejects_a_malformed_profile(tmp_path, capsys, body, message):
+    src = tmp_path / "p.csv"
+    src.write_text("r,value\n" + body)
+    assert run(["riesz", str(src), "--d", "3", "--alpha", "1",
+                "--out-dir", str(tmp_path)]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "potential.csv").exists()
+
+
+@pytest.mark.parametrize("body, message", [
+    ("0.1,1.0\n0.2,abc\n", "not a numeric r,value table"),
+    ("0.1,1.0\n", "at least two rows"),
+], ids=["non-numeric-cell", "one-row"])
+def test_verify_rejects_a_malformed_profile(solved_dir, tmp_path, capsys,
+                                            body, message):
+    import shutil
+    shutil.copy(solved_dir / "Q.json", tmp_path / "Q.json")
+    (tmp_path / "Q.csv").write_text("r,value\n" + body)
+    assert run(["verify", str(tmp_path / "Q")]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_riesz_verb_needs_args(tmp_path):
     grid = make_grid(3, 10.0, 64, 1.0)
     src = tmp_path / "p.csv"

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from choquard_lab import (ChoquardParams, ConvergenceError, FitError,
@@ -9,7 +13,10 @@ from choquard_lab import (ChoquardParams, ConvergenceError, FitError,
                           solver_grid, state_from_field)
 from choquard_lab.grid import kinetic_tridiag
 from choquard_lab.riesz import riesz_apply_matrix
-from choquard_lab.solver import _petviashvili, linearized_matrix
+from choquard_lab import solver
+from choquard_lab.solver import (_initial_gaussian, _krylov_step,
+                                 _newton_refine, _petviashvili,
+                                 equation_residual, linearized_matrix)
 
 
 def test_model_d1_matches_soliton_family(state_model_d1_p3):
@@ -155,16 +162,10 @@ def test_nan_iterate_fails_fast():
     assert err.value.iterations == 1
 
 
-@pytest.mark.parametrize("nonlocal_", [True, False])
-def test_linearized_matrix_matches_dense_formula(nonlocal_):
-    # the one-buffer Jacobian keeps the bits of K - (p-1) V - p A
-    grid = solver_grid(3, 25.0, 200)
-    rng = np.random.default_rng(5)
-    u = np.exp(-grid.nodes) * (1 + 0.1 * rng.standard_normal(grid.n))
-    u[5] = 0.0   # zero entries of p A keep their sign: 0 - (+0) = +0
-    p = 2.03
-    W = riesz_apply_matrix(grid, 1.02, 0) if nonlocal_ else None
-    ab = kinetic_tridiag(grid, 0)
+def dense_jacobian(grid, u, p, W, ab):
+    """The Newton Jacobian as a dense n x n array: K - (p-1) V - p A for the
+    nonlocal equation, K - p |u|^{p-1} for the local model.  The solver
+    never forms it; it is the oracle for the operator and the Krylov step."""
     n, idx = grid.n, np.arange(grid.n)
     K = np.zeros((n, n))
     K[idx, idx] = ab[1]
@@ -177,4 +178,108 @@ def test_linearized_matrix_matches_dense_formula(nonlocal_):
         K[idx, idx] -= (p - 1) * V
         upm1 = np.abs(u) ** (p - 1)
         K -= p * upm1[:, None] * W * upm1[None, :]
-    assert linearized_matrix(grid, u, p, W).tobytes() == K.tobytes()
+    return K
+
+
+@pytest.mark.parametrize("nonlocal_", [True, False])
+def test_linearized_matrix_matches_dense_formula(nonlocal_):
+    # the Jacobian operator applied to every unit vector is the dense
+    # formula's column, to rounding in the largest (kinetic) entries
+    grid = solver_grid(3, 25.0, 200)
+    rng = np.random.default_rng(5)
+    u = np.exp(-grid.nodes) * (1 + 0.1 * rng.standard_normal(grid.n))
+    u[5] = 0.0
+    p = 2.03
+    W = riesz_apply_matrix(grid, 1.02, 0) if nonlocal_ else None
+    ab = kinetic_tridiag(grid, 0)
+    dense = dense_jacobian(grid, u, p, W, ab)
+    J = linearized_matrix(grid, u, p, W)
+    assert J.shape == dense.shape
+    cols = J @ np.eye(grid.n)
+    assert np.max(np.abs(cols - dense)) <= 1e-14 * np.max(np.abs(dense))
+
+
+@settings(max_examples=8, deadline=None)
+@given(d=st.sampled_from([3, 5]), n=st.sampled_from([200, 700]),
+       dalpha=st.floats(-0.05, 0.05), dp=st.floats(0.0, 0.05))
+def test_krylov_step_matches_dense_solve(d, n, dalpha, dp):
+    params = ChoquardParams(d, d - 2 + dalpha, 2.0 + dp)
+    params.check_existence_window()
+    grid = solver_grid(d, 25.0, n)
+    W = riesz_apply_matrix(grid, params.alpha, 0)
+    ab = kinetic_tridiag(grid, 0)
+    u = solve_choquard(params, grid).field.values
+    # a smooth right-hand side far from the roundoff floor
+    G = equation_residual(grid, _initial_gaussian(grid, params.p, W),
+                          params.p, W, ab)
+    step = _krylov_step(linearized_matrix(grid, u, params.p, W, ab), G, ab)
+    want = np.linalg.solve(dense_jacobian(grid, u, params.p, W, ab), G)
+    assert np.max(np.abs(step - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def test_newton_step_allocates_no_dense_matrix():
+    grid = solver_grid(3, 25.0, 1200)
+    p = 2.03
+    W = riesz_apply_matrix(grid, 0.97, 0)
+    ab = kinetic_tridiag(grid, 0)
+    u = _initial_gaussian(grid, p, W)
+    tracemalloc.start()
+    try:
+        _, hist = _newton_refine(grid, u, p, W, 0.0, max_steps=1, ab=ab)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(hist) == 2 and hist[1] < hist[0]   # one step was taken
+    assert peak < grid.n ** 2 * 8 / 4
+
+
+def test_newton_stops_at_a_nan_iterate(monkeypatch):
+    grid = solver_grid(3, 25.0, 200)
+    W = riesz_apply_matrix(grid, 1.0, 0)
+    u = _initial_gaussian(grid, 2.0, W)
+    u[3] = np.nan
+    calls = []
+    real = solver.equation_residual
+    monkeypatch.setattr(solver, "equation_residual",
+                        lambda *a: calls.append(1) or real(*a))
+    out, hist = _newton_refine(grid, u, 2.0, W, 1e-10)
+    assert len(hist) == 1 and np.isnan(hist[0])
+    assert len(calls) == 1   # no damped steps on NaNs
+
+
+def test_newton_stops_at_a_non_finite_step(monkeypatch):
+    grid = solver_grid(3, 25.0, 200)
+    W = riesz_apply_matrix(grid, 1.0, 0)
+    u = _initial_gaussian(grid, 2.0, W)
+    monkeypatch.setattr(solver, "_krylov_step",
+                        lambda J, G, ab: np.full_like(G, np.nan))
+    calls = []
+    real = solver.equation_residual
+    monkeypatch.setattr(solver, "equation_residual",
+                        lambda *a: calls.append(1) or real(*a))
+    out, hist = _newton_refine(grid, u, 2.0, W, 1e-10)
+    assert len(hist) == 1 and np.isfinite(hist[0])
+    assert out is u
+    assert len(calls) == 1   # no line search along a NaN step
+
+
+def test_nan_at_newton_hand_over_raises_with_iteration_count(monkeypatch):
+    grid = solver_grid(3, 25.0, 200)
+    W = riesz_apply_matrix(grid, 1.0, 0)
+    real = solver._newton_refine
+    seen = {}
+
+    def poisoned(grid, u, *args, **kwargs):
+        u = u.copy()
+        u[3] = np.nan
+        out, hist = real(grid, u, *args, **kwargs)
+        seen["hist"] = hist
+        return out, hist
+
+    monkeypatch.setattr(solver, "_newton_refine", poisoned)
+    with pytest.raises(ConvergenceError) as err:
+        _petviashvili(grid, _initial_gaussian(grid, 2.0, W), 2.0, W,
+                      SolverOptions())
+    assert len(seen["hist"]) == 1
+    assert err.value.iterations >= 21   # the fixed-point iterations run
+    assert np.isnan(err.value.last_residual)
