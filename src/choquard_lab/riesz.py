@@ -16,25 +16,27 @@ u = |x - y| turns the angular integral into
 with A = r+s, B = |r-s|, t(u) = (r^2+s^2-u^2)/(2rs).  For odd d the
 bracket is a polynomial and the integral is elementary, a combination of
 terms  poly(s) * (s+r)^g  and  poly(s) * |s-r|^g  (log variants when an
-exponent crosses zero).  For even d it is evaluated by a graded Gauss
-rule in an angle variable.  At the Newtonian exponent alpha = d-2 the
-l = 0 kernel collapses to |S^{d-1}| max(r,s)^{2-d}.
+exponent crosses zero).  For every d >= 2 it is also a Gauss
+hypergeometric function of z = 4rs/(r+s)^2, summed by its series (the
+"angular" route, the one route for even d).  At the Newtonian exponent
+alpha = d-2 the l = 0 kernel collapses to |S^{d-1}| max(r,s)^{2-d}.
 
-Application operators integrate, cell by cell, the exact kernel against
-the quadratic interpolant of f alone; all power and log weights are
-handled by closed-form moments, so the kink or integrable singularity on
-the diagonal costs no accuracy, and different kernel routes differ only
-by their kernel values, not by quadrature structure.
+Application operators integrate, cell by cell, the kernel against the
+quadratic interpolant of f alone.  The exact route takes every power and
+log weight by closed-form moments; the angular route takes the
+|s-r|^{d-1-alpha} factor on the cells beside the diagonal by Gauss-Jacobi.
+So the kink or integrable singularity on the diagonal costs no accuracy.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
-from scipy.special import betainc, roots_legendre
+from scipy.special import betainc, roots_jacobi, roots_legendre
 
 from .grid import (RadialField, RadialGrid, _check_field, ball_volume,
                    sphere_area, write_atomic)
@@ -48,11 +50,6 @@ _LOG_EPS = 1e-13  # exponent window treated as the log case
 # Rows assembled together: every (rows, n) temporary of a block stays
 # small (0.5 MB at n = 1200), and no n x n temporary is held beside W.
 _BLOCK_ROWS = 48
-# Byte budget of one (rows, points, psi) temporary of the angular route.
-# glibc's mmap threshold follows the largest block freed, so the budget
-# also sets how later dense n x n work allocates: after a d = 4 assembly,
-# a 4-step continuation at n = 700 page-faulted 12x as often at 4 MiB.
-_CHUNK_BYTES = 8 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +103,13 @@ class _CellRule:
             a2 = self.xs[others[1]]
             dm = (self.xs[m] - a1) * (self.xs[m] - a2)
             self.lagrange.append((a1 * a2 / dm, -(a1 + a2) / dm, 1.0 / dm))
+
+    def lagrange_at(self, j, s) -> list:
+        """l_m(s) of the stencil of cell j, m = 0..2 (j, s broadcast)."""
+        xs = [x[j] for x in self.xs]
+        return [(s - xs[m - 1]) * (s - xs[m - 2])
+                / ((xs[m] - xs[m - 1]) * (xs[m] - xs[m - 2]))
+                for m in range(3)]
 
     def add_cells(self, W: np.ndarray, cell: np.ndarray, m: int) -> None:
         """W[:, j0 + m] += cell for the (rows, n) per-cell weights of node m.
@@ -254,45 +258,114 @@ def _odd_kernel_times_sd(d, ell, alpha, r: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# even-d kernel values by graded angular quadrature
+# kernel values for d >= 2 from the Gauss hypergeometric function
+#
+# The spherical mean is K_l = |S^{d-1}| (r+s)^{-alpha} c_l (z/4)^l
+# 2F1(alpha/2+l, (d-1)/2+l; d-1+2l; z), z = 4rs/(r+s)^2, c_0 = 1,
+# c_1 = alpha/d (DLMF 15.8(iii)).  A quadratic transformation (DLMF
+# 15.8.13) gives the better conditioned form used here,
+#   K_l = |S^{d-1}| c_l (rs)^l (r^2+s^2)^{-2a} F(a, a+1/2; c; y^2),
+# y = 2rs/(r^2+s^2), a = alpha/4 + l/2, c = d/2 + l.  Where y^2 > 3/4 the
+# connection formula (DLMF 15.8.4) in v = 1 - y^2, g = (d-1-alpha)/2, gives
+#   F = P1 F(a, a+1/2; 1-g; v) + v^g P2 F(c-a, c-a-1/2; 1+g; v),
+# so every series runs in an argument <= 3/4.  The two terms cancel, more
+# so the larger v is (a split at y^2 = 1/2 gave 20x larger errors at d = 6)
+# and as g nears an integer (a log case): there W and the kernel values
+# are taken as their Lagrange interpolant in alpha, in which they are
+# analytic.
 
-_PSI_RULE: dict = {}
+_TERMS = 200
+_Y2_SPLIT = 0.75   # the series below, the connection formula above
+# s/r at which y^2 = _Y2_SPLIT, y = 2 rho / (1 + rho^2)
+_RHO_SPLIT = (1.0 - math.sqrt(1.0 - _Y2_SPLIT)) / math.sqrt(_Y2_SPLIT)
+_LOG_STEP = 1e-2
 
 
-def _psi_rule(npts: int = 200, grading: float = 4.0):
-    key = (npts, grading)
-    rule = _PSI_RULE.get(key)
-    if rule is None:
-        t, w = roots_legendre(npts)
-        tau = 0.5 * (t + 1.0)
-        psi = (math.pi / 2.0) * tau ** grading
-        jac = (math.pi / 2.0) * grading * tau ** (grading - 1.0) * 0.5 * w
-        rule = (np.sin(psi) ** 2, np.sin(psi) * np.cos(psi), jac)
-        _PSI_RULE[key] = rule
-    return rule
+def _series(a, b, c, x):
+    """2F1(a, b; c; x) at x <= 3/4 by the Gauss series.
 
-
-def _angular_kernel_values(d, ell, alpha, r, s, npts: int = 200):
-    """K_l(r,s) for d >= 2 via u^2 = B^2 cos^2 psi + A^2 sin^2 psi.
-
-    The graded rule resolves the u^{-alpha} boundary layer of width
-    ~ B/A.  Finite on the diagonal only for alpha < d - 1.
+    Each x takes the terms it needs (every term left out is below 1e-17),
+    so no value depends on the points beside it.  Horner runs over the
+    points sorted by term count, longest first: the points still summing
+    at order k are then a prefix.
     """
-    r = np.asarray(r, dtype=float)
-    s = np.asarray(s, dtype=float)
-    A = r + s
-    B = np.abs(r - s)
-    sin2, sc, jac = _psi_rule(npts)
-    u2 = B[..., None] ** 2 + (A[..., None] ** 2 - B[..., None] ** 2) * sin2
-    integ = u2 ** (-alpha / 2.0)
-    if ell == 1:
-        t = ((r[..., None] ** 2 + s[..., None] ** 2 - u2)
-             / (2.0 * r[..., None] * s[..., None]))
-        integ = integ * t
-    integ = integ * sc ** (d - 2)
-    J = (A ** 2 - B ** 2) ** (d - 2) * (integ @ jac)
-    pref = sphere_area(d - 1) * (2.0 * r * s) ** (3 - d) / (r * s)
-    return pref * J
+    shape, x = np.shape(x), np.ravel(x)
+    k = np.arange(_TERMS - 1.0)
+    coef = np.cumprod(np.r_[1.0, (a + k) * (b + k) / ((c + k) * (k + 1.0))])
+    with np.errstate(divide="ignore"):
+        reach = (1e-17 / np.abs(coef[1:])) ** (1.0 / (k + 1.0))
+    # reach[N - 1]: the largest x at which every term from N on is small
+    terms = np.searchsorted(np.minimum.accumulate(reach[::-1])[::-1], x) + 1
+    order = np.argsort((_TERMS - terms).astype(np.uint8), kind="stable")
+    xs = x[order]
+    longer = np.cumsum(np.bincount(terms, minlength=_TERMS + 2)[::-1])[::-1]
+    acc = np.zeros(x.size)
+    for j in range(terms.max(initial=0) - 1, -1, -1):
+        m = longer[j + 1]                  # the points with > j terms
+        acc[:m] *= xs[:m]
+        acc[:m] += coef[j]
+    out = np.empty(x.size)
+    out[order] = acc
+    return out.reshape(shape)
+
+
+def _kernel(d, ell, alpha, r, s, split=False):
+    """K_l(r, s) at broadcast r, s, for g = (d-1-alpha)/2 not an integer.
+
+    With ``split``, at points with y^2 > 3/4 only: analytic (R, S) with
+    K = R + |s-r|^{2g} S.
+    """
+    a, c, g = alpha / 4.0 + ell / 2.0, d / 2.0 + ell, (d - 1 - alpha) / 2.0
+    q = r * r + s * s
+    K = sphere_area(d) * (alpha / d * (r * s) if ell else 1.0) * q ** (-2 * a)
+    v = ((r - s) * (r + s) / q) ** 2
+    G = math.gamma
+    p1 = G(c) * G(g) / (G(c - a) * G(c - a - 0.5))
+    p2 = G(c) * G(-g) / (G(a) * G(a + 0.5))
+    if split:
+        return (K * p1 * _series(a, a + 0.5, 1.0 - g, v),
+                K * p2 * _series(c - a, c - a - 0.5, 1.0 + g, v)
+                * ((r + s) / q) ** (2 * g))
+    y2 = (2.0 * r * s / q) ** 2
+    low = y2 <= _Y2_SPLIT
+    K[low] *= _series(a, a + 0.5, c, y2[low])
+    v = v[~low]
+    K[~low] *= (p1 * _series(a, a + 0.5, 1.0 - g, v)
+                + v ** g * p2 * _series(c - a, c - a - 0.5, 1.0 + g, v))
+    return K
+
+
+def _log_nodes(d: int, alpha: float):
+    """[(alpha_k, weight_k)], the Lagrange rule on the nodes
+    m + k _LOG_STEP, k = +-1..4, that stands in for alpha within
+    _LOG_STEP/2 of a log point m = d-1-2j; None elsewhere."""
+    centre = d - 1 - 2 * round((d - 1 - alpha) / 2.0)
+    if abs(alpha - centre) >= _LOG_STEP / 2:
+        return None
+    nodes = centre + _LOG_STEP * np.array([-4, -3, -2, -1, 1, 2, 3, 4.0])
+    return [(float(ak), float(np.prod((alpha - np.delete(nodes, k))
+                                      / (ak - np.delete(nodes, k)))))
+            for k, ak in enumerate(nodes)]
+
+
+def _kernel_values(d, ell, alpha, r, s) -> np.ndarray:
+    """K_l(r, s) for d >= 2 at broadcast r, s; finite on the diagonal
+    only for alpha < d - 1."""
+    shape = np.broadcast_shapes(np.shape(r), np.shape(s))
+    r, s = (np.broadcast_to(np.asarray(x, dtype=float), shape).ravel()
+            for x in (r, s))
+    nodes = _log_nodes(d, alpha)
+    if nodes is None:
+        return _kernel(d, ell, alpha, r, s).reshape(shape)
+    # on the diagonal (v = 0) nothing cancels, and near alpha = d - 1 K has
+    # a pole there that no polynomial in alpha follows: take it directly
+    diag = (r == s) & (abs(alpha - (d - 1)) < _LOG_STEP)
+    out = np.empty(r.shape)
+    out[~diag] = sum(wk * _kernel(d, ell, ak, r[~diag], s[~diag])
+                     for ak, wk in nodes)
+    if diag.any():
+        out[diag] = _kernel(d, ell, alpha, r[diag], s[diag])
+    return out.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -369,87 +442,63 @@ def _newton_rows(grid: RadialGrid, rule: _CellRule, lo: int,
 
 
 def _angular_rows(grid: RadialGrid, rule: _CellRule, alpha: float, ell: int,
-                  ngauss: int = 8, npts: int = 200) -> np.ndarray:
-    """All rows of the angular-quadrature application operator.
+                  lo: int, hi: int) -> np.ndarray:
+    """Rows lo..hi-1 of the application operator of the 2F1 kernel.
 
-    Cell integrals of K(r_i, s) s^{d-1} l_m(s) by per-cell Gauss;
-    the kernel is smooth inside every cell because the diagonal falls on
-    cell boundaries.
+    Cell integrals of K(r_i, s) s^{d-1} l_m(s) by per-cell Gauss.  On the
+    two cells beside the diagonal, K = R + |s-r_i|^beta S, beta = d-1-alpha,
+    with R and S analytic: R goes to Gauss-Legendre and |s-r_i|^beta S to
+    Gauss-Jacobi, once the part of the cell with y^2 <= 3/4 (on solver
+    grids only in the first two cells) is split off to plain Gauss.
     """
-    d = grid.d
-    n = grid.n
-    t, w = roots_legendre(ngauss)
-    mid = 0.5 * (rule.a + rule.b)
-    half = 0.5 * (rule.b - rule.a)
-    sq = mid[:, None] + half[:, None] * t[None, :]     # (cells, ngauss)
-    wq = half[:, None] * w[None, :]
-    lm_at_sq = []
-    for m in range(3):
-        others = [k for k in range(3) if k != m]
-        lm = ((sq - rule.xs[others[0]][:, None])
-              * (sq - rule.xs[others[1]][:, None])
-              / ((rule.xs[m] - rule.xs[others[0]])
-                 * (rule.xs[m] - rule.xs[others[1]]))[:, None])
-        lm_at_sq.append(lm)
-    base = wq * sq ** (d - 1)
-    W = np.zeros((n, n))
-    flat_s = sq.ravel()
-    chunk = max(1, _CHUNK_BYTES // (8 * flat_s.size * npts))
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        rr = np.repeat(grid.nodes[lo:hi, None], flat_s.size, axis=1)
-        ss = np.broadcast_to(flat_s, rr.shape)
-        K = _angular_kernel_values(d, ell, alpha, rr, ss, npts)
-        K = K.reshape(hi - lo, n, ngauss)
-        G = K * base[None, :, :]
-        for m in range(3):
-            rule.add_cells(W[lo:hi],
-                           np.sum(G * lm_at_sq[m][None, :, :], axis=2), m)
-
-    # The kernel is analytic inside every cell except for a fractional
-    # |s - r_i| power at the diagonal endpoint; redo the two adjacent
-    # cells of each row with a graded subcell rule.
-    nsub, ratio = 10, 3.0
-    t01 = 0.5 * (t + 1.0)
-    for i in range(n):
-        r = grid.nodes[i]
-        for j in (i, i + 1):
-            if j >= n:
-                continue
-            a, b = rule.a[j], rule.b[j]
-            width = b - a
-            if width <= 0:
-                continue
-            # fractions of the cell, graded toward the singular end
-            fr = ratio ** np.arange(nsub + 1)
-            fr = (fr - 1.0) / (fr[-1] - 1.0)
-            if j == i:      # singularity at the right end s = b = r_i
-                edges = b - width * fr[::-1]
-            else:           # singularity at the left end s = a = r_i
-                edges = a + width * fr
-            sa, sb = edges[:-1], edges[1:]
-            ssub = sa[:, None] + (sb - sa)[:, None] * t01[None, :]
-            wsub = 0.5 * (sb - sa)[:, None] * w[None, :]
-            Ksub = _angular_kernel_values(
-                d, ell, alpha, np.full_like(ssub, r), ssub, npts)
-            gsub = wsub * Ksub * ssub ** (d - 1)
-            gold = base[j] * _angular_kernel_values(
-                d, ell, alpha, np.full_like(sq[j], r), sq[j], npts)
-            for m in range(3):
-                others = [k for k in range(3) if k != m]
-                denom = ((rule.xs[m][j] - rule.xs[others[0]][j])
-                         * (rule.xs[m][j] - rule.xs[others[1]][j]))
-                lm_sub = ((ssub - rule.xs[others[0]][j])
-                          * (ssub - rule.xs[others[1]][j]) / denom)
-                W[i, rule.j0[j] + m] += (np.sum(gsub * lm_sub)
-                                         - np.sum(gold * lm_at_sq[m][j]))
+    nodes = _log_nodes(grid.d, alpha)
+    if nodes is not None:
+        return sum(wk * _angular_rows(grid, rule, ak, ell, lo, hi)
+                   for ak, wk in nodes)
+    d, n, beta = grid.d, grid.n, grid.d - 1 - alpha
+    t, w = roots_legendre(8)
+    half = 0.5 * (rule.b - rule.a)[:, None]
+    sq = 0.5 * (rule.a + rule.b)[:, None] + half * t
+    i = np.arange(lo, hi)
+    r = grid.nodes[i]
+    K = _kernel(d, ell, alpha, r[:, None, None], sq)
+    K[i - lo, i] = 0.0                       # the cells beside the diagonal
+    K[i - lo, np.minimum(i + 1, n - 1)] = 0.0    # are integrated below
+    W = np.zeros((hi - lo, n))
+    for m, lm in enumerate(rule.lagrange_at(np.arange(n)[:, None], sq)):
+        rule.add_cells(W, np.sum(K * (half * w * sq ** (d - 1) * lm), axis=2),
+                       m)
+    cut = np.maximum(rule.a[i], _RHO_SPLIT * r)
+    end = np.where(i < n - 1, rule.b[np.minimum(i + 1, n - 1)], r)
+    cut_right = np.minimum(end, r / _RHO_SPLIT)
+    x, wj = roots_jacobi(8, beta, 0.0)      # weight (1 - x)^beta
+    for j, p, q, side in ((i, rule.a[i], cut, 0), (i, cut, r, -1),
+                          (i + 1, r, cut_right, 1), (i + 1, cut_right, end, 0)):
+        keep = q > p                         # skip pieces of zero width
+        j, ri, hw = j[keep], r[keep, None], 0.5 * (q - p)[keep, None]
+        s = 0.5 * (p + q)[keep, None] + hw * t
+        if side == 0:
+            vals = hw * w * _kernel(d, ell, alpha, ri, s)
+        else:                                # r_i = q (side -1) or p (+1)
+            sj = ri + side * hw * (1.0 - x)
+            vals = np.concatenate(
+                [hw * w * _kernel(d, ell, alpha, ri, s, split=True)[0],
+                 hw ** (beta + 1.0) * wj
+                 * _kernel(d, ell, alpha, ri, sj, split=True)[1]], axis=1)
+            s = np.concatenate([s, sj], axis=1)
+        vals *= s ** (d - 1)
+        for m, lm in enumerate(rule.lagrange_at(j[:, None], s)):
+            W[(i - lo)[keep], rule.j0[j] + m] += np.sum(vals * lm, axis=1)
     return W
 
 
-_APPLY_CACHE: dict = {}
+# In-memory operators, least recently used first; the oldest go once the
+# matrices held pass the byte budget (a continuation adds one per alpha).
+_APPLY_CACHE: OrderedDict = OrderedDict()
+_APPLY_CACHE_BYTES = 512 << 20
 # Leads every disk-cache file name; raise it whenever an assembly change
 # alters W, so files written by older code are never read.
-_CACHE_VERSION = 2
+_CACHE_VERSION = 3
 
 
 def _cache_dir() -> Path | None:
@@ -461,14 +510,21 @@ def clear_caches() -> None:
     _APPLY_CACHE.clear()
 
 
+def _remember(key, W: np.ndarray) -> None:
+    _APPLY_CACHE[key] = W
+    held = sum(v.nbytes for v in _APPLY_CACHE.values())
+    while held > _APPLY_CACHE_BYTES and len(_APPLY_CACHE) > 1:
+        held -= _APPLY_CACHE.popitem(last=False)[1].nbytes
+
+
 def riesz_apply_matrix(grid: RadialGrid, alpha: float, ell: int = 0,
                        method: str = "auto") -> np.ndarray:
     """Dense operator W with (|.|^{-alpha} *_l f)(r_i) = (W f)_i.
 
     ``method``: "newton" (alpha = d-2, l = 0 shell formula), "exact"
-    (elementary reduced kernel, odd d), "angular" (graded angular
-    quadrature, d >= 2), or "auto".  Matrices are cached in memory and,
-    when CHOQUARD_LAB_CACHE is set, on disk.
+    (elementary reduced kernel, odd d), "angular" (the spherical mean in
+    closed form, a Gauss 2F1, d >= 2), or "auto".  Matrices are cached in
+    memory and, when CHOQUARD_LAB_CACHE is set, on disk.
     """
     d = grid.d
     if not (0.0 < alpha < d):
@@ -487,12 +543,13 @@ def riesz_apply_matrix(grid: RadialGrid, alpha: float, ell: int = 0,
     if method == "exact" and d % 2 == 0:
         raise RieszError("exact reduced kernels exist only for odd d")
     if method == "angular" and d < 2:
-        raise RieszError("angular quadrature requires d >= 2")
+        raise RieszError("the angular route requires d >= 2")
 
     key = (grid.d, grid.n, grid.r_max, grid.stretch,
            round(alpha, 14), ell, method)
     W = _APPLY_CACHE.get(key)
     if W is not None:
+        _APPLY_CACHE.move_to_end(key)
         return W
     cdir = _cache_dir()
     fname = None
@@ -504,24 +561,22 @@ def riesz_apply_matrix(grid: RadialGrid, alpha: float, ell: int = 0,
         except (OSError, ValueError, EOFError):   # missing or unreadable
             W = None
         if W is not None and W.shape == (grid.n, grid.n):
-            _APPLY_CACHE[key] = W
+            _remember(key, W)
             return W   # anything else is assembled again and rewritten
 
     rule = _CellRule(grid)
     n = grid.n
-    if method == "angular":
-        W = _angular_rows(grid, rule, alpha, ell)
-    else:
-        W = np.empty((n, n))
-        for lo in range(0, n, _BLOCK_ROWS):
-            hi = min(lo + _BLOCK_ROWS, n)
-            if method == "newton":
-                W[lo:hi] = _newton_rows(grid, rule, lo, hi)
-            else:
-                r = grid.nodes[lo:hi]
-                W[lo:hi] = _rows_from_groups(
-                    rule, _term_table(d, ell, alpha, r), r)
-    _APPLY_CACHE[key] = W
+    W = np.empty((n, n))
+    for lo in range(0, n, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n)
+        if method == "newton":
+            W[lo:hi] = _newton_rows(grid, rule, lo, hi)
+        elif method == "exact":
+            r = grid.nodes[lo:hi]
+            W[lo:hi] = _rows_from_groups(rule, _term_table(d, ell, alpha, r), r)
+        else:
+            W[lo:hi] = _angular_rows(grid, rule, alpha, ell, lo, hi)
+    _remember(key, W)
     if fname is not None:
         cdir.mkdir(parents=True, exist_ok=True)
         # a handle: np.save adds no suffix
@@ -603,18 +658,13 @@ def sector_kernel(grid: RadialGrid, alpha: float, ell: int) -> np.ndarray:
     r = grid.nodes
     n = grid.n
     K = np.empty((n, n))
-    if d % 2 == 1:
-        sd = r ** (d - 1)
-        for lo in range(0, n, _BLOCK_ROWS):
-            hi = min(lo + _BLOCK_ROWS, n)
-            K[lo:hi] = _odd_kernel_times_sd(d, ell, alpha, r[lo:hi], r) / sd
-    else:
-        chunk = max(1, _CHUNK_BYTES // (8 * n * 200))
-        for lo in range(0, n, chunk):
-            hi = min(lo + chunk, n)
-            R = np.repeat(r[lo:hi, None], n, axis=1)
-            S = np.broadcast_to(r, R.shape)
-            K[lo:hi] = _angular_kernel_values(d, ell, alpha, R, S)
+    for lo in range(0, n, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n)
+        if d % 2 == 1:
+            K[lo:hi] = (_odd_kernel_times_sd(d, ell, alpha, r[lo:hi], r)
+                        / r ** (d - 1))
+        else:
+            K[lo:hi] = _kernel_values(d, ell, alpha, r[lo:hi, None], r)
     return 0.5 * (K + K.T)
 
 

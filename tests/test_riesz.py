@@ -1,7 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
@@ -10,7 +13,7 @@ from choquard_lab import (RadialField, RieszError, ball_volume, make_grid,
                           riesz_bracket, riesz_radial, sector_kernel,
                           solver_grid, sphere_area)
 from choquard_lab import riesz
-from choquard_lab.riesz import (_angular_kernel_values, _odd_kernel_times_sd,
+from choquard_lab.riesz import (_kernel_values, _odd_kernel_times_sd,
                                 clear_caches)
 
 
@@ -34,7 +37,7 @@ def test_kernel_values_against_quadrature_oracle(d, ell, alpha):
     r = 1.3
     for s in (0.4, 1.0, 2.6):
         want = kernel_oracle(d, ell, alpha, r, s)
-        got_ang = float(_angular_kernel_values(
+        got_ang = float(_kernel_values(
             d, ell, alpha, np.asarray(r), np.asarray(s)))
         assert_allclose(got_ang, want, rtol=2e-9, atol=1e-12)
         if d % 2 == 1:
@@ -42,6 +45,57 @@ def test_kernel_values_against_quadrature_oracle(d, ell, alpha):
                 d, ell, alpha, np.asarray([r]), np.asarray([s]))[0, 0]) \
                 / s ** (d - 1)
             assert_allclose(got_exact, want, rtol=2e-9, atol=1e-12)
+
+
+def kernel_mpmath(d, ell, alpha, r, s):
+    """K_l(r, s) = |S^{d-1}| (r+s)^-alpha c_l (z/4)^l 2F1(alpha/2+l,
+    (d-1)/2+l; d-1+2l; z), z = 4rs/(r+s)^2, at 30 digits (not the
+    transformed form the package sums)."""
+    with mpmath.workdps(30):
+        r, s, a = mpmath.mpf(r), mpmath.mpf(s), mpmath.mpf(alpha)
+        z = 4 * r * s / (r + s) ** 2
+        c = a / d if ell else 1
+        return float(sphere_area(d) * (r + s) ** -a * c * (z / 4) ** ell
+                     * mpmath.hyp2f1(a / 2 + ell, mpmath.mpf(d - 1) / 2 + ell,
+                                     d - 1 + 2 * ell, z))
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.sampled_from([2, 4, 6]), ell=st.integers(0, 1),
+       frac=st.floats(0.0, 1.0), r=st.floats(0.01, 30.0),
+       log_ratio=st.one_of(st.floats(-6.0, 6.0),
+                           st.floats(-6.0, -1.0).map(lambda e: 10.0 ** e),
+                           st.floats(-6.0, -1.0).map(lambda e: -10.0 ** e)))
+def test_kernel_values_against_mpmath(d, ell, frac, r, log_ratio):
+    # the connection formula loses digits in proportion to
+    # 1/|alpha - (d-1-2m)| near a log point; stay 0.02 away from them,
+    # four times the radius of the window where W and K are interpolated
+    alpha = 0.02 + frac * (d - 1.04)
+    log_points = np.arange(d - 1, 0, -2.0)
+    alpha = float(alpha + 0.04 * (np.min(np.abs(alpha - log_points)) < 0.02))
+    s = r * math.exp(log_ratio)
+    got = float(_kernel_values(d, ell, alpha, np.asarray(r), np.asarray(s)))
+    assert_allclose(got, kernel_mpmath(d, ell, alpha, r, s), rtol=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 3.0, 1.0 - 1e-7, 1.0 + 1e-7])
+def test_kernel_at_the_log_points(alpha):
+    # (d-1-alpha)/2 is an integer at alpha = 1 and 3 in d = 4
+    g = make_grid(4, 8.0, 60, 1.02)
+    r = np.array([0.3, 1.3, 1.3, 1.3, 1.3])
+    s = np.array([1.3, 0.02, 1.3 * (1 + 1e-6), 2.6, 40.0])
+    for ell in (0, 1):
+        got = _kernel_values(4, ell, alpha, r, s)
+        want = [kernel_mpmath(4, ell, alpha, ri, si) for ri, si in zip(r, s)]
+        assert_allclose(got, want, rtol=1e-8)
+        W = riesz_apply_matrix(g, alpha, ell, "angular")
+        assert np.all(np.isfinite(W))
+        if alpha < 3.0:
+            assert np.all(np.isfinite(sector_kernel(g, alpha, ell)))
+        # W is continuous in alpha through the log point
+        f = g.nodes ** ell * np.exp(-g.nodes ** 2)
+        near = riesz_apply_matrix(g, alpha + 1e-6, ell, "angular")
+        assert _rel(near @ f, W @ f) <= 1e-5
 
 
 def test_riesz_rejects_bad_alpha():
@@ -120,6 +174,17 @@ def _rel(got, want):
     return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("alpha,tol", [(1.4, 1e-10), (2.4, 1e-10),
+                                       (2.0, 1e-8)])
+def test_angular_route_agrees_with_exact(alpha, tol):
+    # at d = 3 both routes exist; alpha = 2 is the log point of both
+    g = make_grid(3, 8.0, 240, 1.0)
+    f0 = np.exp(-g.nodes ** 2)
+    for ell, f in ((0, f0), (1, g.nodes * f0)):
+        assert _rel(riesz_apply_matrix(g, alpha, ell, "angular") @ f,
+                    riesz_apply_matrix(g, alpha, ell, "exact") @ f) <= tol
+
+
 @pytest.mark.parametrize("d,tol_ell1", [(3, 1e-8), (5, 2e-6)])
 def test_exact_route_agrees_with_newton_and_angular(d, tol_ell1):
     g = make_grid(d, 8.0, 240, 1.0)
@@ -171,6 +236,7 @@ def test_assembly_does_not_depend_on_the_row_block(monkeypatch):
     # alpha = 2 at d = 3 puts logarithmic weights into the exact route
     monkeypatch.delenv("CHOQUARD_LAB_CACHE", raising=False)
     g = make_grid(3, 8.0, 40, 1.02)
+    g4 = make_grid(4, 8.0, 40, 1.02)
 
     def assemble():
         clear_caches()
@@ -178,7 +244,11 @@ def test_assembly_does_not_depend_on_the_row_block(monkeypatch):
                 riesz_apply_matrix(g, 1.3, 0, "exact"),
                 riesz_apply_matrix(g, 1.3, 1, "exact"),
                 riesz_apply_matrix(g, 2.0, 0, "exact"),
-                sector_kernel(g, 1.3, 1)]
+                sector_kernel(g, 1.3, 1),
+                riesz_apply_matrix(g4, 1.9, 0, "angular"),
+                riesz_apply_matrix(g4, 1.9, 1, "angular"),
+                riesz_apply_matrix(g4, 1.0, 1, "angular"),
+                sector_kernel(g4, 1.9, 1)]
 
     monkeypatch.setattr(riesz, "_BLOCK_ROWS", 1)
     by_row = assemble()
@@ -194,22 +264,23 @@ def raw_sector_kernel(g, alpha, ell):
     r, d = g.nodes, g.d
     if d % 2:
         return _odd_kernel_times_sd(d, ell, alpha, r, r) / r ** (d - 1)
-    return np.concatenate([_angular_kernel_values(
-        d, ell, alpha, np.repeat(r[lo:lo + 8, None], g.n, axis=1),
-        np.broadcast_to(r, (min(8, g.n - lo), g.n)))
-        for lo in range(0, g.n, 8)])
+    return _kernel_values(d, ell, alpha, r[:, None], r[None, :])
 
 
 def test_sector_kernel_symmetry_and_positivity():
     # K_l(r, s) = K_l(s, r) on the raw samples: sector_kernel returns
     # (K + K^T)/2, which is symmetric whatever K is
-    for d, alpha in ((3, 1.0), (4, 1.9), (5, 3.0)):
+    for d, alpha in ((3, 1.0), (4, 1.9), (5, 3.0), (6, 3.5)):
         for g in (make_grid(d, 10.0, 90, 1.01), solver_grid(d, 25.0, 600)):
             for ell in (0, 1):
                 K = raw_sector_kernel(g, alpha, ell)
                 assert np.all(np.isfinite(K))
                 defect = np.max(np.abs(K - K.T))
                 assert defect <= 1e-10 * np.max(np.abs(K)), (d, g.n, ell)
+                if d % 2 == 0:
+                    # every even-d sample depends on r, s only through
+                    # r + s, r s, r^2 + s^2 and (r - s)^2: bitwise symmetric
+                    assert np.array_equal(K, K.T)
     g = make_grid(3, 10.0, 90, 1.01)
     assert np.all(sector_kernel(g, 1.0, 0) > 0)
 
@@ -363,6 +434,24 @@ def test_overlap_rejects_negative():
         overlap_volume(3, -1.0, 1.0, 0.5)
     with pytest.raises(RieszError):
         overlap_volume(3, 1.0, 1.0, -0.5)
+
+
+def test_memory_cache_evicts_the_least_recently_used(monkeypatch):
+    monkeypatch.delenv("CHOQUARD_LAB_CACHE", raising=False)
+    g = make_grid(3, 8.0, 20, 1.0)
+    monkeypatch.setattr(riesz, "_APPLY_CACHE_BYTES", 2 * 8 * g.n * g.n)
+    clear_caches()
+    first = riesz_apply_matrix(g, 1.1)
+    second = riesz_apply_matrix(g, 1.2)
+    riesz_apply_matrix(g, 1.3)            # over budget: `first` goes
+    assert riesz_apply_matrix(g, 1.2) is second
+    assert riesz_apply_matrix(g, 1.1) is not first
+    # that call assembled 1.1 again; 1.2 was used more recently than 1.3
+    riesz_apply_matrix(g, 1.2)
+    riesz_apply_matrix(g, 1.4)
+    assert riesz_apply_matrix(g, 1.2) is second
+    assert len(riesz._APPLY_CACHE) == 2
+    clear_caches()
 
 
 def test_disk_cache_roundtrip(tmp_path, monkeypatch):
