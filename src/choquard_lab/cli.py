@@ -178,11 +178,8 @@ def cmd_spectrum(args) -> int:
             raise UsageError("--ell needs --zero-field: the report on a "
                              "state covers both sectors")
         state = _load_state(args.state)
-        try:
-            rep = nondegeneracy_verdict(state, gap_tol=args.gap_tol, k=args.k)
-        except (SpectrumError, RieszError) as exc:
-            raise UsageError(str(exc))
-        report = rep.to_dict()
+        report = nondegeneracy_verdict(state, gap_tol=args.gap_tol,
+                                       k=args.k).to_dict()
     text = json.dumps(report, indent=2)
     write_atomic(out / "spectral_report.json",
                  lambda fh: fh.write(text.encode()))
@@ -204,7 +201,8 @@ def cmd_sweep(args) -> int:
         raise UsageError("sweep needs non-empty --alphas and --ps lattices")
     grid = _grid_from(args, cfg, d)
     opts = _opts_from(args, cfg)
-    want = [(pt.alpha, pt.p) for pt in lattice(d, alphas, ps)]
+    want = [(pt.alpha, pt.p)
+            for pt in lattice(d, alphas, ps, args.with_spectrum)]
 
     manifest_path = out / "sweep_manifest.json"
     csv_path = out / "sweep.csv"
@@ -325,7 +323,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParameterError, GridError, RieszError, FitError) as exc:
+    except (ParameterError, GridError, RieszError, FitError,
+            SpectrumError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

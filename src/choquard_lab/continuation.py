@@ -25,7 +25,7 @@ import numpy as np
 
 from .grid import (ChoquardParams, GridError, RadialField, RadialGrid,
                    differentiate, integrate_radial, write_atomic)
-from .riesz import riesz_apply_matrix
+from .riesz import RieszError, riesz_apply_matrix
 from .solver import (ConvergenceError, GroundState, SolverOptions,
                      _newton_refine, solve_choquard, state_from_field)
 from .spectrum import assemble_lplus, eig_smallest
@@ -128,14 +128,20 @@ def newton_continue(base: GroundState, target: ChoquardParams,
                             history[-1], len(history), newton_history=history)
 
 
-def lattice(d: int, alphas, ps) -> list:
+def lattice(d: int, alphas, ps, with_spectrum: bool = False) -> list:
     """Parameter points of the lattice (alphas outer, ps inner); raises
-    ParameterError unless every point lies in the existence window."""
+    ParameterError unless every point lies in the existence window, and
+    RieszError if a spectrum is wanted where the sector kernel diverges
+    (alpha >= d-1)."""
     ps = list(ps)
     points = [ChoquardParams(d, float(a), float(p)).check_existence_window()
               for a in alphas for p in ps]
     if not points:
         raise ValueError("sweep lattice is empty")
+    bad = sorted({pt.alpha for pt in points if pt.alpha >= d - 1})
+    if with_spectrum and bad:
+        raise RieszError(f"the sector spectrum needs alpha < d-1 = {d - 1}, "
+                         f"got alpha in {bad}")
     return points
 
 
@@ -175,7 +181,7 @@ def sweep(d: int, alphas, ps, grid: RadialGrid,
     opts = opts or SolverOptions()
     if grid.d != d:
         raise GridError(f"grid dimension {grid.d} != requested dimension {d}")
-    points = lattice(d, alphas, ps)
+    points = lattice(d, alphas, ps, with_spectrum)
     if reference is None:
         reference = solve_choquard(ChoquardParams(d, float(d - 2), 2.0),
                                    grid, opts)

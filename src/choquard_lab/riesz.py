@@ -16,9 +16,11 @@ u = |x - y| turns the angular integral into
 with A = r+s, B = |r-s|, t(u) = (r^2+s^2-u^2)/(2rs).  For odd d the
 bracket is a polynomial and the integral is elementary, a combination of
 terms  poly(s) * (s+r)^g  and  poly(s) * |s-r|^g  (log variants when an
-exponent crosses zero).  For every d >= 2 it is also a Gauss
-hypergeometric function of z = 4rs/(r+s)^2, summed by its series (the
-"angular" route, the one route for even d).  At the Newtonian exponent
+exponent crosses zero); these term tables serve only the exact route's
+application operator.  For every d >= 2 the kernel is also a Gauss
+hypergeometric function of z = 4rs/(r+s)^2, summed by its series: the
+one kernel-value layer, behind the sector kernels of every d and the
+"angular" route (the one route for even d).  At the Newtonian exponent
 alpha = d-2 the l = 0 kernel collapses to |S^{d-1}| max(r,s)^{2-d}.
 
 Application operators integrate, cell by cell, the kernel against the
@@ -230,31 +232,6 @@ def _term_table(d, ell, alpha, r: np.ndarray) -> dict:
     per_row = [_group_terms(_odd_term_polys(d, ell, alpha, ri)) for ri in r]
     return {key: np.stack([g[key] for g in per_row], axis=1)
             for key in per_row[0]}
-
-
-def _odd_kernel_times_sd(d, ell, alpha, r: np.ndarray,
-                         s: np.ndarray) -> np.ndarray:
-    """K_l(r_i, s_j) s_j^{d-1} from the closed-form term table, shape
-    (len(r), len(s))."""
-    s = np.asarray(s, dtype=float)
-    r = np.asarray(r, dtype=float)
-    col = r[:, None]
-    acc = np.zeros((r.size, s.size))
-    A = s + col
-    B = np.abs(s - col)
-    Bsafe = np.where(B > 0, B, 1.0)
-    for (side, e), poly in _term_table(d, ell, alpha, r).items():
-        pv = np.polynomial.polynomial.polyval(s, poly)
-        if side == "A":
-            acc += pv * A ** e
-        elif side == "B":
-            acc += pv * np.where(B > 0, Bsafe ** e, 0.0 if e > 0 else np.inf)
-        elif side == "Alog":
-            acc += pv * np.log(A)
-        else:
-            acc += pv * np.where(B > 0, np.log(Bsafe), 0.0) \
-                + np.where((B == 0) & (pv != 0), -np.inf, 0.0)
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -644,8 +621,13 @@ def riesz_bracket(grid: RadialGrid, f: RadialField, alpha: float) -> RadialField
 
 
 def sector_kernel(grid: RadialGrid, alpha: float, ell: int) -> np.ndarray:
-    """Raw reduced-kernel samples K_l(r_i, s_j), symmetrised as
-    (K + K^T)/2; finite entries require alpha < d - 1."""
+    """Raw reduced-kernel samples K_l(r_i, r_j) from the 2F1 layer, for
+    every d >= 2; finite entries require alpha < d - 1.
+
+    Each sample depends on r, s only through r s, r^2 + s^2, (r - s)^2
+    and r + s, so K is bitwise symmetric: the upper triangle is taken
+    block by block and mirrored, with no symmetrisation step.
+    """
     d = grid.d
     if ell not in (0, 1):
         raise RieszError(f"only sectors l in {{0,1}} are supported, got {ell}")
@@ -660,12 +642,9 @@ def sector_kernel(grid: RadialGrid, alpha: float, ell: int) -> np.ndarray:
     K = np.empty((n, n))
     for lo in range(0, n, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, n)
-        if d % 2 == 1:
-            K[lo:hi] = (_odd_kernel_times_sd(d, ell, alpha, r[lo:hi], r)
-                        / r ** (d - 1))
-        else:
-            K[lo:hi] = _kernel_values(d, ell, alpha, r[lo:hi, None], r)
-    return 0.5 * (K + K.T)
+        K[lo:hi, lo:] = _kernel_values(d, ell, alpha, r[lo:hi, None], r[lo:])
+        K[lo:, lo:hi] = K[lo:hi, lo:].T
+    return K
 
 
 # ---------------------------------------------------------------------------

@@ -140,8 +140,8 @@ def eig_smallest(op: SectorOperator, k: int):
     Eigenfields are mapped back to node values and L2-normalized under
     the grid quadrature.
     """
-    if k > 10:
-        raise SpectrumError(f"at most 10 eigenpairs supported, got {k}")
+    if not 1 <= k <= 10:
+        raise SpectrumError(f"between 1 and 10 eigenpairs supported, got {k}")
     n = op.grid.n
     try:
         vals, vecs = eigh(op.matrix, subset_by_index=[0, min(k, n) - 1])

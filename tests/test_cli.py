@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from choquard_lab import RadialField, make_grid, model_soliton, riesz_radial
+from choquard_lab import cli, continuation
 from choquard_lab.cli import main
 
 
@@ -150,6 +151,26 @@ def test_spectrum_unsupported_sector(solved_dir, tmp_path):
                 "--out-dir", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("stored,k", [(True, "0"), (False, "0"),
+                                      (False, "11")])
+def test_spectrum_k_outside_1_to_10_is_a_usage_error(stored, k, solved_dir,
+                                                     tmp_path, capsys):
+    source = ([str(solved_dir / "Q")] if stored
+              else ["--zero-field", "--d", "3", "--n", "64"])
+    assert run(["spectrum", *source, "--k", k,
+                "--out-dir", str(tmp_path)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "spectral_report.json").exists()
+
+
+def test_spectrum_zero_field_at_the_d5_log_point(tmp_path):
+    # alpha = 2 is a log point of d = 5 below d - 1
+    assert run(["spectrum", "--zero-field", "--d", "5", "--alpha", "2",
+                "--n", "64", "--out-dir", str(tmp_path)]) == 0
+    rep = json.loads((tmp_path / "spectral_report.json").read_text())
+    assert np.all(np.isfinite(rep["eigenvalues"]))
+
+
 def test_spectrum_ell_is_a_usage_error_for_a_state(solved_dir, tmp_path):
     # the report on a stored state covers both sectors; --ell would be ignored
     assert run(["spectrum", str(solved_dir / "Q"), "--ell", "1",
@@ -235,6 +256,20 @@ def test_sweep_inadmissible_lattice_is_a_usage_error(tmp_path, capsys):
     assert code == 1
     assert "existence window" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_sweep_with_spectrum_checks_alpha_before_solving(tmp_path, capsys,
+                                                         monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a point of a rejected lattice")
+
+    monkeypatch.setattr(cli, "solve_choquard", no_solve)
+    monkeypatch.setattr(continuation, "solve_choquard", no_solve)
+    code = run(["sweep", "--d", "3", "--alphas", "2.2", "--ps", "2",
+                "--with-spectrum", "--n", "200", "--out-dir", str(tmp_path)])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "sweep_manifest.json").exists()
 
 
 def test_sweep_empty_lattice(tmp_path):

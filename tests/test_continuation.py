@@ -4,9 +4,9 @@ import json
 import pytest
 
 from choquard_lab import (ChoquardParams, ContinuationError, ParameterError,
-                          SolverOptions, SweepRecord, distances,
-                          newton_continue, solve_choquard, solver_grid, sweep,
-                          sweep_to_csv)
+                          RieszError, SolverOptions, SweepRecord, continuation,
+                          distances, newton_continue, solve_choquard,
+                          solver_grid, sweep, sweep_to_csv)
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +121,17 @@ def test_sweep_rejects_inadmissible_lattice_before_solving(base_500):
     # p = 1.5 < 2 lies outside the existence window; nothing is solved
     with pytest.raises(ParameterError, match="existence window"):
         sweep(3, [1.0], [2.0, 1.5], base_500.grid, reference=base_500)
+
+
+def test_sweep_with_spectrum_rejects_divergent_kernel_before_solving(
+        base_500, monkeypatch):
+    # the sector kernel diverges on the diagonal at alpha >= d - 1
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a point of a rejected lattice")
+
+    monkeypatch.setattr(continuation, "solve_choquard", no_solve)
+    with pytest.raises(RieszError, match="alpha < d-1"):
+        sweep(3, [1.0, 2.2], [2.0], base_500.grid, with_spectrum=True)
 
 
 def test_sweep_record_round_trip(base_500):

@@ -13,8 +13,7 @@ from choquard_lab import (RadialField, RieszError, ball_volume, make_grid,
                           riesz_bracket, riesz_radial, sector_kernel,
                           solver_grid, sphere_area)
 from choquard_lab import riesz
-from choquard_lab.riesz import (_kernel_values, _odd_kernel_times_sd,
-                                clear_caches)
+from choquard_lab.riesz import _kernel_values, clear_caches
 
 
 def kernel_oracle(d, ell, alpha, r, s):
@@ -40,11 +39,6 @@ def test_kernel_values_against_quadrature_oracle(d, ell, alpha):
         got_ang = float(_kernel_values(
             d, ell, alpha, np.asarray(r), np.asarray(s)))
         assert_allclose(got_ang, want, rtol=2e-9, atol=1e-12)
-        if d % 2 == 1:
-            got_exact = float(_odd_kernel_times_sd(
-                d, ell, alpha, np.asarray([r]), np.asarray([s]))[0, 0]) \
-                / s ** (d - 1)
-            assert_allclose(got_exact, want, rtol=2e-9, atol=1e-12)
 
 
 def kernel_mpmath(d, ell, alpha, r, s):
@@ -61,7 +55,7 @@ def kernel_mpmath(d, ell, alpha, r, s):
 
 
 @settings(max_examples=150, deadline=None)
-@given(d=st.sampled_from([2, 4, 6]), ell=st.integers(0, 1),
+@given(d=st.sampled_from([2, 3, 4, 5, 6]), ell=st.integers(0, 1),
        frac=st.floats(0.0, 1.0), r=st.floats(0.01, 30.0),
        log_ratio=st.one_of(st.floats(-6.0, 6.0),
                            st.floats(-6.0, -1.0).map(lambda e: 10.0 ** e),
@@ -260,29 +254,45 @@ def test_assembly_does_not_depend_on_the_row_block(monkeypatch):
 
 
 def raw_sector_kernel(g, alpha, ell):
-    """K_l(r_i, r_j) before sector_kernel symmetrises it."""
-    r, d = g.nodes, g.d
-    if d % 2:
-        return _odd_kernel_times_sd(d, ell, alpha, r, r) / r ** (d - 1)
-    return _kernel_values(d, ell, alpha, r[:, None], r[None, :])
+    """K_l(r_i, r_j) from the 2F1 layer on the full node mesh."""
+    r = g.nodes
+    return _kernel_values(g.d, ell, alpha, r[:, None], r[None, :])
 
 
 def test_sector_kernel_symmetry_and_positivity():
-    # K_l(r, s) = K_l(s, r) on the raw samples: sector_kernel returns
-    # (K + K^T)/2, which is symmetric whatever K is
-    for d, alpha in ((3, 1.0), (4, 1.9), (5, 3.0), (6, 3.5)):
-        for g in (make_grid(d, 10.0, 90, 1.01), solver_grid(d, 25.0, 600)):
-            for ell in (0, 1):
-                K = raw_sector_kernel(g, alpha, ell)
-                assert np.all(np.isfinite(K))
-                defect = np.max(np.abs(K - K.T))
-                assert defect <= 1e-10 * np.max(np.abs(K)), (d, g.n, ell)
-                if d % 2 == 0:
-                    # every even-d sample depends on r, s only through
-                    # r + s, r s, r^2 + s^2 and (r - s)^2: bitwise symmetric
-                    assert np.array_equal(K, K.T)
-    g = make_grid(3, 10.0, 90, 1.01)
-    assert np.all(sector_kernel(g, 1.0, 0) > 0)
+    # every sample depends on r, s only through r + s, r s, r^2 + s^2 and
+    # (r - s)^2, so the full mesh is bitwise symmetric, and sector_kernel,
+    # which mirrors its upper triangle, equals it bit for bit
+    cases = [(d, alpha, g, ell)
+             for d, alpha in ((3, 1.0), (4, 1.9), (5, 3.0), (6, 3.5))
+             for g in (make_grid(d, 10.0, 90, 1.01), solver_grid(d, 25.0, 600))
+             for ell in (0, 1)]
+    # d = 5, l = 1 at small r/s, where an elementary closed form cancels
+    # and loses its sign
+    g5 = solver_grid(5, 25.0, 600)
+    cases += [(5, alpha, g5, 1) for alpha in (2.5, 3.0, 3.5)]
+    for d, alpha, g, ell in cases:
+        K = raw_sector_kernel(g, alpha, ell)
+        assert np.all(np.isfinite(K))
+        assert np.array_equal(K, K.T), (d, alpha, g.n, ell)
+        got = sector_kernel(g, alpha, ell)
+        assert np.array_equal(got, K), (d, alpha, g.n, ell)
+        assert np.all(got > 0), (d, alpha, g.n, ell)
+
+
+@pytest.mark.parametrize("alpha", [2.0, 0.002])
+def test_odd_d_sector_kernel_against_mpmath(alpha):
+    # alpha = 2 is a log point of d = 5 inside alpha < d - 1, where a
+    # ln|s - r| weight is -inf on the diagonal; at alpha = 0.002 the l = 1
+    # kernel is tiny at small r/s, where an elementary closed form cancels
+    g = solver_grid(5, 25.0, 300)
+    idx = [(0, 0), (5, 5), (150, 150), (299, 299), (0, 296), (150, 151)]
+    for ell in (0, 1):
+        K = sector_kernel(g, alpha, ell)
+        assert np.all(np.isfinite(K))
+        r = g.nodes
+        want = [kernel_mpmath(5, ell, alpha, r[i], r[j]) for i, j in idx]
+        assert_allclose([K[i, j] for i, j in idx], want, rtol=1e-8)
 
 
 def test_sector_kernel_rejects_divergent_diagonal():
