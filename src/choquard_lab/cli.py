@@ -187,6 +187,28 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
+def _converged_points(manifest_path: Path, grid) -> dict:
+    """Converged records of an earlier sweep on ``grid``, by (alpha, p).
+    A manifest that is not a JSON object counts as absent, and so does a
+    point that does not parse: that point is solved again."""
+    try:
+        old = json.loads(manifest_path.read_text())
+    except ValueError:
+        return {}
+    if not isinstance(old, dict) or old.get("grid") != grid.to_dict():
+        return {}
+    points = old.get("points")
+    done = {}
+    for pt in points if isinstance(points, list) else ():
+        try:
+            rec = SweepRecord.from_dict(pt)
+        except (AttributeError, KeyError, TypeError, ValueError):
+            continue
+        if rec.converged:
+            done[(rec.params.alpha, rec.params.p)] = rec
+    return done
+
+
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
     out = _out_dir(args, cfg)
@@ -208,15 +230,7 @@ def cmd_sweep(args) -> int:
     csv_path = out / "sweep.csv"
     done = {}
     if manifest_path.exists() and not args.fresh:
-        try:
-            old = json.loads(manifest_path.read_text())
-        except json.JSONDecodeError:
-            old = None
-        if old and old.get("grid") == grid.to_dict():
-            for pt in old.get("points", []):
-                if pt.get("converged"):
-                    rec = SweepRecord.from_dict(pt)
-                    done[(rec.params.alpha, rec.params.p)] = rec
+        done = _converged_points(manifest_path, grid)
     if all(pt in done for pt in want):
         # the manifest is written before the CSV, which may be lost or stale
         sweep_to_csv([done[pt] for pt in want], csv_path)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import quad
 
 from .grid import (ChoquardParams, ParameterError, RadialGrid,
                    differentiate, integrate_radial)
@@ -339,8 +338,10 @@ def exp_tail_integral(R: float, alpha: float, beta: float) -> float:
         raise ParameterError(f"need R >= 1, got {R}")
     if not (beta >= 0.5):
         raise ParameterError(f"need beta >= 1/2, got {beta}")
-    cutoff = R + max(50.0 / beta, 10.0)
     import warnings
+
+    from scipy.integrate import quad
+    cutoff = R + max(50.0 / beta, 10.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         val, _ = quad(lambda r: r ** (-alpha) * math.exp(-beta * r), R, cutoff,

@@ -484,9 +484,11 @@ def laplacian_sector(grid: RadialGrid, f: RadialField, ell: int) -> RadialField:
 def kinetic_tridiag(grid: RadialGrid, ell: int):
     """Banded matrix of (-Delta_l + 1) with the pointwise stencils.
 
-    Returned in ``scipy.linalg.solve_banded`` layout (3, n).  The fence
-    row keeps the zero ghost, so the matrix is the one whose root the
-    solver actually finds.
+    Returned as a (3, n) band: row 0 holds the superdiagonal in columns
+    1..n-1, row 1 the diagonal, and row 2 the subdiagonal in columns
+    0..n-2, the input of ``solver.tridiag_solver``.  The fence row keeps
+    the zero ghost, so the matrix is the one whose root the solver
+    actually finds.
     """
     sub, diag, sup = _pointwise_rows(grid, ell)
     n = grid.n

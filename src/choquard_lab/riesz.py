@@ -38,7 +38,6 @@ from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
-from scipy.special import betainc, roots_jacobi, roots_legendre
 
 from .grid import (RadialField, RadialGrid, _check_field, ball_volume,
                    sphere_area, write_atomic)
@@ -418,6 +417,21 @@ def _newton_rows(grid: RadialGrid, rule: _CellRule, lo: int,
     return W
 
 
+def _gauss_jacobi(n: int, beta: float):
+    """Nodes and weights of the n-point Gauss rule for the weight
+    (1 - x)^beta on [-1, 1] (beta = 0: Gauss-Legendre), by Golub-Welsch:
+    the eigenvalues of the Jacobi matrix of the Jacobi polynomials
+    P^(beta, 0), and the squared first components of its eigenvectors."""
+    k = np.arange(1, n, dtype=float)
+    s = 2.0 * k + beta
+    diag = np.concatenate([[-beta / (beta + 2.0)],
+                           -beta ** 2 / (s * (s + 2.0))])
+    off = np.sqrt(4.0 * k * k * (k + beta) ** 2
+                  / (s * s * (s + 1.0) * (s - 1.0)))
+    x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return x, 2.0 ** (beta + 1.0) / (beta + 1.0) * v[0] ** 2
+
+
 def _angular_rows(grid: RadialGrid, rule: _CellRule, alpha: float, ell: int,
                   lo: int, hi: int) -> np.ndarray:
     """Rows lo..hi-1 of the application operator of the 2F1 kernel.
@@ -433,7 +447,7 @@ def _angular_rows(grid: RadialGrid, rule: _CellRule, alpha: float, ell: int,
         return sum(wk * _angular_rows(grid, rule, ak, ell, lo, hi)
                    for ak, wk in nodes)
     d, n, beta = grid.d, grid.n, grid.d - 1 - alpha
-    t, w = roots_legendre(8)
+    t, w = _gauss_jacobi(8, 0.0)
     half = 0.5 * (rule.b - rule.a)[:, None]
     sq = 0.5 * (rule.a + rule.b)[:, None] + half * t
     i = np.arange(lo, hi)
@@ -448,7 +462,7 @@ def _angular_rows(grid: RadialGrid, rule: _CellRule, alpha: float, ell: int,
     cut = np.maximum(rule.a[i], _RHO_SPLIT * r)
     end = np.where(i < n - 1, rule.b[np.minimum(i + 1, n - 1)], r)
     cut_right = np.minimum(end, r / _RHO_SPLIT)
-    x, wj = roots_jacobi(8, beta, 0.0)      # weight (1 - x)^beta
+    x, wj = _gauss_jacobi(8, beta)          # weight (1 - x)^beta
     for j, p, q, side in ((i, rule.a[i], cut, 0), (i, cut, r, -1),
                           (i + 1, r, cut_right, 1), (i + 1, cut_right, end, 0)):
         keep = q > p                         # skip pieces of zero width
@@ -475,7 +489,7 @@ _APPLY_CACHE: OrderedDict = OrderedDict()
 _APPLY_CACHE_BYTES = 512 << 20
 # Leads every disk-cache file name; raise it whenever an assembly change
 # alters W, so files written by older code are never read.
-_CACHE_VERSION = 3
+_CACHE_VERSION = 4
 
 
 def _cache_dir() -> Path | None:
@@ -659,6 +673,7 @@ def _cap_volume(d: int, R: float, a: float) -> float:
         return 0.0
     if a < 0:
         return ball_volume(d) * R ** d - _cap_volume(d, R, -a)
+    from scipy.special import betainc
     x = 1.0 - (a / R) ** 2
     return 0.5 * ball_volume(d) * R ** d * betainc((d + 1) / 2.0, 0.5, x)
 

@@ -25,8 +25,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .grid import (ChoquardParams, GridError, ParameterError, RadialField,
                    RadialGrid, differentiate, integrate_radial,
@@ -155,6 +153,22 @@ class GroundState:
 # shared discrete pieces
 
 
+def tridiag_solver(ab: np.ndarray):
+    """Solve with the tridiagonal ``ab`` (layout of ``kinetic_tridiag``):
+    LAPACK gttrf factors it once, and each call of the returned function
+    is one gttrs solve."""
+    from scipy.linalg.lapack import dgttrf, dgttrs
+    dl, d, du, du2, ipiv, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
+    if info > 0:
+        raise ConvergenceError(f"tridiagonal matrix is singular (pivot "
+                               f"{info} is zero)")
+
+    def solve(v):
+        return dgttrs(dl, d, du, du2, ipiv, v)[0]
+
+    return solve
+
+
 def _apply_banded(ab: np.ndarray, v: np.ndarray) -> np.ndarray:
     out = ab[1] * v
     out[:-1] += ab[0, 1:] * v[1:]
@@ -190,15 +204,16 @@ def state_norms(grid: RadialGrid, values: np.ndarray) -> dict:
 
 
 def linearized_matrix(grid: RadialGrid, u: np.ndarray, p: float,
-                      W: np.ndarray | None, ab=None) -> LinearOperator:
+                      W: np.ndarray | None, ab=None):
     """Jacobian J = K - B of (-Delta_h + 1) u - N(u) about u (radial
-    sector), as a LinearOperator; no n x n array is formed.
+    sector), as a scipy LinearOperator; no n x n array is formed.
 
     K is the kinetic tridiagonal ``ab``.  For the nonlocal equation
     B v = (p-1) V v + p a W(a v) with V = (W |u|^p) |u|^{p-2} and
     a = |u|^{p-1}, the radial-sector restriction of the linearized
     operator; for the local model (W = None) B v = p |u|^{p-1} v.
     """
+    from scipy.sparse.linalg import LinearOperator
     if ab is None:
         ab = kinetic_tridiag(grid, 0)
     a = np.abs(u) ** (p - 1)
@@ -218,14 +233,13 @@ def linearized_matrix(grid: RadialGrid, u: np.ndarray, p: float,
     return LinearOperator((grid.n, grid.n), matvec=matvec, dtype=float)
 
 
-def _krylov_step(J: LinearOperator, G: np.ndarray, ab: np.ndarray):
+def _krylov_step(J, G: np.ndarray, kinv):
     """Newton step s with J s = G by GMRES on (K^{-1} J) s = K^{-1} G, K the
-    kinetic tridiagonal ``ab``.  K^{-1} J = I - K^{-1} B, with B smoothing,
-    so the iteration count does not grow with n.  A step short of
-    _KRYLOV_RTOL is returned too; the line search judges it."""
-    def kinv(v):
-        return solve_banded((1, 1), ab, v)
-
+    kinetic tridiagonal and ``kinv`` its ``tridiag_solver``.
+    K^{-1} J = I - K^{-1} B, with B smoothing, so the iteration count does
+    not grow with n.  A step short of _KRYLOV_RTOL is returned too; the
+    line search judges it."""
+    from scipy.sparse.linalg import LinearOperator, gmres
     A = LinearOperator(J.shape, matvec=lambda v: kinv(J.matvec(v)),
                        dtype=float)
     step, _ = gmres(A, kinv(G), rtol=_KRYLOV_RTOL, atol=0.0,
@@ -235,11 +249,14 @@ def _krylov_step(J: LinearOperator, G: np.ndarray, ab: np.ndarray):
 
 def _newton_refine(grid: RadialGrid, u: np.ndarray, p: float,
                    W: np.ndarray | None, tol: float, max_steps: int = 25,
-                   ab=None):
+                   ab=None, kinv=None):
     """Damped Newton to the discrete root; returns (u, residuals).  Stops
-    at the first residual or Krylov step that is not finite."""
+    at the first residual or Krylov step that is not finite.  ``kinv`` is
+    the ``tridiag_solver`` of ``ab``; it is factored here when not given."""
     if ab is None:
         ab = kinetic_tridiag(grid, 0)
+    if kinv is None:
+        kinv = tridiag_solver(ab)
     res_hist = []
     G = equation_residual(grid, u, p, W, ab)
     res = float(np.max(np.abs(G)))
@@ -247,7 +264,7 @@ def _newton_refine(grid: RadialGrid, u: np.ndarray, p: float,
     for _ in range(max_steps):
         if res <= tol or not math.isfinite(res):
             break
-        step = _krylov_step(linearized_matrix(grid, u, p, W, ab), G, ab)
+        step = _krylov_step(linearized_matrix(grid, u, p, W, ab), G, kinv)
         if not np.all(np.isfinite(step)):
             break
         theta = 1.0
@@ -273,6 +290,7 @@ def _petviashvili(grid: RadialGrid, u0: np.ndarray, p: float,
                   W: np.ndarray | None, opts: SolverOptions):
     """Returns (u, residual, n_iter).  W = None selects the local model."""
     ab = kinetic_tridiag(grid, 0)
+    kinv = tridiag_solver(ab)
     m = grid.measure
     # stabilizing exponent: homogeneity 2p of the nonlocal energy, p+1 local
     gamma = (2 * p) / (2 * p - 1) if W is not None else p / (p - 1.0)
@@ -294,7 +312,7 @@ def _petviashvili(grid: RadialGrid, u0: np.ndarray, p: float,
         if not math.isfinite(S):
             raise ConvergenceError(f"energy quotient {S} is not finite at "
                                    f"iteration {n_iter}", iterations=n_iter)
-        u = S ** gamma * solve_banded((1, 1), ab, Nu)
+        u = S ** gamma * kinv(Nu)
         Ku, Nu = _apply_banded(ab, u), nonlinear_term(u, p, W)
         res = float(np.max(np.abs(Ku - Nu)))
         if not math.isfinite(res):
@@ -311,7 +329,7 @@ def _petviashvili(grid: RadialGrid, u0: np.ndarray, p: float,
         # fixed-point tail converges slowly; hand over to Newton
         if (res < 1e-6 or stall >= 12) and k >= 20:
             break
-    u, hist = _newton_refine(grid, u, p, W, opts.tol, ab=ab)
+    u, hist = _newton_refine(grid, u, p, W, opts.tol, ab=ab, kinv=kinv)
     res = hist[-1]
     n_iter += len(hist) - 1
     if res <= opts.tol:
@@ -413,7 +431,7 @@ def _solve_model_numerov(d: int, p: float, grid: RadialGrid,
         ab[0, 1:] = 1.0 - c * gp[1:]
         ab[0, 1] = 2.0 - 2.0 * c * gp[1]
         ab[2, :-1] = 1.0 - c * gp[:-1]
-        dU = solve_banded((1, 1), ab, R)
+        dU = tridiag_solver(ab)(R)
         U = U - dU
     else:
         raise ConvergenceError("Numerov iteration did not converge",

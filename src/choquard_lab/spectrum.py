@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .grid import (ChoquardParams, RadialField, RadialGrid,
                    differentiate, integrate_radial, laplacian_sector,
@@ -142,6 +141,7 @@ def eig_smallest(op: SectorOperator, k: int):
     """
     if not 1 <= k <= 10:
         raise SpectrumError(f"between 1 and 10 eigenpairs supported, got {k}")
+    from scipy.linalg import eigh
     n = op.grid.n
     try:
         vals, vecs = eigh(op.matrix, subset_by_index=[0, min(k, n) - 1])

@@ -208,6 +208,49 @@ def test_sweep_resumes_from_partial_manifest(tmp_path):
     assert (tmp_path / "sweep.csv").read_text() == full_csv
 
 
+def _not_a_dict(manifest):
+    return [1]
+
+
+def _point_without_params(manifest):
+    del manifest["points"][0]["params"]
+    return manifest
+
+
+def _points_not_a_list(manifest):
+    manifest["points"] = 3
+    return manifest
+
+
+@pytest.mark.parametrize("damage, resolved", [
+    (_not_a_dict, [(0.99, 2.0), (1.0, 2.0)]),
+    (_point_without_params, [(0.99, 2.0)]),
+    (_points_not_a_list, [(0.99, 2.0), (1.0, 2.0)]),
+])
+def test_sweep_solves_again_what_a_malformed_manifest_lost(tmp_path,
+                                                           monkeypatch,
+                                                           damage, resolved):
+    args = ["sweep", "--d", "3", "--alphas", "0.99", "1.0",
+            "--ps", "2.0", "--n", "300", "--out-dir", str(tmp_path)]
+    assert run(args) == 0
+    path = tmp_path / "sweep_manifest.json"
+    whole_manifest = path.read_bytes()
+    whole_csv = (tmp_path / "sweep.csv").read_bytes()
+    path.write_text(json.dumps(damage(json.loads(whole_manifest))))
+    real = cli.sweep_point
+    solved = []
+
+    def counted(d, alpha, p, *rest):
+        solved.append((alpha, p))
+        return real(d, alpha, p, *rest)
+
+    monkeypatch.setattr(cli, "sweep_point", counted)
+    assert run(args) == 0
+    assert solved == resolved
+    assert path.read_bytes() == whole_manifest
+    assert (tmp_path / "sweep.csv").read_bytes() == whole_csv
+
+
 def test_interrupted_sweep_resumes_only_missing_points(tmp_path, monkeypatch):
     from choquard_lab import cli
     lattice_args = ["sweep", "--d", "3", "--alphas", "0.99", "1.0",

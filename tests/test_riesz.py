@@ -92,6 +92,42 @@ def test_kernel_at_the_log_points(alpha):
         assert _rel(near @ f, W @ f) <= 1e-5
 
 
+# Jacobi exponents beta = d-1-alpha of the angular route: near 0, at the
+# nodes that stand in for the d = 4 log point alpha = 1, and up to d-1
+_BETAS = ([0.0, 1e-8, 1e-3, 0.02, 0.5, 0.97, 1.5]
+          + [3.0 - ak for ak, _ in riesz._log_nodes(4, 1.0)]
+          + [2.9, 3.0, 3.5, 3.9, 3.99])
+
+
+@pytest.mark.parametrize("beta", _BETAS)
+def test_gauss_jacobi_rule_against_scipy(beta):
+    from scipy.special import roots_jacobi, roots_legendre
+    x, w = riesz._gauss_jacobi(8, beta)
+    xs, ws = roots_jacobi(8, beta, 0.0)
+    assert np.max(np.abs(x - xs)) <= 1e-14
+    assert np.max(np.abs(w - ws) / ws) <= 1e-13
+    if beta == 0.0:
+        xs, ws = roots_legendre(8)
+        assert np.max(np.abs(x - xs)) <= 1e-14
+        assert np.max(np.abs(w - ws) / ws) <= 1e-13
+
+
+@pytest.mark.parametrize("beta", _BETAS)
+def test_gauss_jacobi_rule_is_exact_to_degree_15(beta):
+    # int_{-1}^1 (1-x)^beta x^k dx = int_0^2 t^beta (1-t)^k dt, summed at
+    # 40 digits; the bound is relative to int (1-x)^beta dx, since the
+    # odd moments vanish at beta = 0
+    x, w = riesz._gauss_jacobi(8, beta)
+    with mpmath.workdps(40):
+        b = mpmath.mpf(beta)
+        mass = float(2 ** (b + 1) / (b + 1))
+        for k in range(16):
+            exact = sum(mpmath.binomial(k, j) * (-1) ** j
+                        * 2 ** (b + j + 1) / (b + j + 1)
+                        for j in range(k + 1))
+            assert abs(np.sum(w * x ** k) - float(exact)) <= 1e-14 * mass
+
+
 def test_riesz_rejects_bad_alpha():
     g = make_grid(3, 10.0, 64, 1.0)
     f = RadialField(g, np.exp(-g.nodes))

@@ -16,7 +16,8 @@ from choquard_lab.riesz import riesz_apply_matrix
 from choquard_lab import solver
 from choquard_lab.solver import (_initial_gaussian, _krylov_step,
                                  _newton_refine, _petviashvili,
-                                 equation_residual, linearized_matrix)
+                                 equation_residual, linearized_matrix,
+                                 tridiag_solver)
 
 
 def test_model_d1_matches_soliton_family(state_model_d1_p3):
@@ -152,6 +153,25 @@ def test_state_roundtrip(tmp_path, state_model_d1_p3):
     assert back.norms == pytest.approx(state_model_d1_p3.norms)
 
 
+@pytest.mark.parametrize("d, n", [(1, 200), (3, 700), (5, 1200)])
+def test_tridiag_solver_matches_solve_banded(d, n):
+    # gttrf + gttrs eliminate with the same pivots and in the same order
+    # as the one-shot gtsv behind solve_banded, so the solves agree bitwise
+    from scipy.linalg import solve_banded
+    ab = kinetic_tridiag(solver_grid(d, 25.0, n), 0)
+    solve = tridiag_solver(ab)
+    rng = np.random.default_rng(n)
+    for v in (rng.standard_normal(n), np.exp(-np.linspace(0.0, 25.0, n))):
+        np.testing.assert_array_equal(solve(v), solve_banded((1, 1), ab, v))
+
+
+def test_tridiag_solver_rejects_a_singular_matrix():
+    ab = np.ones((3, 4))
+    ab[0, 2] = 0.0          # rows 0 and 1 are both [1, 1, 0, 0]
+    with pytest.raises(ConvergenceError, match="singular"):
+        tridiag_solver(ab)
+
+
 def test_nan_iterate_fails_fast():
     grid = solver_grid(3, 25.0, 200)
     W = riesz_apply_matrix(grid, 1.0, 0)
@@ -212,7 +232,8 @@ def test_krylov_step_matches_dense_solve(d, n, dalpha, dp):
     # a smooth right-hand side far from the roundoff floor
     G = equation_residual(grid, _initial_gaussian(grid, params.p, W),
                           params.p, W, ab)
-    step = _krylov_step(linearized_matrix(grid, u, params.p, W, ab), G, ab)
+    step = _krylov_step(linearized_matrix(grid, u, params.p, W, ab), G,
+                        tridiag_solver(ab))
     want = np.linalg.solve(dense_jacobian(grid, u, params.p, W, ab), G)
     assert np.max(np.abs(step - want)) <= 1e-10 * np.max(np.abs(want))
 
