@@ -73,6 +73,14 @@ class SweepRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepRecord":
+        """Inverse of to_dict; TypeError unless the norms, the distances
+        and any spectral summary map names to numbers."""
+        summary = data.get("spectral_summary")
+        for m in (data["norms"], data["dist_to_newtonian"],
+                  {} if summary is None else summary):
+            if not isinstance(m, dict) or any(
+                    type(v) not in (int, float) for v in m.values()):
+                raise TypeError(f"not a map of names to numbers: {m!r}")
         return cls(**{**data, "params": ChoquardParams.from_dict(data["params"])})
 
 

@@ -13,19 +13,18 @@ u = |x - y| turns the angular integral into
     K_l(r,s) = |S^{d-2}| (2rs)^{3-d} / (rs)
                * int_B^A u^{1-alpha} P_l(t(u)) [(A^2-u^2)(u^2-B^2)]^{(d-3)/2} du
 
-with A = r+s, B = |r-s|, t(u) = (r^2+s^2-u^2)/(2rs).  For odd d the
-bracket is a polynomial and the integral is elementary, a combination of
-terms  poly(s) * (s+r)^g  and  poly(s) * |s-r|^g  (log variants when an
-exponent crosses zero); these term tables serve only the exact route's
-application operator.  For every d >= 2 the kernel is also a Gauss
-hypergeometric function of z = 4rs/(r+s)^2, summed by its series: the
-one kernel-value layer, behind the sector kernels of every d and the
-"angular" route (the one route for even d).  At the Newtonian exponent
+with A = r+s, B = |r-s|, t(u) = (r^2+s^2-u^2)/(2rs).  For every d >= 2
+the kernel is a Gauss hypergeometric function of z = 4rs/(r+s)^2, summed
+by its series: the one kernel-value layer, behind the sector kernels and
+the "angular" route.  Two kernels are also elementary and keep a closed
+form, the "exact" route: d = 1 (l = 0, 1), where K_l = |s-r|^{-alpha} +-
+(s+r)^{-alpha}, and d = 3, l = 0, where K_0 s^2 is (2 pi s / r)
+((s+r)^e - |s-r|^e) / e, e = 2 - alpha.  At the Newtonian exponent
 alpha = d-2 the l = 0 kernel collapses to |S^{d-1}| max(r,s)^{2-d}.
 
 Application operators integrate, cell by cell, the kernel against the
-quadratic interpolant of f alone.  The exact route takes every power and
-log weight by closed-form moments; the angular route takes the
+quadratic interpolant of f alone.  The exact route takes every power
+weight by closed-form moments; the angular route takes the
 |s-r|^{d-1-alpha} factor on the cells beside the diagonal by Gauss-Jacobi.
 So the kink or integrable singularity on the diagonal costs no accuracy.
 """
@@ -47,7 +46,6 @@ class RieszError(ValueError):
     """Invalid Riesz-potential request."""
 
 
-_LOG_EPS = 1e-13  # exponent window treated as the log case
 # Rows assembled together: every (rows, n) temporary of a block stays
 # small (0.5 MB at n = 1200), and no n x n temporary is held beside W.
 _BLOCK_ROWS = 48
@@ -64,6 +62,16 @@ def _origin_moments(rule: _CellRule, gamma: float, kmax: int):
         e = k + gamma + 1.0
         out.append((rule.b ** e - rule.a ** e) / e)
     return out
+
+
+def _cell_integrals(rule: _CellRule, values: np.ndarray,
+                    gamma: float) -> np.ndarray:
+    """int_a^b s^gamma f(s) ds on every cell, f the quadratic interpolant
+    of ``values`` (gamma > -1)."""
+    M = _origin_moments(rule, gamma, 2)
+    return sum(values[rule.j0 + m] * (lm[0] * M[0] + lm[1] * M[1]
+                                      + lm[2] * M[2])
+               for m, lm in enumerate(rule.lagrange))
 
 
 def _shift_poly(coeffs: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -125,112 +133,35 @@ class _CellRule:
 
 
 # ---------------------------------------------------------------------------
-# kernel term tables for odd d
+# the closed-form kernel of d = 1 and of d = 3, l = 0
 #
-# K_l(r,s) s^{d-1} = sum over terms of  poly(s) * weight(s)  with weight one
-# of (s+r)^g, |s-r|^g, ln(s+r), ln|s-r|.
-
-
-def _poly(*coeffs) -> np.ndarray:
-    return np.asarray(coeffs, dtype=float)
-
-
-def _conv(p, q) -> np.ndarray:
-    return np.convolve(p, q)
-
-
-def _phi_poly_terms(alpha: float, raw, r: float):
-    """Expand poly * Phi(beta) pieces, Phi(beta) = (A^{b+1}-B^{b+1})/(b+1).
-
-    Terms tagged "AB2" carry an extra factor A^2 B^2 = (s^2-r^2)^2 which
-    is folded so the |s-r| exponent stays above -1.
-    """
-    sm = _poly(r ** 2, -2.0 * r, 1.0)   # (s-r)^2
-    sp = _poly(r ** 2, 2.0 * r, 1.0)    # (s+r)^2
-    out = []
-    for term in raw:
-        poly, beta = term[0], term[1]
-        folded = len(term) > 2 and term[2] == "AB2"
-        e = beta + 1.0
-        if abs(e) < _LOG_EPS:
-            if folded:
-                pf = _conv(poly, _conv(sm, sp))
-                out.append(("Alog", None, pf))
-                out.append(("Blog", None, -pf))
-            else:
-                out.append(("Alog", None, poly))
-                out.append(("Blog", None, -poly))
-        elif folded:
-            # A^2 B^2 Phi(b) = [B^2 A^{b+3} - A^2 B^{b+3}]/(b+1)
-            out.append(("A", e + 2.0, _conv(poly, sm) / e))
-            out.append(("B", e + 2.0, -_conv(poly, sp) / e))
-        else:
-            out.append(("A", e, poly / e))
-            out.append(("B", e, -poly / e))
-    return out
-
-
-def _odd_term_polys(d: int, ell: int, alpha: float, r: float):
-    if d == 1:
-        sign = 1.0 if ell == 0 else -1.0
-        return [("B", -alpha, _poly(1.0)), ("A", -alpha, _poly(sign))]
-    if d == 3:
-        if ell == 0:
-            base = 2.0 * math.pi / r * _poly(0.0, 1.0)      # (2 pi / r) s
-            return _phi_poly_terms(alpha, [(base, 1.0 - alpha)], r)
-        if ell == 1:
-            c = math.pi / r ** 2
-            return _phi_poly_terms(alpha, [
-                (c * _poly(r ** 2, 0.0, 1.0), 1.0 - alpha),
-                (_poly(-c), 3.0 - alpha)], r)
-    if d == 5:
-        s2 = _poly(r ** 2, 0.0, 1.0)                        # r^2 + s^2
-        if ell == 0:
-            pref = math.pi ** 2 / (2.0 * r ** 3) * _poly(0.0, 1.0)
-            return _phi_poly_terms(alpha, [
-                (-pref, 5.0 - alpha),
-                (2.0 * _conv(pref, s2), 3.0 - alpha),
-                (-pref, 1.0 - alpha, "AB2")], r)
-        if ell == 1:
-            pref = math.pi ** 2 / (4.0 * r ** 4)
-            d2 = _conv(_poly(r ** 2, 0.0, -1.0), _poly(r ** 2, 0.0, -1.0))
-            return _phi_poly_terms(alpha, [
-                (pref * _poly(1.0), 7.0 - alpha),
-                (-3.0 * pref * s2, 5.0 - alpha),
-                (pref * _pad_add(2.0 * _conv(s2, s2), d2), 3.0 - alpha),
-                (-pref * s2, 1.0 - alpha, "AB2")], r)
-    raise RieszError(f"no closed-form kernel for d={d}, ell={ell}")
-
-
-def _pad_add(p, q) -> np.ndarray:
-    n = max(len(p), len(q))
-    out = np.zeros(n)
-    out[:len(p)] += p
-    out[:len(q)] += q
-    return out
-
-
-def _group_terms(terms):
-    groups: dict = {}
-    for side, e, poly in terms:
-        key = (side, None if e is None else round(e, 12))
-        if key in groups:
-            groups[key] = _pad_add(groups[key], poly)
-        else:
-            groups[key] = np.asarray(poly, dtype=float)
-    return groups
+# K_l(r,s) s^{d-1} = sum over terms of  poly(s) * weight(s)  with weight
+# (s+r)^g (side "A") or |s-r|^g (side "B"):
+#   d = 1:         |s-r|^{-alpha} +- (s+r)^{-alpha}  (+ for l = 0, - for l = 1)
+#   d = 3, l = 0:  (2 pi s / r) ((s+r)^e - |s-r|^e) / e,  e = 2 - alpha
 
 
 def _term_table(d, ell, alpha, r: np.ndarray) -> dict:
-    """Grouped term polynomials for every radius in ``r``.
+    """Term polynomials for every radius in ``r``: maps (side, exponent)
+    to coefficients in s of shape (deg+1, rows).
 
-    Maps (side, exponent) to coefficients in s of shape (deg+1, rows).
-    The keys depend on alpha only; each row is built by the scalar term
-    formulas, so a row does not depend on the rows beside it.
+    At d = 3 the terms divide by e = 2 - alpha, so within _LOG_STEP/2 of
+    alpha = 2 the table is the interpolant in alpha: the union of the
+    tables at the nodes, each scaled by its weight (the rows are linear
+    in the table).
     """
-    per_row = [_group_terms(_odd_term_polys(d, ell, alpha, ri)) for ri in r]
-    return {key: np.stack([g[key] for g in per_row], axis=1)
-            for key in per_row[0]}
+    if d == 3 and abs(alpha - 2.0) < _LOG_STEP / 2:
+        return {key: wk * coef for ak, wk in _log_nodes(d, alpha)
+                for key, coef in _term_table(d, ell, ak, r).items()}
+    if d == 1:
+        e = round(-alpha, 12)
+        ones = np.ones((1, r.size))
+        return {("B", e): ones, ("A", e): (1.0 if ell == 0 else -1.0) * ones}
+    e = (1.0 - alpha) + 1.0
+    x = 2.0 * math.pi / r
+    zero = np.zeros(r.size)
+    return {("A", round(e, 12)): np.stack([zero, x / e]),
+            ("B", round(e, 12)): np.stack([zero, -x / e])}
 
 
 # ---------------------------------------------------------------------------
@@ -351,32 +282,26 @@ def _kernel_values(d, ell, alpha, r, s) -> np.ndarray:
 def _rows_from_groups(rule: _CellRule, groups, r: np.ndarray) -> np.ndarray:
     """Operator rows at the radii ``r`` from a term table (``_term_table``).
 
-    Integrates poly(s) * weight(s) * l_m(s) exactly on every cell; the
-    result multiplies the f samples at the stencil nodes.  With
-    t = s - c (c = -r for the A side, r for the B side), t^q w(t) has the
-    antiderivative t^{q+1} |t|^e / (q+e+1) for w = |t|^e and
-    t^{q+1} (ln|t| - 1/(q+1)) / (q+1) for w = ln|t|.  These are taken at
-    the n + 1 cell edges, combined into antiderivatives of s^k * term,
-    k = 0..2, summed over the groups, and differenced once per k.
+    Integrates poly(s) * |t|^e * l_m(s) exactly on every cell, t = s - c
+    (c = -r for the A side, r for the B side); the result multiplies the
+    f samples at the stencil nodes.  The antiderivatives
+    t^{q+1} |t|^e / (q+e+1) of t^q |t|^e are taken at the n + 1 cell
+    edges, combined into antiderivatives of s^k * term, k = 0..2, summed
+    over the groups, and differenced once per k.
     """
     G = [0.0, 0.0, 0.0]
     for (side, e), poly in groups.items():
-        c = (-r if side.startswith("A") else r)[:, None]
+        c = (-r if side == "A" else r)[:, None]
         p = _shift_poly(poly, c)
         t = rule.edges - c
         at = np.abs(t)
-        safe = np.where(at > 0, at, 1.0)   # at t = 0, T = t^{q+1} zeroes F
-        logw = e is None
-        if logw:
-            e = 0.0
-        w = np.log(safe) if logw else safe ** e
-        # H[k]: antiderivative of t^k * term = sum_j p_j t^{j+k} w(t)
+        # at t = 0, T = t^{q+1} zeroes F
+        w = np.where(at > 0, at, 1.0) ** e
+        # H[k]: antiderivative of t^k * term = sum_j p_j t^{j+k} |t|^e
         H = [0.0, 0.0, 0.0]
         T = t
         for q in range(len(p) + 2):
             F = T * w
-            if logw:
-                F -= T / (q + 1)
             for k in range(max(0, q - len(p) + 1), min(q, 2) + 1):
                 H[k] = H[k] + (p[q - k] / (q + e + 1)) * F
             T = T * t
@@ -489,7 +414,7 @@ _APPLY_CACHE: OrderedDict = OrderedDict()
 _APPLY_CACHE_BYTES = 512 << 20
 # Leads every disk-cache file name; raise it whenever an assembly change
 # alters W, so files written by older code are never read.
-_CACHE_VERSION = 4
+_CACHE_VERSION = 5
 
 
 def _cache_dir() -> Path | None:
@@ -513,26 +438,33 @@ def riesz_apply_matrix(grid: RadialGrid, alpha: float, ell: int = 0,
     """Dense operator W with (|.|^{-alpha} *_l f)(r_i) = (W f)_i.
 
     ``method``: "newton" (alpha = d-2, l = 0 shell formula), "exact"
-    (elementary reduced kernel, odd d), "angular" (the spherical mean in
-    closed form, a Gauss 2F1, d >= 2), or "auto".  Matrices are cached in
-    memory and, when CHOQUARD_LAB_CACHE is set, on disk.
+    (elementary reduced kernel, d = 1 and d = 3 with l = 0), "angular"
+    (the spherical mean in closed form, a Gauss 2F1, d >= 2), or "auto"
+    (newton where it applies, else exact where it exists, else angular).
+    Matrices are cached in memory and, when CHOQUARD_LAB_CACHE is set, on
+    disk.
     """
     d = grid.d
+    if method not in ("auto", "newton", "exact", "angular"):
+        raise RieszError(f"unknown method {method!r}; expected one of "
+                         "'auto', 'newton', 'exact', 'angular'")
     if not (0.0 < alpha < d):
         raise RieszError(f"alpha outside (0,d): alpha={alpha}, d={d}")
     if ell not in (0, 1):
         raise RieszError(f"only sectors l in {{0,1}} are supported, got {ell}")
+    closed_form = d == 1 or (d == 3 and ell == 0)
     if method == "auto":
         if ell == 0 and abs(alpha - (d - 2)) < 1e-14:
             method = "newton"
-        elif d % 2 == 1:
+        elif closed_form:
             method = "exact"
         else:
             method = "angular"
     if method == "newton" and (ell != 0 or abs(alpha - (d - 2)) > 1e-14):
         raise RieszError("newton method requires alpha = d-2 and ell = 0")
-    if method == "exact" and d % 2 == 0:
-        raise RieszError("exact reduced kernels exist only for odd d")
+    if method == "exact" and not closed_form:
+        raise RieszError(f"the exact route serves only d=1 and d=3 with "
+                         f"l=0, got d={d}, l={ell}")
     if method == "angular" and d < 2:
         raise RieszError("the angular route requires d >= 2")
 
@@ -589,10 +521,8 @@ def riesz_at_zero(grid: RadialGrid, f: RadialField, alpha: float) -> float:
     d = grid.d
     if not (0.0 < alpha < d):
         raise RieszError(f"alpha outside (0,d): alpha={alpha}, d={d}")
-    rule = _CellRule(grid)
-    groups = {("B", d - 1.0 - alpha): np.full((1, 1), sphere_area(d))}
-    row = _rows_from_groups(rule, groups, np.zeros(1))[0]
-    return float(row @ values)
+    cells = _cell_integrals(_CellRule(grid), values, d - 1.0 - alpha)
+    return sphere_area(d) * float(np.sum(cells))
 
 
 def riesz_bracket(grid: RadialGrid, f: RadialField, alpha: float) -> RadialField:
@@ -612,18 +542,8 @@ def riesz_bracket(grid: RadialGrid, f: RadialField, alpha: float) -> RadialField
     if not RadialField(grid, values).is_radially_decreasing(tol=1e-12 * scale):
         raise RieszError("bracket requires a radially decreasing input")
     rule = _CellRule(grid)
-    n = grid.n
-
-    def cell_integrals(gamma):
-        M = _origin_moments(rule, gamma, 2)
-        per_cell = np.zeros(n)
-        for m, lm in enumerate(rule.lagrange):
-            per_cell += values[rule.j0 + m] * (lm[0] * M[0] + lm[1] * M[1]
-                                               + lm[2] * M[2])
-        return per_cell
-
-    inner_cells = cell_integrals(d - 1.0)
-    outer_cells = cell_integrals(d - 1.0 - alpha)
+    inner_cells = _cell_integrals(rule, values, d - 1.0)
+    outer_cells = _cell_integrals(rule, values, d - 1.0 - alpha)
     inner_prefix = np.cumsum(inner_cells)
     outer_suffix = np.sum(outer_cells) - np.cumsum(outer_cells)
     vals = grid.nodes ** (-alpha) * inner_prefix + outer_suffix

@@ -33,6 +33,14 @@ def test_solve_rejects_bad_alpha(tmp_path, capsys):
     assert "alpha outside (0,d)" in capsys.readouterr().err
 
 
+def test_solve_in_a_dimension_without_a_closed_form(tmp_path):
+    # the package has no closed form at d = 7: its solves take the 2F1 route
+    assert run(["solve", "--d", "7", "--alpha", "3.5", "--p", "2",
+                "--n", "300", "--out-dir", str(tmp_path)]) == 0
+    state = json.loads((tmp_path / "Q.json").read_text())
+    assert state["params"]["d"] == 7 and state["residual"] <= 1e-10
+
+
 def test_solve_missing_args(tmp_path):
     assert run(["solve", "--out-dir", str(tmp_path)]) == 1
 
@@ -222,10 +230,16 @@ def _points_not_a_list(manifest):
     return manifest
 
 
+def _norms_not_a_map(manifest):
+    manifest["points"][0]["norms"] = 5
+    return manifest
+
+
 @pytest.mark.parametrize("damage, resolved", [
     (_not_a_dict, [(0.99, 2.0), (1.0, 2.0)]),
     (_point_without_params, [(0.99, 2.0)]),
     (_points_not_a_list, [(0.99, 2.0), (1.0, 2.0)]),
+    (_norms_not_a_map, [(0.99, 2.0)]),
 ])
 def test_sweep_solves_again_what_a_malformed_manifest_lost(tmp_path,
                                                            monkeypatch,

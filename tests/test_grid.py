@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -220,13 +220,17 @@ def test_differentiate_matches_per_node_oracle(n, order):
 @given(d=st.integers(1, 5), r_max=st.floats(1.0, 30.0),
        n=st.integers(16, 400), stretch=st.floats(1.0, 1.01),
        coeffs=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=5))
+@example(d=1, r_max=1.0, n=16, stretch=1.0, coeffs=[0.0, 5e-324])
 def test_five_point_derivative_exact_on_quartics(d, r_max, n, stretch, coeffs):
     g = make_grid(d, r_max, n, stretch)
     x = g.nodes / r_max   # keeps the monomials of one size
     poly = np.polynomial.Polynomial(coeffs)
     got = differentiate(g, poly(x))
     exact = poly.deriv()(x) / r_max
-    scale = np.max(np.abs(exact)) + np.max(np.abs(poly(x))) / r_max
+    # floored at the smallest normal float: with subnormal coefficients
+    # the scale, and with it the bound, would underflow to 0
+    scale = max(np.max(np.abs(exact)) + np.max(np.abs(poly(x))) / r_max,
+                np.finfo(float).tiny)
     assert np.max(np.abs(got - exact)) <= 1e-9 * scale
 
 

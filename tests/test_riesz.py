@@ -205,29 +205,105 @@ def _rel(got, want):
 
 
 @pytest.mark.parametrize("alpha,tol", [(1.4, 1e-10), (2.4, 1e-10),
-                                       (2.0, 1e-8)])
+                                       (2.0, 1e-8), (2.0 + 1e-11, 1e-10)])
 def test_angular_route_agrees_with_exact(alpha, tol):
-    # at d = 3 both routes exist; alpha = 2 is the log point of both
+    # at d = 3, l = 0 both routes exist; alpha = 2 is the log point of
+    # both, where each is its interpolant in alpha
     g = make_grid(3, 8.0, 240, 1.0)
-    f0 = np.exp(-g.nodes ** 2)
-    for ell, f in ((0, f0), (1, g.nodes * f0)):
-        assert _rel(riesz_apply_matrix(g, alpha, ell, "angular") @ f,
-                    riesz_apply_matrix(g, alpha, ell, "exact") @ f) <= tol
+    f = np.exp(-g.nodes ** 2)
+    assert _rel(riesz_apply_matrix(g, alpha, 0, "angular") @ f,
+                riesz_apply_matrix(g, alpha, 0, "exact") @ f) <= tol
 
 
-@pytest.mark.parametrize("d,tol_ell1", [(3, 1e-8), (5, 2e-6)])
-def test_exact_route_agrees_with_newton_and_angular(d, tol_ell1):
-    g = make_grid(d, 8.0, 240, 1.0)
-    f0 = np.exp(-g.nodes ** 2)
-    f1 = g.nodes * f0
-    alpha = d - 2.0
-    assert _rel(riesz_apply_matrix(g, alpha, 0, "exact") @ f0,
-                riesz_apply_matrix(g, alpha, 0, "newton") @ f0) <= 1e-8
-    alpha = d - 1.6
-    assert _rel(riesz_apply_matrix(g, alpha, 0, "exact") @ f0,
-                riesz_apply_matrix(g, alpha, 0, "angular") @ f0) <= 1e-8
-    assert _rel(riesz_apply_matrix(g, alpha, 1, "exact") @ f1,
-                riesz_apply_matrix(g, alpha, 1, "angular") @ f1) <= tol_ell1
+def test_exact_route_agrees_with_newton_and_angular():
+    g = make_grid(3, 8.0, 240, 1.0)
+    f = np.exp(-g.nodes ** 2)
+    assert _rel(riesz_apply_matrix(g, 1.0, 0, "exact") @ f,
+                riesz_apply_matrix(g, 1.0, 0, "newton") @ f) <= 1e-8
+    assert _rel(riesz_apply_matrix(g, 1.4, 0, "exact") @ f,
+                riesz_apply_matrix(g, 1.4, 0, "angular") @ f) <= 1e-8
+
+
+def _entry_oracle(g, alpha, ell, i, j):
+    """W[i, j] by adaptive quadrature: the sum, over the cells whose
+    stencil holds node j, of int K_l(r_i, s) s^{d-1} l_j(s) ds, with each
+    cell split at s = r_i."""
+    x = g.nodes
+    edges = np.concatenate([[0.0], x])
+    j0 = np.clip(np.arange(g.n) - 1, 0, g.n - 3)
+    total = 0.0
+    for c in np.flatnonzero((j0 <= j) & (j <= j0 + 2)):
+        u, v = (x[j0[c] + k] for k in range(3) if j0[c] + k != j)
+
+        def integrand(s):
+            lj = (s - u) * (s - v) / ((x[j] - u) * (x[j] - v))
+            k = float(_kernel_values(g.d, ell, alpha, x[i], s))
+            return k * s ** (g.d - 1) * lj
+        a, b = edges[c], edges[c + 1]
+        cuts = [a, x[i], b] if a < x[i] < b else [a, b]
+        for p, q in zip(cuts[:-1], cuts[1:]):
+            total += quad(integrand, p, q, epsabs=0.0, epsrel=1e-13,
+                          limit=200)[0]
+    return total
+
+
+_EXACT_ROUTE_DEFECT = pytest.mark.xfail(strict=True, reason=(
+    "the d = 3, l = 0 exact route is wrong entry by entry (monomial "
+    "Lagrange coefficients on thin cells); ROADMAP item 1"))
+
+
+@pytest.mark.parametrize("d,ell,method", [
+    (3, 0, "angular"), (3, 1, "angular"), (4, 0, "angular"),
+    (4, 1, "angular"), (5, 0, "angular"), (5, 1, "angular"),
+    pytest.param(3, 0, "exact", marks=_EXACT_ROUTE_DEFECT)])
+def test_application_entries_against_quadrature_oracle(d, ell, method):
+    # smooth inputs hide entry errors, which telescope in W f; 20 seeded
+    # entries, half of them within two columns of the diagonal.  Worst
+    # measured: 7.3e-15 max|W| (angular); 1.0e-9 max|W| (exact)
+    g = solver_grid(d, 25.0, 200)
+    alpha = d - 2 - 0.03
+    W = riesz_apply_matrix(g, alpha, ell, method)
+    rng = np.random.default_rng(12)
+    rows = rng.integers(0, g.n, 20)
+    cols = np.concatenate([rng.integers(0, g.n, 10),
+                           np.clip(rows[10:] + rng.integers(-2, 3, 10),
+                                   0, g.n - 1)])
+    worst = max(abs(W[i, j] - _entry_oracle(g, alpha, ell, i, j))
+                for i, j in zip(rows, cols))
+    assert worst <= 1e-11 * np.max(np.abs(W))
+
+
+@_EXACT_ROUTE_DEFECT
+def test_exact_route_entries_agree_with_angular():
+    # 2.8e-8 max|W| here, 5.5e-6 at n = 700
+    g = solver_grid(3, 25.0, 200)
+    We = riesz_apply_matrix(g, 0.97, 0, "exact")
+    Wa = riesz_apply_matrix(g, 0.97, 0, "angular")
+    assert np.max(np.abs(We - Wa)) <= 1e-10 * np.max(np.abs(Wa))
+
+
+def test_auto_route_at_d7_agrees_with_newton():
+    # the package has no closed form at d = 7: auto takes the 2F1 route
+    # next to the Newtonian exponent, and the 2F1 route matches newton at it
+    g = make_grid(7, 8.0, 240, 1.0)
+    f = np.exp(-g.nodes ** 2)
+    want = riesz_apply_matrix(g, 5.0, 0, "newton") @ f
+    assert _rel(riesz_apply_matrix(g, 5.0, 0, "angular") @ f, want) <= 1e-8
+    assert _rel(riesz_apply_matrix(g, 5.0 + 1e-10, 0) @ f, want) <= 1e-8
+
+
+def test_method_is_checked(monkeypatch):
+    monkeypatch.delenv("CHOQUARD_LAB_CACHE", raising=False)
+    clear_caches()
+    g = make_grid(3, 8.0, 40, 1.0)
+    with pytest.raises(RieszError, match="'auto', 'newton', 'exact', "
+                                         "'angular'"):
+        riesz_apply_matrix(g, 1.3, 0, "exactt")
+    assert not riesz._APPLY_CACHE
+    # the closed form serves d = 1 and d = 3 with l = 0 only
+    for grid, ell in ((g, 1), (make_grid(5, 8.0, 40, 1.0), 0)):
+        with pytest.raises(RieszError, match="exact route"):
+            riesz_apply_matrix(grid, 1.3, ell, "exact")
 
 
 def test_exact_route_agrees_with_newton_on_the_solver_grid():
@@ -263,7 +339,7 @@ def test_add_cells_matches_add_at():
 
 def test_assembly_does_not_depend_on_the_row_block(monkeypatch):
     # blocks of one row, and one block of all rows, give the same bits;
-    # alpha = 2 at d = 3 puts logarithmic weights into the exact route
+    # at alpha = 2 the d = 3 exact route is an interpolant in alpha
     monkeypatch.delenv("CHOQUARD_LAB_CACHE", raising=False)
     g = make_grid(3, 8.0, 40, 1.02)
     g4 = make_grid(4, 8.0, 40, 1.02)
@@ -272,7 +348,7 @@ def test_assembly_does_not_depend_on_the_row_block(monkeypatch):
         clear_caches()
         return [riesz_apply_matrix(g, 1.0, 0, "newton"),
                 riesz_apply_matrix(g, 1.3, 0, "exact"),
-                riesz_apply_matrix(g, 1.3, 1, "exact"),
+                riesz_apply_matrix(g, 1.3, 1, "angular"),
                 riesz_apply_matrix(g, 2.0, 0, "exact"),
                 sector_kernel(g, 1.3, 1),
                 riesz_apply_matrix(g4, 1.9, 0, "angular"),
