@@ -85,7 +85,10 @@ def assemble_lplus(state: GroundState, ell: int) -> SectorOperator:
         K = sector_kernel(grid, params.alpha, ell)
         qp = np.abs(q) ** (p - 1)
         sqm = np.sqrt(grid.measure)
-        mat -= p * (sqm * qp)[:, None] * K * (sqm * qp)[None, :]
+        # in place: no n x n temporaries beside mat and K
+        K *= (p * (sqm * qp))[:, None]
+        K *= (sqm * qp)[None, :]
+        mat -= K
     else:
         mat[idx, idx] -= p * np.abs(q) ** (p - 1)
     return SectorOperator(ell=ell, params=params, grid=grid, matrix=mat)

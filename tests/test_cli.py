@@ -118,6 +118,19 @@ def test_verify_fails_on_corrupted_profile(solved_dir, tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("d, alpha, p", [(3, 1.9, 4.0), (4, 2.9, 2.5)])
+def test_verify_fails_an_under_resolved_state_at_the_window_edge(
+        tmp_path, capsys, d, alpha, p):
+    # solve reaches tol here, but n = 300 does not resolve the state: the
+    # identity residuals and the grad/mass ratio show it
+    assert run(["solve", "--d", str(d), "--alpha", str(alpha), "--p", str(p),
+                "--n", "300", "--out-dir", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "Q.json").read_text())["residual"] <= 1e-10
+    capsys.readouterr()
+    assert run(["verify", str(tmp_path / "Q")]) == 2
+    assert "FAIL" in capsys.readouterr().out
+
+
 def test_verify_missing_file(tmp_path):
     assert run(["verify", str(tmp_path / "nope")]) == 1
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from choquard_lab import (ChoquardParams, SpectrumError, apply_lplus,
                           lplus_identity_residual, make_grid,
                           nondegeneracy_verdict, solve_model, solver_grid,
                           state_from_zero_field, translation_mode)
+from choquard_lab.riesz import riesz_apply_matrix
 
 
 def test_free_operator_spectrum():
@@ -35,6 +38,20 @@ def test_operator_symmetry(state_312):
     for ell in (0, 1):
         op = assemble_lplus(state_312, ell)
         assert op.symmetry_defect() <= 1e-10
+
+
+def test_lplus_assembly_builds_the_kernel_block_in_place(state_312):
+    # with W cached, assembly peaks at about three n x n arrays: the
+    # weights are applied to the kernel block in place, with no products
+    grid = state_312.grid
+    riesz_apply_matrix(grid, state_312.params.alpha, 0)
+    tracemalloc.start()
+    try:
+        assemble_lplus(state_312, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * grid.n ** 2 * 8
 
 
 def test_negative_direction_and_gap(state_312_coarse):
