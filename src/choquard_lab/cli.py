@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -68,7 +69,11 @@ def _opts_from(args, cfg) -> SolverOptions:
         raise UsageError(f"unknown solver config keys {unknown} "
                          "(accepted: tol, max_iter)")
     tol = args.tol if args.tol is not None else sc.get("tol", 1e-10)
-    return SolverOptions(tol=tol, max_iter=int(sc.get("max_iter", 2000)))
+    try:
+        return SolverOptions(tol=float(tol),
+                             max_iter=int(sc.get("max_iter", 2000)))
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad solver options: {exc}")
 
 
 def _out_dir(args, cfg) -> Path:
@@ -96,9 +101,9 @@ def cmd_solve(args) -> int:
     p = args.p if args.p is not None else pc.get("p")
     if d is None or p is None:
         raise UsageError("solve needs --d and --p (or a config)")
+    opts = _opts_from(args, cfg)
     out = _out_dir(args, cfg)
     grid = _grid_from(args, cfg, int(d))
-    opts = _opts_from(args, cfg)
     model = args.model or cfg.get("model", False)
     try:
         if model:
@@ -127,10 +132,13 @@ def _load_state(stem: str) -> GroundState:
 
 
 def cmd_verify(args) -> int:
+    tol = args.identity_tol
+    if not 0.0 < tol < math.inf:
+        raise UsageError(f"--identity-tol must be positive and finite, "
+                         f"got {tol}")
     state = _load_state(args.state)
     rows = []
     rep = pohozaev_report(state)
-    tol = args.identity_tol
     for name, val in rep.relative_residuals.items():
         rows.append((f"identity {name} (rel)", val, val <= tol))
     ratio_err = abs(rep.ratio_grad_mass - rep.predicted_ratio) \
@@ -211,6 +219,7 @@ def _converged_points(manifest_path: Path, grid) -> dict:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
+    opts = _opts_from(args, cfg)
     out = _out_dir(args, cfg)
     sc = cfg.get("sweep", {})
     d = args.d if args.d is not None else sc.get("d")
@@ -222,7 +231,6 @@ def cmd_sweep(args) -> int:
     if not alphas or not ps:
         raise UsageError("sweep needs non-empty --alphas and --ps lattices")
     grid = _grid_from(args, cfg, d)
-    opts = _opts_from(args, cfg)
     want = [(pt.alpha, pt.p)
             for pt in lattice(d, alphas, ps, args.with_spectrum)]
 

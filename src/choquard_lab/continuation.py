@@ -18,16 +18,16 @@ nearest-to-zero sector eigenvalues on request.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import (ChoquardParams, GridError, RadialField, RadialGrid,
-                   differentiate, integrate_radial, write_atomic)
+                   write_atomic)
 from .riesz import RieszError, riesz_apply_matrix
 from .solver import (ConvergenceError, GroundState, SolverOptions,
-                     _newton_refine, solve_choquard, state_from_field)
+                     _newton_refine, solve_choquard, state_from_field,
+                     state_norms)
 from .spectrum import assemble_lplus, eig_smallest
 
 
@@ -45,13 +45,8 @@ class ContinuationError(RuntimeError):
 
 def distances(grid: RadialGrid, a: np.ndarray, b: np.ndarray) -> dict:
     """L2, H1 and Linf distances of two profiles on a common grid."""
-    diff = a - b
-    l2sq = integrate_radial(grid, diff ** 2)
-    dgrad = differentiate(grid, diff)
-    h1sq = l2sq + integrate_radial(grid, dgrad ** 2)
-    return {"L2": math.sqrt(max(l2sq, 0.0)),
-            "H1": math.sqrt(max(h1sq, 0.0)),
-            "Linf": float(np.max(np.abs(diff)))}
+    return {k: v for k, v in state_norms(grid, a - b).items()
+            if k != "grad_L2"}
 
 
 @dataclass

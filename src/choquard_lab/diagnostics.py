@@ -17,7 +17,7 @@ import numpy as np
 from .grid import (ChoquardParams, ParameterError, RadialGrid,
                    differentiate, integrate_radial)
 from .riesz import riesz_apply_matrix
-from .solver import GroundState, nonlinear_term
+from .solver import GroundState, nonlinear_term, state_norms
 
 
 @dataclass
@@ -301,14 +301,7 @@ def apriori_report(state: GroundState, r_exponents=(2.0,)) -> dict:
     u = state.field.values
     params = state.params
     du = differentiate(grid, u)
-    l2 = lq_norm(grid, u, 2.0)
-    grad = math.sqrt(max(integrate_radial(grid, du ** 2), 0.0))
-    out = {
-        "L2": l2,
-        "grad_L2": grad,
-        "H1": math.sqrt(l2 ** 2 + grad ** 2),
-        "Linf": float(np.max(np.abs(u))),
-    }
+    out = state_norms(grid, u)
     # -Delta u = N(u) - u pointwise from the equation
     W = (riesz_apply_matrix(grid, params.alpha, 0)
          if isinstance(params, ChoquardParams) else None)

@@ -14,14 +14,16 @@ Conventions used throughout the package:
   spacing beyond the last node), justified by the exponential decay of
   all solver fields.
 
-Two discrete realisations of the sector Laplacian coexist on purpose:
+Two discrete realisations of the sector Laplacian coexist on purpose,
+both held as (3, n) tridiagonal bands in the layout of
+``kinetic_tridiag`` and applied by ``band_matvec``:
 
-- ``laplacian_sector`` applies pointwise-consistent finite-difference
-  stencils (exact on quadratics), used for residuals and operator
-  identities.
-- ``sector_stiffness`` assembles the flux (finite-volume) form, which is
-  exactly symmetric under the weight sqrt(w_i r_i^{d-1}) and is the one
-  used for symmetric eigenproblems.
+- the pointwise-consistent finite-difference stencils (exact on
+  quadratics) of ``laplacian_sector`` and ``kinetic_tridiag``, used for
+  residuals, the solver and operator identities;
+- the flux (finite-volume) form of ``sector_symmetric``, conjugated by
+  the weight sqrt(w_i r_i^{d-1}) into a symmetric band, used for
+  symmetric eigenproblems.
 """
 
 from __future__ import annotations
@@ -110,7 +112,7 @@ class RadialGrid:
     ``quad_weights`` are trapezoid weights of the node set extended by the
     origin and by a Dirichlet fence one first-spacing beyond r_max; they
     integrate node samples over [0, r_max] and double as the measure that
-    symmetrizes the sector stiffness matrices.
+    symmetrizes the flux form of the sector Laplacian.
     """
 
     d: int
@@ -408,8 +410,17 @@ def differentiate(grid: RadialGrid, values: np.ndarray,
     return (w[:, None, :] @ values[idx][:, :, None])[:, 0, 0]
 
 
-def _pointwise_rows(grid: RadialGrid, ell: int):
-    """Stencil bands (sub, diag, sup) of the pointwise sector operator.
+def band_matvec(ab: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """ab @ v for a (3, n) band ab in the layout of ``kinetic_tridiag``."""
+    out = ab[1] * v
+    out[:-1] += ab[0, 1:] * v[1:]
+    out[1:] += ab[2, :-1] * v[:-1]
+    return out
+
+
+def _pointwise_rows(grid: RadialGrid, ell: int) -> np.ndarray:
+    """Band of the pointwise sector operator, laid out as in
+    ``kinetic_tridiag``.
 
     Rows are exact on quadratics.  Row 0 uses the origin parity (even
     two-point form for l = 0, vanishing ghost for l >= 1); the last row
@@ -417,29 +428,25 @@ def _pointwise_rows(grid: RadialGrid, ell: int):
     """
     r = grid.nodes
     d = grid.d
-    n = grid.n
     kappa = ell * (ell + d - 2)
     h = grid.spacings()
-
-    sub = np.zeros(n)
-    diag = np.zeros(n)
-    sup = np.zeros(n)
+    ab = np.zeros((3, grid.n))
 
     hl = h[:-1].copy()
     hr = h[1:].copy()
     hl[0] = r[0]  # distance to the origin ghost
     denom = hl * hr * (hl + hr)
     ri = r[:-1]
-    sub[:-1] = (-2.0 * hr + (d - 1) * hr ** 2 / ri) / denom
-    sup[:-1] = (-2.0 * hl - (d - 1) * hl ** 2 / ri) / denom
-    diag[:-1] = (2.0 * (hl + hr) - (d - 1) * (hr ** 2 - hl ** 2) / ri) / denom
-    diag[:-1] += kappa / ri ** 2
+    ab[2, :-2] = ((-2.0 * hr + (d - 1) * hr ** 2 / ri) / denom)[1:]
+    ab[0, 1:] = (-2.0 * hl - (d - 1) * hl ** 2 / ri) / denom
+    ab[1, :-1] = (2.0 * (hl + hr) - (d - 1) * (hr ** 2 - hl ** 2) / ri) / denom
+    ab[1, :-1] += kappa / ri ** 2
 
     if ell == 0:
         # exact on even quadratics {1, r^2} through (r_0, r_1)
         b0 = -2.0 * d / (r[1] ** 2 - r[0] ** 2)
-        sup[0] = b0
-        diag[0] = -b0
+        ab[0, 1] = b0
+        ab[1, 0] = -b0
         # kappa = 0 in this sector
     # for ell >= 1 the generic row already used the zero ghost at the origin
 
@@ -448,10 +455,10 @@ def _pointwise_rows(grid: RadialGrid, ell: int):
     hl_last = h[-1]
     denom_l = hl_last * hf * (hl_last + hf)
     rl = r[-1]
-    sub[-1] = (-2.0 * hf + (d - 1) * hf ** 2 / rl) / denom_l
-    diag[-1] = ((2.0 * (hl_last + hf) - (d - 1) * (hf ** 2 - hl_last ** 2) / rl)
-                / denom_l + kappa / rl ** 2)
-    return sub, diag, sup
+    ab[2, -2] = (-2.0 * hf + (d - 1) * hf ** 2 / rl) / denom_l
+    ab[1, -1] = ((2.0 * (hl_last + hf) - (d - 1) * (hf ** 2 - hl_last ** 2) / rl)
+                 / denom_l + kappa / rl ** 2)
+    return ab
 
 
 def laplacian_sector(grid: RadialGrid, f: RadialField, ell: int) -> RadialField:
@@ -464,10 +471,7 @@ def laplacian_sector(grid: RadialGrid, f: RadialField, ell: int) -> RadialField:
     if ell < 0:
         raise GridError(f"sector index must be >= 0, got {ell}")
     values = _check_field(grid, f)
-    sub, diag, sup = _pointwise_rows(grid, ell)
-    out = diag * values
-    out[:-1] += sup[:-1] * values[1:]
-    out[1:] += sub[1:] * values[:-1]
+    out = band_matvec(_pointwise_rows(grid, ell), values)
 
     # replace the fence row by a one-sided evaluation of the operator
     r = grid.nodes
@@ -481,70 +485,46 @@ def laplacian_sector(grid: RadialGrid, f: RadialField, ell: int) -> RadialField:
     return RadialField(grid=grid, values=out)
 
 
-def kinetic_tridiag(grid: RadialGrid, ell: int):
+def kinetic_tridiag(grid: RadialGrid, ell: int) -> np.ndarray:
     """Banded matrix of (-Delta_l + 1) with the pointwise stencils.
 
     Returned as a (3, n) band: row 0 holds the superdiagonal in columns
     1..n-1, row 1 the diagonal, and row 2 the subdiagonal in columns
-    0..n-2, the input of ``solver.tridiag_solver``.  The fence row keeps
-    the zero ghost, so the matrix is the one whose root the solver
-    actually finds.
+    0..n-2, the input of ``solver.tridiag_solver`` and ``band_matvec``.
+    The fence row keeps the zero ghost, so the matrix is the one whose
+    root the solver actually finds.
     """
-    sub, diag, sup = _pointwise_rows(grid, ell)
-    n = grid.n
-    ab = np.zeros((3, n))
-    ab[0, 1:] = sup[:-1]
-    ab[1, :] = diag + 1.0
-    ab[2, :-1] = sub[1:]
+    ab = _pointwise_rows(grid, ell)
+    ab[1] += 1.0
     return ab
 
 
-def sector_stiffness(grid: RadialGrid, ell: int) -> np.ndarray:
-    """Symmetric flux form S of the sector Laplacian.
-
-    The operator acting on node values is A = diag(1/m) S with
-    m_i = w_i r_i^{d-1}; conjugating A by sqrt(m) returns the symmetric
-    matrix sqrt(m)^{-1} S sqrt(m)^{-1} used in eigenproblems.  Boundary
-    closure: zero flux at the origin for l = 0 (regularity), vanishing
-    ghost value for l >= 1, Dirichlet fence beyond r_max.
+def sector_symmetric(grid: RadialGrid, ell: int) -> np.ndarray:
+    """Flux (finite-volume) form S of the sector Laplacian, conjugated to
+    sqrt(m)^{-1} S sqrt(m)^{-1}, m_i = w_i r_i^{d-1}, as a symmetric (3, n)
+    band in the layout of ``kinetic_tridiag``; on node values the operator
+    is diag(1/m) S.  Boundary closure: zero flux at the origin for l = 0
+    (regularity), vanishing ghost value for l >= 1, Dirichlet fence beyond
+    r_max.
     """
     if ell < 0:
         raise GridError(f"sector index must be >= 0, got {ell}")
     r = grid.nodes
     d = grid.d
-    n = grid.n
-    kappa = ell * (ell + d - 2)
     h = grid.spacings()
-    mids = 0.5 * (r[1:] + r[:-1])
-    rho_mid = mids ** (d - 1)
-
-    S = np.zeros((n, n))
-    idx = np.arange(n - 1)
-    flux = rho_mid / h[1:]
-    S[idx, idx] += flux
-    S[idx + 1, idx + 1] += flux
-    S[idx, idx + 1] -= flux
-    S[idx + 1, idx] -= flux
-
+    m = grid.measure
+    flux = (0.5 * (r[1:] + r[:-1])) ** (d - 1) / h[1:]
+    ab = np.zeros((3, grid.n))
+    ab[1, :-1] += flux
+    ab[1, 1:] += flux
     if ell >= 1:
         # Dirichlet ghost at the origin
-        rho0 = (0.5 * r[0]) ** (d - 1)
-        S[0, 0] += rho0 / h[0]
+        ab[1, 0] += (0.5 * r[0]) ** (d - 1) / h[0]
     # fence flux (ghost value zero at r_max + h[0])
-    hf = h[0]
-    rho_f = (r[-1] + 0.5 * hf) ** (d - 1)
-    S[-1, -1] += rho_f / hf
-
-    m = grid.measure
-    S[np.arange(n), np.arange(n)] += kappa / r ** 2 * m
-    return S
-
-
-def sector_symmetric(grid: RadialGrid, ell: int, shift: float = 0.0) -> np.ndarray:
-    """Weight-conjugated sector Laplacian, symmetric to machine precision."""
-    S = sector_stiffness(grid, ell)
-    inv_sqrt_m = 1.0 / np.sqrt(grid.measure)
-    mat = S * inv_sqrt_m[:, None] * inv_sqrt_m[None, :]
-    if shift:
-        mat[np.arange(grid.n), np.arange(grid.n)] += shift
-    return mat
+    ab[1, -1] += (r[-1] + 0.5 * h[0]) ** (d - 1) / h[0]
+    ab[1] += ell * (ell + d - 2) / r ** 2 * m
+    inv = 1.0 / np.sqrt(m)
+    ab[0, 1:] = (-flux * inv[:-1]) * inv[1:]
+    ab[1] = ab[1] * inv * inv
+    ab[2, :-1] = (-flux * inv[1:]) * inv[:-1]
+    return ab

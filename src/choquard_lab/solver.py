@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .grid import (ChoquardParams, GridError, ParameterError, RadialField,
-                   RadialGrid, differentiate, integrate_radial,
+                   RadialGrid, band_matvec, differentiate, integrate_radial,
                    kinetic_tridiag, write_atomic)
 from .riesz import riesz_apply_matrix
 
@@ -80,6 +80,13 @@ class ModelParams:
 class SolverOptions:
     tol: float = 1e-10
     max_iter: int = 2000
+
+    def __post_init__(self):
+        if not 0.0 < self.tol < math.inf:
+            raise ParameterError(f"tol must be positive and finite, got "
+                                 f"{self.tol}")
+        if self.max_iter < 1:
+            raise ParameterError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 @dataclass
@@ -174,13 +181,6 @@ def tridiag_solver(ab: np.ndarray):
     return solve
 
 
-def _apply_banded(ab: np.ndarray, v: np.ndarray) -> np.ndarray:
-    out = ab[1] * v
-    out[:-1] += ab[0, 1:] * v[1:]
-    out[1:] += ab[2, :-1] * v[:-1]
-    return out
-
-
 def nonlinear_term(u: np.ndarray, p: float, W: np.ndarray | None) -> np.ndarray:
     """N(u): (W u^p) u^{p-1} for the nonlocal equation, u^p for the model."""
     if W is None:
@@ -193,7 +193,7 @@ def equation_residual(grid: RadialGrid, u: np.ndarray, p: float,
     """Pointwise residual (-Delta_h + 1) u - N(u)."""
     if ab is None:
         ab = kinetic_tridiag(grid, 0)
-    return _apply_banded(ab, u) - nonlinear_term(u, p, W)
+    return band_matvec(ab, u) - nonlinear_term(u, p, W)
 
 
 def state_norms(grid: RadialGrid, values: np.ndarray) -> dict:
@@ -233,7 +233,7 @@ def linearized_matrix(grid: RadialGrid, u: np.ndarray, p: float,
 
     def matvec(v):
         v = np.ravel(v)
-        return _apply_banded(ab, v) - coupling(v)
+        return band_matvec(ab, v) - coupling(v)
 
     return LinearOperator((grid.n, grid.n), matvec=matvec, dtype=float)
 
@@ -312,7 +312,7 @@ def _petviashvili(grid: RadialGrid, u0: np.ndarray, p: float,
     u = u0.copy()
     # K u and N(u) of the current iterate, carried from the residual of
     # one iteration to the energy quotient of the next
-    Ku, Nu = _apply_banded(ab, u), nonlinear_term(u, p, W)
+    Ku, Nu = band_matvec(ab, u), nonlinear_term(u, p, W)
     # the last depth + 1 values of T(u_j) and f_j, oldest first
     T_hist = deque(maxlen=_ANDERSON_DEPTH + 1)
     f_hist = deque(maxlen=_ANDERSON_DEPTH + 1)
@@ -337,7 +337,7 @@ def _petviashvili(grid: RadialGrid, u0: np.ndarray, p: float,
             dF = np.diff(f_hist, axis=0).T
             c = np.linalg.lstsq(dF, f_hist[-1], rcond=None)[0]
             u = Tu - np.diff(T_hist, axis=0).T @ c
-        Ku, Nu = _apply_banded(ab, u), nonlinear_term(u, p, W)
+        Ku, Nu = band_matvec(ab, u), nonlinear_term(u, p, W)
         res = float(np.max(np.abs(Ku - Nu)))
         if not math.isfinite(res):
             raise ConvergenceError(f"residual {res} is not finite at "
@@ -368,7 +368,7 @@ def _initial_gaussian(grid: RadialGrid, p: float, W: np.ndarray | None,
     g = np.exp(-grid.nodes ** 2 / (2.0 * width ** 2))
     ab = kinetic_tridiag(grid, 0)
     m = grid.measure
-    num = float(np.sum(m * g * _apply_banded(ab, g)))
+    num = float(np.sum(m * g * band_matvec(ab, g)))
     den = float(np.sum(m * g * nonlinear_term(g, p, W)))
     # <L(cg), cg> = <N(cg), cg>  =>  c^{2q-2} = num/den with q the
     # nonlinearity degree (2p-1 nonlocal, p local)

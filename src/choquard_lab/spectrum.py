@@ -13,9 +13,10 @@ harmonic.  Two discrete realisations are used deliberately:
   identity L+ Q = -2(p-1) (|.|^{-a} * Q^p) Q^{p-1} holds at the level of
   the solver residual.
 - ``assemble_lplus`` builds the dense symmetric matrix in the basis
-  weighted by sqrt(w_i r_i^{d-1}), exact symmetry by construction, used
-  for eigenproblems.  Its kernel block uses the raw sector kernel with
-  the grid measure, second-order accurate.
+  weighted by sqrt(w_i r_i^{d-1}), used for eigenproblems: the raw
+  sector kernel contracted with the grid measure (second-order
+  accurate), negated in its own n x n buffer, plus the symmetric band of
+  the flux-form Laplacian.  It allocates no other n x n array.
 """
 
 from __future__ import annotations
@@ -77,20 +78,23 @@ def assemble_lplus(state: GroundState, ell: int) -> SectorOperator:
     q = state.field.values
     params = state.params
     p = params.p
-    mat = sector_symmetric(grid, ell, shift=1.0)
-    idx = np.arange(grid.n)
+    ab = sector_symmetric(grid, ell)
+    ab[1] += 1.0
     if isinstance(params, ChoquardParams):
-        V = _potential_V(state)
-        mat[idx, idx] -= (p - 1) * V
-        K = sector_kernel(grid, params.alpha, ell)
-        qp = np.abs(q) ** (p - 1)
-        sqm = np.sqrt(grid.measure)
-        # in place: no n x n temporaries beside mat and K
-        K *= (p * (sqm * qp))[:, None]
-        K *= (sqm * qp)[None, :]
-        mat -= K
+        ab[1] -= (p - 1) * _potential_V(state)
+        mat = sector_kernel(grid, params.alpha, ell)
+        w = np.sqrt(grid.measure) * np.abs(q) ** (p - 1)
+        # in K's own buffer: scale, negate (0 - K keeps +0), add the band
+        mat *= (p * w)[:, None]
+        mat *= w[None, :]
+        np.subtract(0.0, mat, out=mat)
     else:
-        mat[idx, idx] -= p * np.abs(q) ** (p - 1)
+        ab[1] -= p * np.abs(q) ** (p - 1)
+        mat = np.zeros((grid.n, grid.n))
+    idx = np.arange(grid.n)
+    mat[idx, idx] += ab[1]
+    mat[idx[:-1], idx[1:]] += ab[0, 1:]
+    mat[idx[1:], idx[:-1]] += ab[2, :-1]
     return SectorOperator(ell=ell, params=params, grid=grid, matrix=mat)
 
 
@@ -212,6 +216,9 @@ def nondegeneracy_verdict(state: GroundState, gap_tol: float = 0.05,
     Intended near the Newtonian point; a state outside the
     ``_WINDOW_DELTA`` box raises.
     """
+    if not 0.0 < gap_tol < np.inf:
+        raise SpectrumError(f"gap_tol must be positive and finite, got "
+                            f"{gap_tol}")
     params = state.params
     if (isinstance(params, ChoquardParams)
             and not params.near_newtonian(_WINDOW_DELTA)):

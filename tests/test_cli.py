@@ -61,6 +61,29 @@ def test_solve_nonconvergence_exit_code(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("tol", ["-1", "nan", "0", "inf"])
+def test_solve_rejects_a_tol_that_is_not_positive_and_finite(tmp_path, capsys,
+                                                             tol):
+    code = run(["solve", "--d", "3", "--alpha", "1", "--p", "2", "--n", "300",
+                "--tol", tol, "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    assert "tol must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("max_iter", [0, -3])
+def test_solver_max_iter_below_one_is_a_usage_error(tmp_path, capsys,
+                                                     max_iter):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"solver": {"max_iter": max_iter}}))
+    code = run(["sweep", "--d", "3", "--alphas", "1", "--ps", "2",
+                "--n", "300", "--config", str(cfg),
+                "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    assert "max_iter must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_solver_config_key_is_a_usage_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"solver": {"method": "flow"}}))
@@ -131,6 +154,15 @@ def test_verify_fails_an_under_resolved_state_at_the_window_edge(
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "0"])
+def test_verify_rejects_an_identity_tol_that_is_not_positive_and_finite(
+        solved_dir, capsys, tol):
+    assert run(["verify", str(solved_dir / "Q"), "--identity-tol", tol]) == 1
+    captured = capsys.readouterr()
+    assert "--identity-tol must be positive and finite" in captured.err
+    assert "FAIL" not in captured.out
+
+
 def test_verify_missing_file(tmp_path):
     assert run(["verify", str(tmp_path / "nope")]) == 1
 
@@ -190,6 +222,16 @@ def test_spectrum_zero_field_at_the_d5_log_point(tmp_path):
                 "--n", "64", "--out-dir", str(tmp_path)]) == 0
     rep = json.loads((tmp_path / "spectral_report.json").read_text())
     assert np.all(np.isfinite(rep["eigenvalues"]))
+
+
+@pytest.mark.parametrize("gap_tol", ["-1", "nan", "0", "inf"])
+def test_spectrum_rejects_a_gap_tol_that_is_not_positive_and_finite(
+        solved_dir, tmp_path, capsys, gap_tol):
+    # a window of no width would report a vacuous verdict
+    assert run(["spectrum", str(solved_dir / "Q"), "--gap-tol", gap_tol,
+                "--out-dir", str(tmp_path)]) == 1
+    assert "gap_tol must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "spectral_report.json").exists()
 
 
 def test_spectrum_ell_is_a_usage_error_for_a_state(solved_dir, tmp_path):

@@ -8,7 +8,7 @@ from choquard_lab import (ChoquardParams, GridError, ParameterError,
                           RadialField, RadialGrid, differentiate,
                           integrate_radial, laplacian_sector, make_grid,
                           sector_symmetric, sphere_area)
-from choquard_lab.grid import _fd_weights, solver_grid
+from choquard_lab.grid import _fd_weights, band_matvec, solver_grid
 
 
 def test_uniform_grid_construction():
@@ -139,10 +139,32 @@ def test_grid_mismatch_raises():
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("ell", [0, 1])
 def test_weighted_symmetry(d, ell):
+    # the band is symmetric: its sub- and superdiagonal rows agree
     g = make_grid(d, 20.0, 150, 1.02)
-    M = sector_symmetric(g, ell)
-    defect = np.max(np.abs(M - M.T)) / np.max(np.abs(M))
+    ab = sector_symmetric(g, ell)
+    defect = np.max(np.abs(ab[0, 1:] - ab[2, :-1])) / np.max(np.abs(ab))
     assert defect < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 5), ell=st.integers(0, 1),
+       stretch=st.floats(1.0, 1.05), n=st.integers(16, 200),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_symmetric_band_is_the_flux_form(d, ell, stretch, n, seed):
+    # v^T (band v) is the flux energy of u = v / sqrt(m), written out cell
+    # by cell from the finite-volume closure
+    g = make_grid(d, 20.0, n, stretch)
+    r, h, m = g.nodes, g.spacings(), g.measure
+    v = np.random.default_rng(seed).standard_normal(n)
+    u = v / np.sqrt(m)
+    flux = (0.5 * (r[1:] + r[:-1])) ** (d - 1) / h[1:]
+    energy = np.sum(flux * np.diff(u) ** 2)
+    if ell >= 1:
+        energy += (0.5 * r[0]) ** (d - 1) / h[0] * u[0] ** 2
+    energy += (r[-1] + 0.5 * h[0]) ** (d - 1) / h[0] * u[-1] ** 2
+    energy += ell * (ell + d - 2) * np.sum(m * u ** 2 / r ** 2)
+    got = v @ band_matvec(sector_symmetric(g, ell), v)
+    assert abs(got - energy) <= 1e-12 * energy
 
 
 def test_differentiate_fourth_order():

@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
@@ -43,9 +43,10 @@ def test_kernel_values_against_quadrature_oracle(d, ell, alpha):
 
 def kernel_mpmath(d, ell, alpha, r, s):
     """K_l(r, s) = |S^{d-1}| (r+s)^-alpha c_l (z/4)^l 2F1(alpha/2+l,
-    (d-1)/2+l; d-1+2l; z), z = 4rs/(r+s)^2, at 30 digits (not the
-    transformed form the package sums)."""
-    with mpmath.workdps(30):
+    (d-1)/2+l; d-1+2l; z), z = 4rs/(r+s)^2, at 60 digits (not the
+    transformed form the package sums).  Two floats one ulp apart give
+    1 - z = ((r-s)/(r+s))^2 near 1e-33, so 30 digits would round z to 1."""
+    with mpmath.workdps(60):
         r, s, a = mpmath.mpf(r), mpmath.mpf(s), mpmath.mpf(alpha)
         z = 4 * r * s / (r + s) ** 2
         c = a / d if ell else 1
@@ -60,6 +61,7 @@ def kernel_mpmath(d, ell, alpha, r, s):
        log_ratio=st.one_of(st.floats(-6.0, 6.0),
                            st.floats(-6.0, -1.0).map(lambda e: 10.0 ** e),
                            st.floats(-6.0, -1.0).map(lambda e: -10.0 ** e)))
+@example(d=2, ell=0, frac=1.0, r=1.0, log_ratio=2.220446049250313e-16)
 def test_kernel_values_against_mpmath(d, ell, frac, r, log_ratio):
     # the connection formula loses digits in proportion to
     # 1/|alpha - (d-1-2m)| near a log point; stay 0.02 away from them,

@@ -40,18 +40,27 @@ def test_operator_symmetry(state_312):
         assert op.symmetry_defect() <= 1e-10
 
 
-def test_lplus_assembly_builds_the_kernel_block_in_place(state_312):
-    # with W cached, assembly peaks at about three n x n arrays: the
-    # weights are applied to the kernel block in place, with no products
-    grid = state_312.grid
-    riesz_apply_matrix(grid, state_312.params.alpha, 0)
+def _assembly_peak(state, ell=0):
     tracemalloc.start()
     try:
-        assemble_lplus(state_312, 0)
-        peak = tracemalloc.get_traced_memory()[1]
+        assemble_lplus(state, ell)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3.5 * grid.n ** 2 * 8
+
+
+def test_lplus_assembly_builds_the_kernel_block_in_place(state_312):
+    # with W cached, L+ is built in the n x n buffer of the sector kernel;
+    # beside it only the kernel's row blocks and O(n) vectors are live
+    grid = state_312.grid
+    riesz_apply_matrix(grid, state_312.params.alpha, 0)
+    assert _assembly_peak(state_312) < 2.5 * grid.n ** 2 * 8
+
+
+def test_model_lplus_assembly_holds_one_matrix(state_model_d1_p3):
+    n = state_model_d1_p3.grid.n
+    for ell in (0, 1):
+        assert _assembly_peak(state_model_d1_p3, ell) <= 1.5 * n ** 2 * 8
 
 
 def test_negative_direction_and_gap(state_312_coarse):
