@@ -102,8 +102,8 @@ def cmd_solve(args) -> int:
     if d is None or p is None:
         raise UsageError("solve needs --d and --p (or a config)")
     opts = _opts_from(args, cfg)
-    out = _out_dir(args, cfg)
     grid = _grid_from(args, cfg, int(d))
+    out = _out_dir(args, cfg)
     model = args.model or cfg.get("model", False)
     try:
         if model:

@@ -173,13 +173,25 @@ def make_grid(d: int, r_max: float, n: int, stretch: float = 1.0) -> RadialGrid:
     if not (math.isfinite(stretch) and stretch >= 1.0):
         raise GridError(f"stretch must be finite and >= 1, got {stretch}")
 
+    per_cell = (f"stretch is the growth factor per cell (the last cell is "
+                f"stretch**(n-1) times the first), got stretch={stretch}, "
+                f"n={n}")
     if stretch == 1.0:
         nodes = r_max * np.arange(1, n + 1) / n
     else:
         # r_i = h0 (s^{i+1} - 1)/(s - 1) with r_{n-1} = r_max
+        try:
+            total = float(stretch) ** n
+        except OverflowError:
+            raise GridError(f"stretch**n overflows: {per_cell}") from None
         powers = np.power(stretch, np.arange(1, n + 1))
-        nodes = r_max * (powers - 1.0) / (stretch ** n - 1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            nodes = r_max * (powers - 1.0) / (total - 1.0)
         nodes[-1] = r_max
+    if not (np.all(np.isfinite(nodes)) and nodes[0] > 0.0
+            and np.all(np.diff(nodes) > 0.0)):
+        raise GridError(f"nodes are not positive and strictly increasing: "
+                        f"{per_cell}")
     h = np.diff(nodes, prepend=0.0)
 
     # Trapezoid weights on the extended node set {0} u nodes u {fence},

@@ -15,12 +15,21 @@ u = |x - y| turns the angular integral into
 
 with A = r+s, B = |r-s|, t(u) = (r^2+s^2-u^2)/(2rs).  For every d >= 2
 the kernel is a Gauss hypergeometric function of z = 4rs/(r+s)^2, summed
-by its series: the one kernel-value layer, behind the sector kernels and
-the "angular" route.  Two kernels are also elementary and keep a closed
-form, the "exact" route: d = 1 (l = 0, 1), where K_l = |s-r|^{-alpha} +-
-(s+r)^{-alpha}, and d = 3, l = 0, where K_0 s^2 is (2 pi s / r)
-((s+r)^e - |s-r|^e) / e, e = 2 - alpha.  At the Newtonian exponent
-alpha = d-2 the l = 0 kernel collapses to |S^{d-1}| max(r,s)^{2-d}.
+by its series: the one kernel-value layer, behind the "angular" route
+and the band round the diagonal of the sector kernels.  Far from the
+diagonal, r <= 0.8 s (_RHO_FAR), the sector kernels sum the Gegenbauer
+expansion instead (DLMF 18.12.4 as 15.2.1),
+
+    K_l(r,s) = |S^{d-1}| c_l r^l s^{-alpha-l}
+               2F1(alpha/2+l, alpha/2-d/2+1; d/2+l; (r/s)^2),
+
+c_0 = 1, c_1 = alpha/d, whose terms are separable in r and s: the rows
+of one octave of r take it as one GEMM.  Two kernels are also elementary
+and keep a closed form, the "exact" route: d = 1 (l = 0, 1), where K_l =
+|s-r|^{-alpha} +- (s+r)^{-alpha}, and d = 3, l = 0, where K_0 s^2 is
+(2 pi s / r) ((s+r)^e - |s-r|^e) / e, e = 2 - alpha.  At the Newtonian
+exponent alpha = d-2 the l = 0 kernel collapses to |S^{d-1}|
+max(r,s)^{2-d}.
 
 Application operators integrate, cell by cell, the kernel against the
 quadratic interpolant of f alone.  The exact route takes every power
@@ -554,13 +563,48 @@ def riesz_bracket(grid: RadialGrid, f: RadialField, alpha: float) -> RadialField
 # sector kernel matrices
 
 
-def sector_kernel(grid: RadialGrid, alpha: float, ell: int) -> np.ndarray:
-    """Raw reduced-kernel samples K_l(r_i, r_j) from the 2F1 layer, for
-    every d >= 2; finite entries require alpha < d - 1.
+# Sector-kernel entries with r <= _RHO_FAR s sum the far-field series of
+# the module docstring, term by term c_k r^{2k} s^{-2k}.  It has no log
+# case, so it needs no interpolant in alpha.  The band round the diagonal
+# takes _kernel_values.
+_RHO_FAR = 0.8
 
-    Each sample depends on r, s only through r s, r^2 + s^2, (r - s)^2
-    and r + s, so K is bitwise symmetric: the upper triangle is taken
-    block by block and mirrored, with no symmetrisation step.
+
+def _far_coefficients(d, ell, alpha) -> np.ndarray:
+    """c_k of F(alpha/2+l, alpha/2-d/2+1; d/2+l; x), cut after the last k
+    with |c_k| _RHO_FAR^{2k} >= 1e-17: 47-76 terms for d = 2..6, one at
+    alpha = d-2, where the series ends."""
+    a, b, c = alpha / 2.0 + ell, alpha / 2.0 - d / 2.0 + 1.0, d / 2.0 + ell
+    k = np.arange(_TERMS - 1.0)
+    coef = np.cumprod(np.r_[1.0, (a + k) * (b + k) / ((c + k) * (k + 1.0))])
+    kept = np.abs(coef) * _RHO_FAR ** (2.0 * np.arange(_TERMS)) >= 1e-17
+    return coef[:np.flatnonzero(kept)[-1] + 1]
+
+
+def _powers(base: np.ndarray, terms: int) -> np.ndarray:
+    """P[i, k] = base_i^(2k), k < terms, by cumprod along rows; entries
+    below 1e-300 are set to zero, as subnormal GEMM operands are slow."""
+    out = np.empty((base.size, terms))
+    out[:, 0] = 1.0
+    out[:, 1:] = (base * base)[:, None]
+    np.cumprod(out, axis=1, out=out)
+    out[out < 1e-300] = 0.0
+    return out
+
+
+def sector_kernel(grid: RadialGrid, alpha: float, ell: int) -> np.ndarray:
+    """Reduced-kernel samples K_l(r_i, r_j), for every d >= 2; finite
+    entries require alpha < d - 1.
+
+    The upper triangle (r_i <= r_j) is filled and its strict part
+    mirrored, so K is bitwise symmetric.  A far entry, r_i <= _RHO_FAR r_j,
+    sums the separable far-field series.  The rows of one octave, r_i =
+    m_i t with t = 2^e and m_i in [1/2, 1), take it as one GEMM of
+    c_k m_i^{2k} by (t / r_j)^{2k}, scaled by |S^{d-1}| c_l r_i^l and by
+    r_j^{-alpha-l}.  The octaves, not _BLOCK_ROWS, set the GEMM shapes,
+    so the far entries do not depend on the row block.  The band entries
+    are 2F1 samples (_kernel_values), which depend on r, s only through
+    r s, r^2 + s^2, (r - s)^2 and r + s.
     """
     d = grid.d
     if ell not in (0, 1):
@@ -571,13 +615,39 @@ def sector_kernel(grid: RadialGrid, alpha: float, ell: int) -> np.ndarray:
         raise RieszError(
             f"kernel matrix diverges on the diagonal for alpha >= d-1 "
             f"(alpha={alpha}, d={d}); use the application operator instead")
+    from scipy.linalg.blas import dgemm
     r = grid.nodes
     n = grid.n
     K = np.empty((n, n))
+    # row i is far from column far[i] on
+    far = np.searchsorted(_RHO_FAR * r, r)
+    coef = _far_coefficients(d, ell, alpha)
+    mant, expo = np.frexp(r)
+    R = _powers(mant, coef.size)
+    R *= sphere_area(d) * (alpha / d if ell else 1.0) * coef
+    R *= (r ** ell)[:, None]
+    col_scale = r ** (-alpha - ell)
+    starts = np.flatnonzero(np.diff(expo, prepend=expo[0] - 1)).tolist()
+    for g0, g1 in zip(starts, starts[1:] + [n]):
+        j0 = int(far[g0])
+        if j0 < n:
+            S = _powers(np.ldexp(1.0, expo[g0]) / r[j0:], coef.size)
+            # (S R^T)^T from the views S^T and R^T: no operand is copied
+            F = dgemm(1.0, S.T, R[g0:g1].T, trans_a=1).T
+            F *= col_scale[j0:]
+            K[g0:g1, j0:] = F
     for lo in range(0, n, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, n)
-        K[lo:hi, lo:] = _kernel_values(d, ell, alpha, r[lo:hi, None], r[lo:])
-        K[lo:, lo:hi] = K[lo:hi, lo:].T
+        cols = np.arange(lo, far[hi - 1])
+        i, j = np.nonzero((cols >= np.arange(lo, hi)[:, None])
+                          & (cols < far[lo:hi, None]))
+        i += lo
+        j += lo
+        K[i, j] = _kernel_values(d, ell, alpha, r[i], r[j])
+        K[hi:, lo:hi] = K[lo:hi, hi:].T
+        square = K[lo:hi, lo:hi]
+        low = np.tril_indices(hi - lo, -1)
+        square[low] = square.T[low]
     return K
 
 

@@ -51,6 +51,16 @@ def test_solve_too_few_nodes_for_the_default_grid(tmp_path, capsys):
     assert "at least 16 nodes" in capsys.readouterr().err
 
 
+def test_solve_overflowing_stretch_is_a_usage_error(tmp_path, capsys):
+    # --stretch is the growth per cell, not solver_grid's total stretch
+    assert run(["solve", "--d", "3", "--alpha", "0.97", "--p", "2.03",
+                "--n", "1200", "--stretch", "25",
+                "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "per cell" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_solve_nonconvergence_exit_code(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"solver": {"max_iter": 2},

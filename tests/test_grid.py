@@ -46,6 +46,20 @@ def test_make_grid_rejects_bad_arguments():
         make_grid(0, 10.0, 100)
 
 
+@pytest.mark.parametrize("r_max,n,stretch,match", [
+    (25.0, 1200, 25.0, "stretch\\*\\*n overflows"),
+    (25.0, 1800, 1.5, "stretch\\*\\*n overflows"),
+    (1e300, 600, 1.5, "not positive and strictly increasing"),
+    (1e-300, 100, 1e3, "not positive and strictly increasing"),
+])
+def test_make_grid_rejects_overflowing_stretch(r_max, n, stretch, match):
+    # stretch is per cell: solver_grid's total stretch 25 at n = 1200 is
+    # 25 ** (1 / 1199) per cell, and 25 ** 1200 overflows
+    with pytest.raises(GridError, match=match) as err:
+        make_grid(3, r_max, n, stretch)
+    assert "per cell" in str(err.value)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_monomial_quadrature(d, k):

@@ -374,9 +374,10 @@ def raw_sector_kernel(g, alpha, ell):
 
 
 def test_sector_kernel_symmetry_and_positivity():
-    # every sample depends on r, s only through r + s, r s, r^2 + s^2 and
-    # (r - s)^2, so the full mesh is bitwise symmetric, and sector_kernel,
-    # which mirrors its upper triangle, equals it bit for bit
+    # every 2F1 sample depends on r, s only through r + s, r s, r^2 + s^2
+    # and (r - s)^2, so the full mesh is bitwise symmetric; sector_kernel
+    # mirrors its upper triangle, and its far entries (the separable
+    # series) agree with the 2F1 samples to rounding
     cases = [(d, alpha, g, ell)
              for d, alpha in ((3, 1.0), (4, 1.9), (5, 3.0), (6, 3.5))
              for g in (make_grid(d, 10.0, 90, 1.01), solver_grid(d, 25.0, 600))
@@ -390,8 +391,58 @@ def test_sector_kernel_symmetry_and_positivity():
         assert np.all(np.isfinite(K))
         assert np.array_equal(K, K.T), (d, alpha, g.n, ell)
         got = sector_kernel(g, alpha, ell)
-        assert np.array_equal(got, K), (d, alpha, g.n, ell)
+        assert np.all(np.isfinite(got))
+        assert np.array_equal(got, got.T), (d, alpha, g.n, ell)
+        assert np.max(np.abs(got - K) / K) <= 5e-14, (d, alpha, g.n, ell)
         assert np.all(got > 0), (d, alpha, g.n, ell)
+
+
+@pytest.mark.parametrize("d,alpha", [
+    (2, 0.6), (3, 1.3), (4, 1.9), (4, 1.0), (5, 2.97), (5, 2.0), (5, 0.002),
+    (6, 3.5)])
+def test_sector_kernel_far_field_against_mpmath(d, alpha):
+    # the entries just inside (far series) and just outside (2F1 band)
+    # s/r = 1/_RHO_FAR, and the far corner; alpha = 1 (d = 4) and 2 (d = 5)
+    # are log points, where the band is an interpolant in alpha and the
+    # far series is not
+    g = solver_grid(d, 25.0, 300)
+    r = g.nodes
+    far = np.searchsorted(riesz._RHO_FAR * r, r)
+    rows = [1, 10, g.n // 2, int(np.searchsorted(far, g.n)) - 1]
+    inside = [(i, far[i]) for i in rows] + [(0, g.n - 1)]
+    outside = [(i, far[i] - 1) for i in rows]
+    assert all(r[i] <= riesz._RHO_FAR * r[j] for i, j in inside)
+    assert all(r[i] > riesz._RHO_FAR * r[j] for i, j in outside)
+    for ell in (0, 1):
+        K = sector_kernel(g, alpha, ell)
+        for idx in (inside, outside):
+            want = [kernel_mpmath(d, ell, alpha, r[i], r[j]) for i, j in idx]
+            # near the d = 5 log point alpha = 0 the l = 1 band samples
+            # are off by up to 6e-11 (test_odd_d_sector_kernel_against_mpmath)
+            rtol = 1e-8 if (idx is outside and alpha == 0.002 and ell) \
+                else 1e-12
+            assert_allclose([K[i, j] for i, j in idx], want, rtol=rtol)
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(2, 6), ell=st.integers(0, 1), frac=st.floats(0.01, 0.99),
+       r_max=st.floats(1.0, 30.0), stretch=st.floats(1.0, 1.03))
+@example(d=5, ell=0, frac=0.5, r_max=1.0651381916563278,
+         stretch=1.0205890119346925)
+def test_sector_kernel_homogeneity(d, ell, frac, r_max, stretch):
+    # K_l(2r, 2s) = 2^-alpha K_l(r, s), and doubling r_max doubles every
+    # node exactly.  Within _LOG_STEP/2 of a log point the band samples
+    # are the interpolant in alpha, whose nodes alpha_k scale as
+    # 2^-alpha_k: there the relation holds to the interpolation error
+    # (4.6e-13 at worst in 750 draws), not to rounding
+    alpha = frac * (d - 1)
+    g = make_grid(d, r_max, 60, stretch)
+    g2 = make_grid(d, 2.0 * r_max, 60, stretch)
+    assert np.array_equal(g2.nodes, 2.0 * g.nodes)
+    K = sector_kernel(g, alpha, ell)
+    rtol = 1e-14 if riesz._log_nodes(d, alpha) is None else 5e-12
+    assert_allclose(sector_kernel(g2, alpha, ell), 2.0 ** -alpha * K,
+                    rtol=rtol)
 
 
 @pytest.mark.parametrize("alpha", [2.0, 0.002])
