@@ -197,6 +197,12 @@ _RHO_SPLIT = (1.0 - math.sqrt(1.0 - _Y2_SPLIT)) / math.sqrt(_Y2_SPLIT)
 _LOG_STEP = 1e-2
 
 
+def _gauss_coefficients(a, b, c) -> np.ndarray:
+    """The first _TERMS Taylor coefficients of 2F1(a, b; c; x)."""
+    k = np.arange(_TERMS - 1.0)
+    return np.cumprod(np.r_[1.0, (a + k) * (b + k) / ((c + k) * (k + 1.0))])
+
+
 def _series(a, b, c, x):
     """2F1(a, b; c; x) at x <= 3/4 by the Gauss series.
 
@@ -207,7 +213,7 @@ def _series(a, b, c, x):
     """
     shape, x = np.shape(x), np.ravel(x)
     k = np.arange(_TERMS - 1.0)
-    coef = np.cumprod(np.r_[1.0, (a + k) * (b + k) / ((c + k) * (k + 1.0))])
+    coef = _gauss_coefficients(a, b, c)
     with np.errstate(divide="ignore"):
         reach = (1e-17 / np.abs(coef[1:])) ** (1.0 / (k + 1.0))
     # reach[N - 1]: the largest x at which every term from N on is small
@@ -574,9 +580,8 @@ def _far_coefficients(d, ell, alpha) -> np.ndarray:
     """c_k of F(alpha/2+l, alpha/2-d/2+1; d/2+l; x), cut after the last k
     with |c_k| _RHO_FAR^{2k} >= 1e-17: 47-76 terms for d = 2..6, one at
     alpha = d-2, where the series ends."""
-    a, b, c = alpha / 2.0 + ell, alpha / 2.0 - d / 2.0 + 1.0, d / 2.0 + ell
-    k = np.arange(_TERMS - 1.0)
-    coef = np.cumprod(np.r_[1.0, (a + k) * (b + k) / ((c + k) * (k + 1.0))])
+    coef = _gauss_coefficients(alpha / 2.0 + ell, alpha / 2.0 - d / 2.0 + 1.0,
+                               d / 2.0 + ell)
     kept = np.abs(coef) * _RHO_FAR ** (2.0 * np.arange(_TERMS)) >= 1e-17
     return coef[:np.flatnonzero(kept)[-1] + 1]
 

@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
@@ -397,10 +397,20 @@ def test_sector_kernel_symmetry_and_positivity():
         assert np.all(got > 0), (d, alpha, g.n, ell)
 
 
-@pytest.mark.parametrize("d,alpha", [
-    (2, 0.6), (3, 1.3), (4, 1.9), (4, 1.0), (5, 2.97), (5, 2.0), (5, 0.002),
-    (6, 3.5)])
-def test_sector_kernel_far_field_against_mpmath(d, alpha):
+_BAND_LOG_DEFECT = pytest.mark.xfail(strict=True, reason=(
+    "near a log point the 2F1 layer is an interpolant in alpha, off by up "
+    "to 2e-10 at d = 5, l = 1, alpha = 0.002 and by up to 5e-13 within "
+    "_LOG_STEP/2 of the others; CHANGES.md, FOUND"))
+
+
+@pytest.mark.parametrize("d,alpha,ell,side", [
+    pytest.param(d, alpha, ell, side, marks=(
+        _BAND_LOG_DEFECT if (d, alpha, ell, side) == (5, 0.002, 1, "band")
+        else ()))
+    for d, alpha in ((2, 0.6), (3, 1.3), (4, 1.9), (4, 1.0), (5, 2.97),
+                     (5, 2.0), (5, 0.002), (6, 3.5))
+    for ell in (0, 1) for side in ("far", "band")])
+def test_sector_kernel_far_field_against_mpmath(d, alpha, ell, side):
     # the entries just inside (far series) and just outside (2F1 band)
     # s/r = 1/_RHO_FAR, and the far corner; alpha = 1 (d = 4) and 2 (d = 5)
     # are log points, where the band is an interpolant in alpha and the
@@ -409,40 +419,44 @@ def test_sector_kernel_far_field_against_mpmath(d, alpha):
     r = g.nodes
     far = np.searchsorted(riesz._RHO_FAR * r, r)
     rows = [1, 10, g.n // 2, int(np.searchsorted(far, g.n)) - 1]
-    inside = [(i, far[i]) for i in rows] + [(0, g.n - 1)]
-    outside = [(i, far[i] - 1) for i in rows]
-    assert all(r[i] <= riesz._RHO_FAR * r[j] for i, j in inside)
-    assert all(r[i] > riesz._RHO_FAR * r[j] for i, j in outside)
-    for ell in (0, 1):
-        K = sector_kernel(g, alpha, ell)
-        for idx in (inside, outside):
-            want = [kernel_mpmath(d, ell, alpha, r[i], r[j]) for i, j in idx]
-            # near the d = 5 log point alpha = 0 the l = 1 band samples
-            # are off by up to 6e-11 (test_odd_d_sector_kernel_against_mpmath)
-            rtol = 1e-8 if (idx is outside and alpha == 0.002 and ell) \
-                else 1e-12
-            assert_allclose([K[i, j] for i, j in idx], want, rtol=rtol)
+    if side == "far":
+        idx = [(i, far[i]) for i in rows] + [(0, g.n - 1)]
+        assert all(r[i] <= riesz._RHO_FAR * r[j] for i, j in idx)
+    else:
+        idx = [(i, far[i] - 1) for i in rows]
+        assert all(r[i] > riesz._RHO_FAR * r[j] for i, j in idx)
+    K = sector_kernel(g, alpha, ell)
+    want = [kernel_mpmath(d, ell, alpha, r[i], r[j]) for i, j in idx]
+    assert_allclose([K[i, j] for i, j in idx], want, rtol=1e-12)
+
+
+def _homogeneity_holds(d, ell, alpha, r_max, stretch):
+    # K_l(2r, 2s) = 2^-alpha K_l(r, s), and doubling r_max doubles every
+    # node exactly
+    g = make_grid(d, r_max, 60, stretch)
+    g2 = make_grid(d, 2.0 * r_max, 60, stretch)
+    assert np.array_equal(g2.nodes, 2.0 * g.nodes)
+    K = sector_kernel(g, alpha, ell)
+    assert_allclose(sector_kernel(g2, alpha, ell), 2.0 ** -alpha * K,
+                    rtol=1e-14)
 
 
 @settings(max_examples=40, deadline=None)
 @given(d=st.integers(2, 6), ell=st.integers(0, 1), frac=st.floats(0.01, 0.99),
        r_max=st.floats(1.0, 30.0), stretch=st.floats(1.0, 1.03))
-@example(d=5, ell=0, frac=0.5, r_max=1.0651381916563278,
-         stretch=1.0205890119346925)
 def test_sector_kernel_homogeneity(d, ell, frac, r_max, stretch):
-    # K_l(2r, 2s) = 2^-alpha K_l(r, s), and doubling r_max doubles every
-    # node exactly.  Within _LOG_STEP/2 of a log point the band samples
-    # are the interpolant in alpha, whose nodes alpha_k scale as
-    # 2^-alpha_k: there the relation holds to the interpolation error
-    # (4.6e-13 at worst in 750 draws), not to rounding
+    # within _LOG_STEP/2 of a log point the band samples are the
+    # interpolant in alpha, whose nodes scale as 2^-alpha_k, not 2^-alpha:
+    # test_sector_kernel_homogeneity_near_a_log_point pins that window
     alpha = frac * (d - 1)
-    g = make_grid(d, r_max, 60, stretch)
-    g2 = make_grid(d, 2.0 * r_max, 60, stretch)
-    assert np.array_equal(g2.nodes, 2.0 * g.nodes)
-    K = sector_kernel(g, alpha, ell)
-    rtol = 1e-14 if riesz._log_nodes(d, alpha) is None else 5e-12
-    assert_allclose(sector_kernel(g2, alpha, ell), 2.0 ** -alpha * K,
-                    rtol=rtol)
+    assume(riesz._log_nodes(d, alpha) is None)
+    _homogeneity_holds(d, ell, alpha, r_max, stretch)
+
+
+@_BAND_LOG_DEFECT
+def test_sector_kernel_homogeneity_near_a_log_point():
+    # d = 5, alpha = 2, a log point: off by 4.1e-13 relative
+    _homogeneity_holds(5, 0, 2.0, 1.0651381916563278, 1.0205890119346925)
 
 
 @pytest.mark.parametrize("alpha", [2.0, 0.002])
