@@ -4,16 +4,16 @@ functional-identity and decay diagnostics, linearized-operator spectra,
 and parameter continuation near the Newtonian exponent pair."""
 
 from .grid import (ChoquardParams, GridError, ParameterError, RadialField,
-                   RadialGrid, ball_volume, differentiate, integrate_radial,
+                   RadialGrid, differentiate, integrate_radial,
                    laplacian_sector, make_grid, sector_symmetric, solver_grid,
                    sphere_area)
-from .riesz import (RieszError, overlap_volume, riesz_apply_matrix,
-                    riesz_at_zero, riesz_bracket, riesz_radial, sector_kernel)
+from .riesz import (RieszError, riesz_apply_matrix, riesz_at_zero,
+                    riesz_radial, sector_kernel)
 from .solver import (ConvergenceError, DecayFit, FitError, GroundState,
                      ModelParams, SolverOptions, fit_decay, model_soliton,
                      solve_choquard, solve_model, state_from_field)
 from .diagnostics import (ExponentWitness, FeasibilityReport, PohozaevReport,
-                          apriori_report, exp_tail_integral, feasible_exponents,
+                          exp_tail_integral, feasible_exponents,
                           pohozaev_report, predicted_grad_mass_ratio)
 from .spectrum import (NondegeneracyReport, SectorOperator, SpectrumError,
                        apply_lplus, assemble_lplus, correlation, eig_smallest,

@@ -33,9 +33,20 @@ def _load_config(path: str | None) -> dict:
     if not path:
         return {}
     try:
-        return json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        cfg = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
         raise UsageError(f"cannot read config {path}: {exc}")
+    if not isinstance(cfg, dict):
+        raise UsageError(f"config {path} is not a JSON object")
+    return cfg
+
+
+def _section(cfg: dict, name: str) -> dict:
+    """The config's ``name`` section; an absent one is empty."""
+    sec = cfg.get(name, {})
+    if not isinstance(sec, dict):
+        raise UsageError(f"config section {name!r} is not a JSON object")
+    return sec
 
 
 class UsageError(Exception):
@@ -53,7 +64,7 @@ class _Parser(argparse.ArgumentParser):
 def _grid_from(args, cfg, d):
     """Grid from flags over config; without a stretch, solver_grid's rule
     (last cell 25 times the first) derives it from n."""
-    gc = cfg.get("grid", {})
+    gc = _section(cfg, "grid")
     r_max = float(args.r_max if args.r_max is not None else gc.get("r_max", 25.0))
     n = int(args.n if args.n is not None else gc.get("n", 600))
     stretch = args.stretch if args.stretch is not None else gc.get("stretch")
@@ -63,7 +74,7 @@ def _grid_from(args, cfg, d):
 
 
 def _opts_from(args, cfg) -> SolverOptions:
-    sc = cfg.get("solver", {})
+    sc = _section(cfg, "solver")
     unknown = sorted(set(sc) - {"tol", "max_iter"})
     if unknown:
         raise UsageError(f"unknown solver config keys {unknown} "
@@ -96,7 +107,7 @@ def _add_common(sub, grid=True, tol=True):
 
 def cmd_solve(args) -> int:
     cfg = _load_config(args.config)
-    pc = cfg.get("params", {})
+    pc = _section(cfg, "params")
     d = args.d if args.d is not None else pc.get("d")
     p = args.p if args.p is not None else pc.get("p")
     if d is None or p is None:
@@ -220,8 +231,8 @@ def _converged_points(manifest_path: Path, grid) -> dict:
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
     opts = _opts_from(args, cfg)
+    sc = _section(cfg, "sweep")
     out = _out_dir(args, cfg)
-    sc = cfg.get("sweep", {})
     d = args.d if args.d is not None else sc.get("d")
     if d is None:
         raise UsageError("sweep needs --d")

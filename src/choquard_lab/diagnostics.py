@@ -1,9 +1,8 @@
 """Identity, bound, and parameter-window verification for computed states.
 
-Covers the energy-balance and dilation (Pohozaev) identities, a priori
-norm tables with the pointwise-decay certificate, the exponent-system
-feasibility check behind the radial-symmetry window, and the weighted
-exponential tail integral with its two-sided power bracket.
+Covers the energy-balance and dilation (Pohozaev) identities, the
+exponent-system feasibility check behind the radial-symmetry window, and
+the weighted exponential tail integral with its two-sided power bracket.
 """
 
 from __future__ import annotations
@@ -14,10 +13,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .grid import (ChoquardParams, ParameterError, RadialGrid,
-                   differentiate, integrate_radial)
+from .grid import (ChoquardParams, ParameterError, differentiate,
+                   integrate_radial)
 from .riesz import riesz_apply_matrix
-from .solver import GroundState, nonlinear_term, state_norms
+from .solver import GroundState
 
 
 @dataclass
@@ -279,41 +278,6 @@ def feasible_exponents(params: ChoquardParams) -> FeasibilityReport:
                         return FeasibilityReport(
                             True, w, w.equality_residuals(d, alpha, p))
     return FeasibilityReport(False, None, [])
-
-
-# ---------------------------------------------------------------------------
-# a priori norm table and decay certificate
-
-
-def lq_norm(grid: RadialGrid, values: np.ndarray, q: float) -> float:
-    return integrate_radial(grid, np.abs(values) ** q) ** (1.0 / q)
-
-
-def apriori_report(state: GroundState, r_exponents=(2.0,)) -> dict:
-    """Discrete L^q, H^1 and W^{2,q} surrogates plus the decay certificate.
-
-    Second derivatives are recovered from the equation itself,
-    Delta u = u - N(u)/u-structure, which avoids double numerical
-    differentiation; the certificate is sup over the tail of
-    (|u'(s)| + u(s)) e^{s/2}.
-    """
-    grid = state.grid
-    u = state.field.values
-    params = state.params
-    du = differentiate(grid, u)
-    out = state_norms(grid, u)
-    # -Delta u = N(u) - u pointwise from the equation
-    W = (riesz_apply_matrix(grid, params.alpha, 0)
-         if isinstance(params, ChoquardParams) else None)
-    lap = u - nonlinear_term(u, params.p, W)
-    for q in r_exponents:
-        out[f"L{q:g}"] = lq_norm(grid, u, q)
-        out[f"W2_{q:g}"] = (lq_norm(grid, u, q) + lq_norm(grid, du, q)
-                            + lq_norm(grid, lap, q))
-    tail = grid.nodes >= 1.0
-    cert = (np.abs(du[tail]) + np.abs(u[tail])) * np.exp(grid.nodes[tail] / 2.0)
-    out["decay_certificate"] = float(np.max(cert)) if np.any(tail) else float("nan")
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -49,11 +49,6 @@ def sphere_area(d: int) -> float:
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
-def ball_volume(d: int) -> float:
-    """Volume of the unit ball in R^d."""
-    return sphere_area(d) / d
-
-
 @dataclass(frozen=True)
 class ChoquardParams:
     """Parameter triple (d, alpha, p) of the nonlocal equation.

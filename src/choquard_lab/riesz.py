@@ -1,5 +1,4 @@
-"""Radial Riesz potentials |.|^{-alpha} * f, sector kernels, and the
-ball-overlap function.
+"""Radial Riesz potentials |.|^{-alpha} * f and sector kernels.
 
 For a radial f the convolution reduces to a 1D integral against the
 reduced kernel
@@ -47,8 +46,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import (RadialField, RadialGrid, _check_field, ball_volume,
-                   sphere_area, write_atomic)
+from .grid import (RadialField, RadialGrid, _check_field, sphere_area,
+                   write_atomic)
 
 
 class RieszError(ValueError):
@@ -540,31 +539,6 @@ def riesz_at_zero(grid: RadialGrid, f: RadialField, alpha: float) -> float:
     return sphere_area(d) * float(np.sum(cells))
 
 
-def riesz_bracket(grid: RadialGrid, f: RadialField, alpha: float) -> RadialField:
-    """Two-sided control bracket of the Riesz potential,
-
-        r^{-alpha} int_0^r f s^{d-1} ds + int_r^inf f s^{d-1-alpha} ds,
-
-    defined for nonnegative radially decreasing f.
-    """
-    values = _check_field(grid, f)
-    d = grid.d
-    if not (0.0 < alpha < d):
-        raise RieszError(f"alpha outside (0,d): alpha={alpha}, d={d}")
-    scale = max(1.0, float(np.max(np.abs(values))))
-    if np.any(values < -1e-12 * scale):
-        raise RieszError("bracket requires a nonnegative input")
-    if not RadialField(grid, values).is_radially_decreasing(tol=1e-12 * scale):
-        raise RieszError("bracket requires a radially decreasing input")
-    rule = _CellRule(grid)
-    inner_cells = _cell_integrals(rule, values, d - 1.0)
-    outer_cells = _cell_integrals(rule, values, d - 1.0 - alpha)
-    inner_prefix = np.cumsum(inner_cells)
-    outer_suffix = np.sum(outer_cells) - np.cumsum(outer_cells)
-    vals = grid.nodes ** (-alpha) * inner_prefix + outer_suffix
-    return RadialField(grid=grid, values=vals)
-
-
 # ---------------------------------------------------------------------------
 # sector kernel matrices
 
@@ -655,39 +629,3 @@ def sector_kernel(grid: RadialGrid, alpha: float, ell: int) -> np.ndarray:
         square[low] = square.T[low]
     return K
 
-
-# ---------------------------------------------------------------------------
-# ball overlap
-
-
-def _cap_volume(d: int, R: float, a: float) -> float:
-    """Volume of the cap {x in B_R : x_1 >= a}, a in [-R, R]."""
-    if a <= -R:
-        return ball_volume(d) * R ** d
-    if a >= R:
-        return 0.0
-    if a < 0:
-        return ball_volume(d) * R ** d - _cap_volume(d, R, -a)
-    from scipy.special import betainc
-    x = 1.0 - (a / R) ** 2
-    return 0.5 * ball_volume(d) * R ** d * betainc((d + 1) / 2.0, 0.5, x)
-
-
-def overlap_volume(d: int, R1: float, R2: float, r: float) -> float:
-    """Exact volume of B_{R1}(0) intersect B_{R2}(x) with |x| = r.
-
-    Symmetric in (R1, R2), nonincreasing in r; equals the volume of the
-    smaller ball when one contains the other and 0 when the balls are
-    disjoint.
-    """
-    if R1 <= 0 or R2 <= 0:
-        raise RieszError(f"radii must be positive, got {R1}, {R2}")
-    if r < 0:
-        raise RieszError(f"center distance must be >= 0, got {r}")
-    if r >= R1 + R2:
-        return 0.0
-    if r <= abs(R1 - R2):
-        return ball_volume(d) * min(R1, R2) ** d
-    a1 = (r ** 2 + R1 ** 2 - R2 ** 2) / (2.0 * r)
-    a2 = r - a1
-    return _cap_volume(d, R1, a1) + _cap_volume(d, R2, a2)

@@ -377,14 +377,17 @@ def _initial_gaussian(grid: RadialGrid, p: float, W: np.ndarray | None,
     return c * g
 
 
-def _validate_profile(values: np.ndarray, what: str):
-    scale = float(np.max(np.abs(values)))
-    if np.min(values) <= 0:
+def _validate_profile(grid: RadialGrid, u: np.ndarray, what: str):
+    """u as a field on grid, once it is positive and nonincreasing."""
+    fld = RadialField(grid=grid, values=u)
+    scale = float(np.max(np.abs(u)))
+    if np.min(u) <= 0:
         raise ConvergenceError(f"{what}: converged profile is not strictly "
-                               f"positive (min {np.min(values):.3e})")
-    if np.any(np.diff(values) > 1e-10 * scale):
+                               f"positive (min {np.min(u):.3e})")
+    if not fld.is_radially_decreasing(tol=1e-10 * scale):
         raise ConvergenceError(f"{what}: converged profile is not radially "
                                "nonincreasing")
+    return fld
 
 
 def solve_choquard(params: ChoquardParams, grid: RadialGrid,
@@ -403,8 +406,8 @@ def solve_choquard(params: ChoquardParams, grid: RadialGrid,
     W = riesz_apply_matrix(grid, params.alpha, 0)
     u0 = _initial_gaussian(grid, params.p, W)
     u, res, it = _petviashvili(grid, u0, params.p, W, opts)
-    _validate_profile(u, "choquard solve")
-    return state_from_field(params, RadialField(grid=grid, values=u), res, it)
+    fld = _validate_profile(grid, u, "choquard solve")
+    return state_from_field(params, fld, res, it)
 
 
 def _solve_model_numerov(d: int, p: float, grid: RadialGrid,
@@ -460,10 +463,9 @@ def _solve_model_numerov(d: int, p: float, grid: RadialGrid,
         raise ConvergenceError("Numerov iteration did not converge",
                                last_residual=res_hist[-1],
                                iterations=len(res_hist))
-    u = U[1:]
-    _validate_profile(u, "model solve")
-    return state_from_field(ModelParams(d, p), RadialField(grid=grid, values=u),
-                            res_hist[-1], it0 + len(res_hist))
+    fld = _validate_profile(grid, U[1:], "model solve")
+    return state_from_field(ModelParams(d, p), fld, res_hist[-1],
+                            it0 + len(res_hist))
 
 
 def solve_model(d: int, p: float, grid: RadialGrid,
@@ -482,8 +484,8 @@ def solve_model(d: int, p: float, grid: RadialGrid,
         return _solve_model_numerov(d, p, grid, opts)
     u0 = _initial_gaussian(grid, p, None)
     u, res, it = _petviashvili(grid, u0, p, None, opts)
-    _validate_profile(u, "model solve")
-    return state_from_field(params, RadialField(grid=grid, values=u), res, it)
+    fld = _validate_profile(grid, u, "model solve")
+    return state_from_field(params, fld, res, it)
 
 
 def decay_beta(d: int) -> float:

@@ -104,6 +104,29 @@ def test_unknown_solver_config_key_is_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "Q.csv").exists()
 
 
+_SOLVE = ["solve", "--d", "3", "--alpha", "1", "--p", "2", "--n", "300"]
+_SWEEP = ["sweep", "--d", "3", "--alphas", "1", "--ps", "2", "--n", "300"]
+
+
+@pytest.mark.parametrize("argv,config,message", [
+    (_SOLVE, b"[1, 2]", "not a JSON object"),
+    (_SOLVE, b'{"grid": 5}', "not a JSON object"),
+    (_SOLVE, b'{"params": "d=3"}', "not a JSON object"),
+    (_SOLVE, b'{"solver": null}', "not a JSON object"),
+    (_SWEEP, b'{"sweep": [1]}', "not a JSON object"),
+    (_SOLVE, b"\xff\xfe{}", "cannot read config"),
+])
+def test_config_that_is_not_an_object_is_a_usage_error(tmp_path, capsys,
+                                                       argv, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(config)
+    code = run(argv + ["--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_determinism(tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     for out in (d1, d2):

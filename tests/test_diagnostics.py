@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from scipy.special import exp1
 
 from choquard_lab import (ChoquardParams, ModelParams, ParameterError,
-                          RadialField, apriori_report, exp_tail_integral,
+                          RadialField, exp_tail_integral,
                           feasible_exponents, make_grid, model_soliton,
                           pohozaev_report, solve_choquard, solver_grid,
                           state_from_field)
@@ -95,37 +95,10 @@ def test_infeasible_outside_window_is_reported_not_raised():
 
 
 # ---------------------------------------------------------------------------
-# a priori report
+# norms over a small sweep
 
 
-def test_apriori_zero_field():
-    grid = make_grid(3, 10.0, 100, 1.0)
-    state = state_from_field(ChoquardParams(3, 1.0, 2.0),
-                             RadialField(grid, np.zeros(100)))
-    rep = apriori_report(state)
-    assert rep["L2"] == 0.0 and rep["H1"] == 0.0 and rep["Linf"] == 0.0
-
-
-def test_apriori_model_l2(state_model_d1_p3):
-    rep = apriori_report(state_model_d1_p3, r_exponents=(2.0, 4.0))
-    # |Q|_{L2}^2 = int 2 sech^2 = 4 over the line
-    assert abs(rep["L2"] ** 2 - 4.0) <= 1e-5
-    assert rep["W2_2"] > rep["L2"]
-    assert np.isfinite(rep["decay_certificate"])
-
-
-def test_apriori_certificate_stable_under_rmax_doubling():
-    s1 = solve_choquard(ChoquardParams(3, 1.0, 2.0),
-                        make_grid(3, 25.0, 500, 1.0))
-    s2 = solve_choquard(ChoquardParams(3, 1.0, 2.0),
-                        make_grid(3, 50.0, 1000, 1.0))
-    c1 = apriori_report(s1)["decay_certificate"]
-    c2 = apriori_report(s2)["decay_certificate"]
-    assert np.isfinite(c1) and np.isfinite(c2)
-    assert abs(c1 - c2) / c2 <= 0.2
-
-
-def test_apriori_uniformity_over_small_sweep():
+def test_h1_norm_uniform_over_small_sweep():
     grid = solver_grid(3, 25.0, 400)
     h1s = []
     for da in (0.0, 0.02, -0.02):

@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from choquard_lab import (RadialField, RieszError, ball_volume, make_grid,
-                          overlap_volume, riesz_apply_matrix, riesz_at_zero,
-                          riesz_bracket, riesz_radial, sector_kernel,
-                          solver_grid, sphere_area)
+from choquard_lab import (RadialField, RieszError, make_grid,
+                          riesz_apply_matrix, riesz_at_zero, riesz_radial,
+                          sector_kernel, solver_grid, sphere_area)
 from choquard_lab import riesz
 from choquard_lab.riesz import _kernel_values, clear_caches
 
@@ -512,56 +511,6 @@ def test_linearity():
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs))
 
 
-def test_bracket_zero_and_indicator():
-    g = make_grid(3, 6.0, 600, 1.0)
-    assert np.all(riesz_bracket(g, RadialField(g, np.zeros(g.n)), 1.0).values
-                  == 0.0)
-    vals = np.where(g.nodes < 1.0, 1.0, 0.0)
-    j = np.argmin(np.abs(g.nodes - 1.0))
-    vals[j] = 0.5
-    f = RadialField(g, vals)
-    br = riesz_bracket(g, f, 1.0)
-    i2 = np.argmin(np.abs(g.nodes - 2.0))
-    # r^{-1} int_0^1 s^2 ds = 1/6 at r = 2; outer part vanishes
-    assert_allclose(br.values[i2], 1.0 / 6.0, rtol=1e-4)
-    pot = riesz_radial(g, f, 1.0)
-    assert_allclose(pot.values[i2] / br.values[i2], 4 * math.pi, rtol=1e-4)
-
-
-def test_bracket_ratio_interval_exponential():
-    g = make_grid(3, 20.0, 600, 1.0)
-    f = RadialField(g, np.exp(-g.nodes))
-    ratio = riesz_radial(g, f, 1.0).values / riesz_bracket(g, f, 1.0).values
-    assert np.all(ratio >= 0.5) and np.all(ratio <= 13.0)
-
-
-def test_bracket_two_sided_frozen_interval():
-    # calibrated envelope over the test family and the near-Newtonian
-    # alpha band in d = 3..5; frozen with margin as a regression bound
-    lo_seen, hi_seen = np.inf, 0.0
-    for d in (3, 4, 5):
-        g = make_grid(d, 18.0, 250, 1.01)
-        family = (np.exp(-g.nodes), np.exp(-g.nodes ** 2),
-                  (1 + g.nodes ** 2) ** (-float(d)))
-        for dalpha in (-0.1, 0.0, 0.1):
-            alpha = d - 2 + dalpha
-            for vals in family:
-                f = RadialField(g, vals)
-                ratio = (riesz_radial(g, f, alpha).values
-                         / riesz_bracket(g, f, alpha).values)
-                lo_seen = min(lo_seen, ratio.min())
-                hi_seen = max(hi_seen, ratio.max())
-    assert 10.0 <= lo_seen and hi_seen <= 35.0
-
-
-def test_bracket_requires_decreasing_nonnegative():
-    g = make_grid(3, 10.0, 64, 1.0)
-    with pytest.raises(RieszError):
-        riesz_bracket(g, RadialField(g, g.nodes.copy()), 1.0)
-    with pytest.raises(RieszError):
-        riesz_bracket(g, RadialField(g, -np.exp(-g.nodes)), 1.0)
-
-
 def test_potential_monotone_for_decreasing_inputs():
     g = make_grid(3, 16.0, 400, 1.0)
     family = (np.exp(-g.nodes), np.exp(-g.nodes ** 2),
@@ -576,53 +525,6 @@ def test_potential_monotone_for_decreasing_inputs():
         drop = fint(2 * g.nodes[:-1] / 3) - fint(2 * g.nodes[:-1])
         strict = drop > 1e-8
         assert np.all(diffs[strict] < 0)
-
-
-def test_overlap_examples_and_properties():
-    assert overlap_volume(3, 2.0, 1.0, 3.0) == 0.0
-    assert overlap_volume(4, 1.0, 2.5, 4.0) == 0.0
-    # full containment keeps the exact small-ball volume (with the
-    # unit-ball constant, unlike the normalization-free statement)
-    assert_allclose(overlap_volume(3, 2.0, 1.0, 0.8), 4 * math.pi / 3)
-    assert_allclose(overlap_volume(1, 2.0, 1.0, 2.0), 1.0)
-
-    # d=3 lens closed form
-    def lens3(R1, R2, r):
-        return (math.pi * (R1 + R2 - r) ** 2
-                * (r * r + 2 * r * (R1 + R2) - 3 * (R1 - R2) ** 2) / (12 * r))
-    assert_allclose(overlap_volume(3, 2.0, 1.5, 2.2), lens3(2.0, 1.5, 2.2),
-                    rtol=1e-12)
-
-    # 1D cap-integral oracle in d = 4
-    def cap4(R, a):
-        val, _ = quad(lambda x: (R * R - x * x) ** 1.5, a, R)
-        return val * ball_volume(3)
-    r = 2.0
-    a1 = (r * r + 2.0 ** 2 - 1.5 ** 2) / (2 * r)
-    want = cap4(2.0, a1) + cap4(1.5, r - a1)
-    assert_allclose(overlap_volume(4, 2.0, 1.5, 2.0), want, rtol=1e-10)
-
-    # symmetry and monotonicity in the distance
-    assert_allclose(overlap_volume(5, 1.0, 2.0, 1.3),
-                    overlap_volume(5, 2.0, 1.0, 1.3), rtol=1e-13)
-    rr = np.linspace(0, 4, 40)
-    vols = [overlap_volume(3, 2.0, 1.5, float(x)) for x in rr]
-    assert np.all(np.diff(vols) <= 1e-12)
-
-
-@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
-def test_overlap_scaling_property(d):
-    R1, R2, r = 3.0, 1.2, 2.0
-    lhs = overlap_volume(d, R1, R2, r)
-    rhs = R2 ** d * overlap_volume(d, R1 / R2, 1.0, r / R2)
-    assert abs(lhs - rhs) <= 1e-12 * max(lhs, 1.0)
-
-
-def test_overlap_rejects_negative():
-    with pytest.raises(RieszError):
-        overlap_volume(3, -1.0, 1.0, 0.5)
-    with pytest.raises(RieszError):
-        overlap_volume(3, 1.0, 1.0, -0.5)
 
 
 def test_memory_cache_evicts_the_least_recently_used(monkeypatch):

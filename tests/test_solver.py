@@ -30,6 +30,8 @@ def test_model_d1_matches_soliton_family(state_model_d1_p3):
                     rtol=1e-15)
     assert np.max(np.abs(st.field.values[mask] - exact[mask])) <= 1e-5
     assert st.residual <= 1e-10
+    # |Q|_{L2}^2 = int 2 sech^2 = 4 over the line
+    assert abs(st.norms["L2"] ** 2 - 4.0) <= 1e-5
 
 
 @pytest.mark.parametrize("p", [2.0, 4.0])
