@@ -65,12 +65,17 @@ def _grid_from(args, cfg, d):
     """Grid from flags over config; without a stretch, solver_grid's rule
     (last cell 25 times the first) derives it from n."""
     gc = _section(cfg, "grid")
-    r_max = float(args.r_max if args.r_max is not None else gc.get("r_max", 25.0))
-    n = int(args.n if args.n is not None else gc.get("n", 600))
     stretch = args.stretch if args.stretch is not None else gc.get("stretch")
+    try:
+        r_max = float(args.r_max if args.r_max is not None
+                      else gc.get("r_max", 25.0))
+        n = int(args.n if args.n is not None else gc.get("n", 600))
+        stretch = None if stretch is None else float(stretch)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad grid config (r_max, n, stretch): {exc}")
     if stretch is None:
         return solver_grid(d, r_max, n)
-    return make_grid(d, r_max, n, float(stretch))
+    return make_grid(d, r_max, n, stretch)
 
 
 def _opts_from(args, cfg) -> SolverOptions:
@@ -110,21 +115,25 @@ def cmd_solve(args) -> int:
     pc = _section(cfg, "params")
     d = args.d if args.d is not None else pc.get("d")
     p = args.p if args.p is not None else pc.get("p")
+    alpha = args.alpha if args.alpha is not None else pc.get("alpha")
     if d is None or p is None:
         raise UsageError("solve needs --d and --p (or a config)")
+    try:
+        d, p = int(d), float(p)
+        alpha = None if alpha is None else float(alpha)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad params config (d, alpha, p): {exc}")
     opts = _opts_from(args, cfg)
-    grid = _grid_from(args, cfg, int(d))
+    grid = _grid_from(args, cfg, d)
     out = _out_dir(args, cfg)
     model = args.model or cfg.get("model", False)
     try:
         if model:
-            state = solve_model(int(d), float(p), grid, opts)
+            state = solve_model(d, p, grid, opts)
         else:
-            alpha = args.alpha if args.alpha is not None else pc.get("alpha")
             if alpha is None:
                 raise UsageError("solve needs --alpha for the nonlocal equation")
-            params = ChoquardParams(int(d), float(alpha), float(p))
-            state = solve_choquard(params, grid, opts)
+            state = solve_choquard(ChoquardParams(d, alpha, p), grid, opts)
     except ConvergenceError as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return EXIT_NOCONV
@@ -232,18 +241,22 @@ def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
     opts = _opts_from(args, cfg)
     sc = _section(cfg, "sweep")
-    out = _out_dir(args, cfg)
     d = args.d if args.d is not None else sc.get("d")
     if d is None:
         raise UsageError("sweep needs --d")
-    d = int(d)
     alphas = args.alphas or sc.get("alphas")
     ps = args.ps or sc.get("ps")
     if not alphas or not ps:
         raise UsageError("sweep needs non-empty --alphas and --ps lattices")
+    try:
+        d = int(d)
+        alphas, ps = [float(a) for a in alphas], [float(p) for p in ps]
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad sweep config (d, alphas, ps): {exc}")
     grid = _grid_from(args, cfg, d)
     want = [(pt.alpha, pt.p)
             for pt in lattice(d, alphas, ps, args.with_spectrum)]
+    out = _out_dir(args, cfg)
 
     manifest_path = out / "sweep_manifest.json"
     csv_path = out / "sweep.csv"

@@ -32,9 +32,14 @@ max(r,s)^{2-d}.
 
 Application operators integrate, cell by cell, the kernel against the
 quadratic interpolant of f alone.  The exact route takes every power
-weight by closed-form moments; the angular route takes the
-|s-r|^{d-1-alpha} factor on the cells beside the diagonal by Gauss-Jacobi.
-So the kink or integrable singularity on the diagonal costs no accuracy.
+weight by closed-form moments of monomials in s; the angular route takes
+the |s-r|^{d-1-alpha} factor on the cells beside the diagonal by
+Gauss-Jacobi.  So the kink or integrable singularity on the diagonal
+costs no accuracy.  The Newtonian route is two rank-one triangles,
+|S^{d-1}| r_i^{2-d} A_j inside r_i and B_j outside it, with the cell
+weights from a Gauss-Legendre rule in each cell's own coordinate, exact
+on these polynomials; only the entries whose cells straddle r_i are
+summed cell by cell.
 """
 
 from __future__ import annotations
@@ -126,6 +131,17 @@ class _CellRule:
         xs = [x[j] for x in self.xs]
         return [(s - xs[m - 1]) * (s - xs[m - 2])
                 / ((xs[m] - xs[m - 1]) * (xs[m] - xs[m - 2]))
+                for m in range(3)]
+
+    def lagrange_local(self, t: np.ndarray) -> list:
+        """l_m on every cell at s = a + (b - a)(1 + t)/2, m = 0..2, shape
+        (n, t.size).  Each s - x_k is taken as (a - x_k) + (s - a), both
+        of the cell's size, so no digit goes to |s| on thin far cells."""
+        xs = self.xs
+        off = 0.5 * (self.b - self.a)[:, None] * (1.0 + t)
+        ds = [(self.a - x)[:, None] + off for x in xs]
+        return [ds[m - 1] * ds[m - 2]
+                / ((xs[m] - xs[m - 1]) * (xs[m] - xs[m - 2]))[:, None]
                 for m in range(3)]
 
     def add_cells(self, W: np.ndarray, cell: np.ndarray, m: int) -> None:
@@ -330,29 +346,57 @@ def _rows_from_groups(rule: _CellRule, groups, r: np.ndarray) -> np.ndarray:
     return W
 
 
-def _newton_rows(grid: RadialGrid, rule: _CellRule, lo: int,
-                 hi: int) -> np.ndarray:
-    """Rows lo..hi-1 of the Newtonian (alpha = d-2, l = 0) operator.
+def _newton_matrix(grid: RadialGrid, rule: _CellRule) -> np.ndarray:
+    """The Newtonian (alpha = d-2, l = 0) operator, from its two rank-one
+    triangles.
 
-    Kernel |S^{d-1}| max(r,s)^{2-d}: polynomial s^{d-1} r^{2-d} inside,
-    s outside, integrated exactly against f's interpolant.
+    Times s^{d-1}, the kernel |S^{d-1}| max(r,s)^{2-d} is |S^{d-1}|
+    r^{2-d} s^{d-1} on the cells inside r (c <= i) and |S^{d-1}| s on
+    those outside.  Column j takes the contiguous cells first[j] ..
+    last[j], so W[i, j] = |S^{d-1}| r_i^{2-d} A_j where they all lie
+    inside r_i and B_j where they all lie outside, A_j and B_j the column
+    sums of the cell integrals P_in = int s^{d-1} l_m and P_out =
+    |S^{d-1}| int s l_m.  A (d//2 + 2)-point Gauss-Legendre rule in the
+    cell's own coordinate takes both exactly.  The 2-3 entries per row
+    whose column straddles r_i are summed cell by cell.
     """
-    d = grid.d
-    n = grid.n
+    d, n = grid.d, grid.n
     area = sphere_area(d)
-    # scalar pow per row, as in the term tables: numpy's vector pow may
-    # round differently
-    coef_in = np.array([area * ri ** (2 - d) for ri in grid.nodes[lo:hi]])
-    coef_in = coef_in[:, None]
-    inside = np.arange(n) <= np.arange(lo, hi)[:, None]
-    M = _origin_moments(rule, 0.0, max(d - 1, 1) + 2)
-    W = np.zeros((hi - lo, n))
-    for m, lm in enumerate(rule.lagrange):
-        cell_in = (coef_in * lm[0] * M[d - 1] + coef_in * lm[1] * M[d]
-                   + coef_in * lm[2] * M[d + 1])
-        cell_out = area * lm[0] * M[1] + area * lm[1] * M[2] \
-            + area * lm[2] * M[3]
-        rule.add_cells(W, np.where(inside, cell_in, cell_out), m)
+    t, w = _gauss_jacobi(d // 2 + 2, 0.0)
+    half = 0.5 * (rule.b - rule.a)[:, None]
+    hw = half * w
+    s = rule.a[:, None] + half * (1.0 + t)
+    lm = rule.lagrange_local(t)
+    p_in = np.stack([np.sum(hw * s ** (d - 1) * l, axis=1) for l in lm])
+    p_out = np.stack([area * np.sum(hw * s * l, axis=1) for l in lm])
+    A = np.zeros((1, n))
+    B = np.zeros((1, n))
+    for m in range(3):
+        rule.add_cells(A, p_in[m][None], m)
+        rule.add_cells(B, p_out[m][None], m)
+    # scalar pow per row: numpy's vector pow may round differently
+    coef = np.array([area * ri ** (2 - d) for ri in grid.nodes])
+    W = np.empty((n, n))
+    np.multiply(coef[:, None], A, out=W)
+    cols = np.arange(n)
+    first = np.searchsorted(rule.j0 + 2, cols)
+    last = np.searchsorted(rule.j0, cols, side="right") - 1
+    # row i: the columns from its first outside one on take B
+    for i, k in enumerate(np.searchsorted(first, cols, side="right").tolist()):
+        W[i, k:] = B[0, k:]
+    # the straddling entries, first[j] <= i < last[j]; the clipped end
+    # stencils make columns 0-2 and n-3 straddle too
+    counts = last - first
+    j = np.repeat(cols, counts)
+    i = first[j] + np.arange(j.size) - np.repeat(np.cumsum(counts) - counts,
+                                                 counts)
+    acc = np.zeros(j.size)
+    for k in range(4):
+        c = np.minimum(first[j] + k, n - 1)
+        m = np.clip(j - rule.j0[c], 0, 2)
+        cell = np.where(c <= i, coef[i] * p_in[m, c], p_out[m, c])
+        acc += np.where(first[j] + k <= last[j], cell, 0.0)
+    W[i, j] = acc
     return W
 
 
@@ -428,7 +472,7 @@ _APPLY_CACHE: OrderedDict = OrderedDict()
 _APPLY_CACHE_BYTES = 512 << 20
 # Leads every disk-cache file name; raise it whenever an assembly change
 # alters W, so files written by older code are never read.
-_CACHE_VERSION = 5
+_CACHE_VERSION = 6
 
 
 def _cache_dir() -> Path | None:
@@ -451,7 +495,8 @@ def riesz_apply_matrix(grid: RadialGrid, alpha: float, ell: int = 0,
                        method: str = "auto") -> np.ndarray:
     """Dense operator W with (|.|^{-alpha} *_l f)(r_i) = (W f)_i.
 
-    ``method``: "newton" (alpha = d-2, l = 0 shell formula), "exact"
+    ``method``: "newton" (alpha = d-2, l = 0: the shell formula, built
+    from its two rank-one triangles), "exact"
     (elementary reduced kernel, d = 1 and d = 3 with l = 0), "angular"
     (the spherical mean in closed form, a Gauss 2F1, d >= 2), or "auto"
     (newton where it applies, else exact where it exists, else angular).
@@ -503,16 +548,18 @@ def riesz_apply_matrix(grid: RadialGrid, alpha: float, ell: int = 0,
 
     rule = _CellRule(grid)
     n = grid.n
-    W = np.empty((n, n))
-    for lo in range(0, n, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, n)
-        if method == "newton":
-            W[lo:hi] = _newton_rows(grid, rule, lo, hi)
-        elif method == "exact":
-            r = grid.nodes[lo:hi]
-            W[lo:hi] = _rows_from_groups(rule, _term_table(d, ell, alpha, r), r)
-        else:
-            W[lo:hi] = _angular_rows(grid, rule, alpha, ell, lo, hi)
+    if method == "newton":
+        W = _newton_matrix(grid, rule)
+    else:
+        W = np.empty((n, n))
+        for lo in range(0, n, _BLOCK_ROWS):
+            hi = min(lo + _BLOCK_ROWS, n)
+            if method == "exact":
+                r = grid.nodes[lo:hi]
+                W[lo:hi] = _rows_from_groups(rule,
+                                             _term_table(d, ell, alpha, r), r)
+            else:
+                W[lo:hi] = _angular_rows(grid, rule, alpha, ell, lo, hi)
     _remember(key, W)
     if fname is not None:
         cdir.mkdir(parents=True, exist_ok=True)

@@ -127,6 +127,29 @@ def test_config_that_is_not_an_object_is_a_usage_error(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+_SOLVE_D3 = ["solve", "--d", "3", "--alpha", "1", "--p", "2"]
+
+
+@pytest.mark.parametrize("argv,config,message", [
+    (_SOLVE_D3, {"grid": {"n": "abc"}}, "bad grid config"),
+    (_SOLVE_D3, {"grid": {"r_max": "big"}}, "bad grid config"),
+    (["solve", "--alpha", "1"], {"params": {"d": "x", "p": 2}},
+     "bad params config"),
+    (["sweep"], {"sweep": {"alphas": 5, "ps": [2.0], "d": 3}},
+     "bad sweep config"),
+], ids=["grid-n", "grid-r_max", "params-d", "sweep-alphas"])
+def test_config_value_of_the_wrong_type_is_a_usage_error(tmp_path, capsys,
+                                                         argv, config,
+                                                         message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code = run(argv + ["--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_determinism(tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     for out in (d1, d2):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -318,10 +319,106 @@ def test_exact_route_agrees_with_newton_on_the_solver_grid():
 def test_constant_input_gives_the_uniform_ball_potential(method):
     # product integration is exact on the constant interpolant, so every
     # cell, the two end cells included, must be counted once:
-    # int_{|y|<R} |x-y|^{-1} dy = 2 pi (R^2 - |x|^2/3) for |x| <= R
+    # int_{|y|<R} |x-y|^{-1} dy = 2 pi (R^2 - |x|^2/3) for |x| <= R.
+    # The newton route's exact cell weights give 6e-16
     g = make_grid(3, 8.0, 240, 1.0)
     got = riesz_apply_matrix(g, 1.0, 0, method) @ np.ones(g.n)
-    assert_allclose(got, 2 * math.pi * (64.0 - g.nodes ** 2 / 3), rtol=1e-11)
+    assert_allclose(got, 2 * math.pi * (64.0 - g.nodes ** 2 / 3),
+                    rtol={"newton": 1e-14, "exact": 1e-11}[method])
+
+
+def _newton_entry_mpmath(g, i, j):
+    """W[i, j] of the Newtonian operator at 40 digits: over the cells
+    whose stencil holds node j, the exact integral of the polynomial
+    |S^{d-1}| r_i^{2-d} s^{d-1} l_j(s) (cell inside r_i) or |S^{d-1}| s
+    l_j(s) (cell outside), by its antiderivative."""
+    d, n = g.d, g.n
+    j0 = np.clip(np.arange(n) - 1, 0, n - 3)
+    with mpmath.workdps(40):
+        x = [mpmath.mpf(float(v)) for v in g.nodes]
+        edges = [mpmath.mpf(0)] + x
+        area = 2 * mpmath.pi ** (mpmath.mpf(d) / 2) / mpmath.gamma(
+            mpmath.mpf(d) / 2)
+        total = mpmath.mpf(0)
+        for c in np.flatnonzero((j0 <= j) & (j <= j0 + 2)):
+            u, v = (x[j0[c] + k] for k in range(3) if j0[c] + k != j)
+            k = d - 1 if c <= i else 1
+
+            def F(s):   # antiderivative of s^k (s - u)(s - v)
+                return (s ** (k + 3) / (k + 3) - (u + v) * s ** (k + 2)
+                        / (k + 2) + u * v * s ** (k + 1) / (k + 1))
+            cell = (F(edges[c + 1]) - F(edges[c])) / ((x[j] - u) * (x[j] - v))
+            total += area * (x[i] ** (2 - d) if c <= i else 1) * cell
+        return float(total)
+
+
+@pytest.mark.parametrize("d,n", [(3, 1200), (5, 600)])
+def test_newton_entries_against_mpmath(d, n):
+    # 16 entries: random, beside the diagonal, and at both ends, where
+    # the clipped stencils make columns 0-2 and n-3 straddle r_i.  The
+    # monomial-coefficient cell weights were off by up to 1.3e-9 max|W|
+    g = solver_grid(d, 25.0, n)
+    W = riesz_apply_matrix(g, d - 2.0, 0, "newton")
+    rng = np.random.default_rng(18)
+    rows = rng.integers(0, n, 8)
+    near = np.clip(rows[4:] + rng.integers(-1, 3, 4), 0, n - 1)
+    cols = np.concatenate([rng.integers(0, n, 4), near])
+    idx = list(zip(rows, cols)) + [(0, 2), (1, 0), (n - 1, n - 1),
+                                   (n - 2, n - 3), (n - 4, n - 3), (n - 1, 0),
+                                   (0, n - 1), (n - 3, n - 2)]
+    worst = max(abs(W[i, j] - _newton_entry_mpmath(g, i, j)) for i, j in idx)
+    assert worst <= 1e-13 * np.max(np.abs(W))
+
+
+@pytest.mark.parametrize("d,n", [(3, 16), (4, 17), (6, 16)])
+def test_newton_matrix_every_entry_on_small_grids(d, n):
+    # every entry, so each triangle, each straddling entry and the clipped
+    # end stencils are all checked
+    g = make_grid(d, 8.0, n, 1.02)
+    W = riesz_apply_matrix(g, d - 2.0, 0, "newton")
+    want = [[_newton_entry_mpmath(g, i, j) for j in range(n)]
+            for i in range(n)]
+    assert np.max(np.abs(W - want)) <= 1e-14 * np.max(np.abs(W))
+
+
+def test_newton_assembly_holds_no_n_by_n_temporary(monkeypatch):
+    # the triangles are written into W's own buffer
+    monkeypatch.delenv("CHOQUARD_LAB_CACHE", raising=False)
+    clear_caches()
+    g = solver_grid(3, 25.0, 1200)
+    tracemalloc.start()
+    try:
+        W = riesz_apply_matrix(g, 1.0, 0, "newton")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        clear_caches()
+    assert peak <= 1.1 * W.nbytes
+
+
+def _scaling_holds(d, method, alpha, r_max, stretch):
+    # (|.|^-alpha * f(./2))(2r) = 2^(d-alpha) (|.|^-alpha * f)(r), and
+    # doubling r_max doubles every node exactly: W on the doubled grid is
+    # 2^(d-alpha) W, entry by entry
+    g = make_grid(d, r_max, 60, stretch)
+    g2 = make_grid(d, 2.0 * r_max, 60, stretch)
+    assert np.array_equal(g2.nodes, 2.0 * g.nodes)
+    W = riesz_apply_matrix(g, alpha, 0, method)
+    assert_allclose(riesz_apply_matrix(g2, alpha, 0, method),
+                    2.0 ** (d - alpha) * W, rtol=1e-13)
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(3, 6), frac=st.floats(0.01, 0.99),
+       r_max=st.floats(1.0, 30.0), stretch=st.floats(1.0, 1.03))
+def test_application_operator_riesz_scaling(d, frac, r_max, stretch):
+    # the exact route misses by up to 7e-5 (its monomial cell weights,
+    # ROADMAP item 1), and the angular route within _LOG_STEP/2 of a log
+    # point is the interpolant in alpha, whose nodes scale as 2^-alpha_k
+    _scaling_holds(d, "newton", d - 2.0, r_max, stretch)
+    alpha = frac * d
+    assume(riesz._log_nodes(d, alpha) is None)
+    _scaling_holds(d, "angular", alpha, r_max, stretch)
 
 
 def test_add_cells_matches_add_at():
