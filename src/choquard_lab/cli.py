@@ -1,8 +1,11 @@
 """Command-line entry point: solve, verify, spectrum, sweep, riesz.
 
 Runs are reproducible from a JSON config plus flag overrides; all
-artifacts land under --out-dir.  Exit codes: 0 success, 1 usage or
-config error, 2 numerical non-convergence.
+artifacts land under --out-dir.  The verbs parse flags and config and
+call the package: ``sweep`` runs ``continuation.sweep``, which reuses the
+converged points of an existing manifest.  Exit codes: 0 success, 1
+usage or config error (a damaged state file or profile among them), 2
+numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -11,10 +14,10 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
-from .continuation import (SweepRecord, lattice, sweep_manifest, sweep_point,
-                           sweep_to_csv)
+from .continuation import converged_points, lattice, sweep, sweep_to_csv
 from .diagnostics import feasible_exponents, pohozaev_report
 from .grid import (ChoquardParams, GridError, ParameterError, RadialField,
                    make_grid, solver_grid, write_atomic)
@@ -147,7 +150,7 @@ def cmd_solve(args) -> int:
 def _load_state(stem: str) -> GroundState:
     try:
         return GroundState.load(Path(stem).with_suffix(""))
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         raise UsageError(f"cannot load state {stem}: {exc}")
 
 
@@ -206,35 +209,13 @@ def cmd_spectrum(args) -> int:
             raise UsageError("--ell needs --zero-field: the report on a "
                              "state covers both sectors")
         state = _load_state(args.state)
-        report = nondegeneracy_verdict(state, gap_tol=args.gap_tol,
-                                       k=args.k).to_dict()
+        report = asdict(nondegeneracy_verdict(state, gap_tol=args.gap_tol,
+                                              k=args.k))
     text = json.dumps(report, indent=2)
     write_atomic(out / "spectral_report.json",
                  lambda fh: fh.write(text.encode()))
     print(text)
     return EXIT_OK
-
-
-def _converged_points(manifest_path: Path, grid) -> dict:
-    """Converged records of an earlier sweep on ``grid``, by (alpha, p).
-    A manifest that is not a JSON object counts as absent, and so does a
-    point that does not parse: that point is solved again."""
-    try:
-        old = json.loads(manifest_path.read_text())
-    except ValueError:
-        return {}
-    if not isinstance(old, dict) or old.get("grid") != grid.to_dict():
-        return {}
-    points = old.get("points")
-    done = {}
-    for pt in points if isinstance(points, list) else ():
-        try:
-            rec = SweepRecord.from_dict(pt)
-        except (AttributeError, KeyError, TypeError, ValueError):
-            continue
-        if rec.converged:
-            done[(rec.params.alpha, rec.params.p)] = rec
-    return done
 
 
 def cmd_sweep(args) -> int:
@@ -260,31 +241,20 @@ def cmd_sweep(args) -> int:
 
     manifest_path = out / "sweep_manifest.json"
     csv_path = out / "sweep.csv"
-    done = {}
-    if manifest_path.exists() and not args.fresh:
-        done = _converged_points(manifest_path, grid)
-    if all(pt in done for pt in want):
-        # the manifest is written before the CSV, which may be lost or stale
-        sweep_to_csv([done[pt] for pt in want], csv_path)
-        print(f"sweep already complete; rebuilt {csv_path} from the manifest")
-        return EXIT_OK
+    done = {} if args.fresh else converged_points(manifest_path, grid)
+    complete = all(pt in done for pt in want)
     try:
-        reference = solve_choquard(ChoquardParams(d, float(d - 2), 2.0),
-                                   grid, opts)
+        records = sweep(d, alphas, ps, grid, opts,
+                        with_spectrum=args.with_spectrum, done=done,
+                        manifest=manifest_path)
     except ConvergenceError as exc:
         print(f"reference solve failed: {exc}", file=sys.stderr)
         return EXIT_NOCONV
-    known = dict(done)
-    for pt in want:
-        if pt in done:
-            continue
-        known[pt] = sweep_point(d, *pt, grid, opts, reference,
-                                args.with_spectrum)
-        # after every solved point, so an interrupted sweep resumes
-        text = sweep_manifest([known[q] for q in want if q in known], grid, d)
-        write_atomic(manifest_path, lambda fh: fh.write(text.encode()))
-    records = [known[pt] for pt in want]
+    # the manifest is written before the CSV, which may be lost or stale
     sweep_to_csv(records, csv_path)
+    if complete:
+        print(f"sweep already complete; rebuilt {csv_path} from the manifest")
+        return EXIT_OK
     bad = [r for r in records if not r.converged]
     print(f"wrote {csv_path} and {manifest_path} "
           f"({len(records) - len(bad)}/{len(records)} points converged)")

@@ -12,13 +12,15 @@ can overshoot even close to the target.
 
 Sweeps solve a lattice of parameter points, one after another, record
 norms and distances to the stored Newtonian reference state, and attach
-nearest-to-zero sector eigenvalues on request.
+nearest-to-zero sector eigenvalues on request.  The CLI verb runs
+``sweep`` too, which resumes from the converged points of a manifest.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -33,6 +35,8 @@ from .spectrum import assemble_lplus, eig_smallest
 
 # halvings of the continuation increment before a failure is reported
 _MAX_BISECTIONS = 6
+# the norms and distances that sweep_to_csv writes for every record
+_CSV_NORMS = ("L2", "H1", "Linf")
 
 
 class ContinuationError(RuntimeError):
@@ -58,24 +62,24 @@ class SweepRecord:
     spectral_summary: dict | None = None
     message: str = ""
 
-    def to_dict(self) -> dict:
-        return {"params": self.params.to_dict(),
-                "converged": self.converged,
-                "norms": self.norms,
-                "dist_to_newtonian": self.dist_to_newtonian,
-                "spectral_summary": self.spectral_summary,
-                "message": self.message}
-
     @classmethod
     def from_dict(cls, data: dict) -> "SweepRecord":
-        """Inverse of to_dict; TypeError unless the norms, the distances
-        and any spectral summary map names to numbers."""
+        """Inverse of ``dataclasses.asdict``; TypeError unless the norms,
+        the distances and any spectral summary map names to numbers,
+        ``converged`` is a bool, ``message`` a str, and a converged record
+        has both maps' columns of ``sweep_to_csv``."""
         summary = data.get("spectral_summary")
-        for m in (data["norms"], data["dist_to_newtonian"],
-                  {} if summary is None else summary):
+        maps = (data["norms"], data["dist_to_newtonian"])
+        for m in (*maps, {} if summary is None else summary):
             if not isinstance(m, dict) or any(
                     type(v) not in (int, float) for v in m.values()):
                 raise TypeError(f"not a map of names to numbers: {m!r}")
+        converged = data["converged"]
+        if (type(converged) is not bool or type(data["message"]) is not str
+                or converged and not all(k in m for m in maps
+                                         for k in _CSV_NORMS)):
+            raise TypeError(f"not a bool converged, a str message and, if "
+                            f"converged, the norms {_CSV_NORMS}: {data!r}")
         return cls(**{**data, "params": ChoquardParams.from_dict(data["params"])})
 
 
@@ -175,21 +179,34 @@ def sweep_point(d: int, alpha: float, p: float, grid: RadialGrid,
 def sweep(d: int, alphas, ps, grid: RadialGrid,
           opts: SolverOptions | None = None,
           reference: GroundState | None = None,
-          with_spectrum: bool = False):
+          with_spectrum: bool = False, *, done: dict | None = None,
+          manifest=None) -> list:
     """Solve every lattice point and record distances to the Newtonian state.
 
     The whole lattice is checked before any solve; per-point
     non-convergence is recorded (``converged=False``) and the sweep goes on.
+    ``done`` maps (alpha, p) to converged records to reuse, as
+    ``converged_points`` reads them; the reference is solved only if some
+    point is missing.  A ``manifest`` path is rewritten atomically after
+    every solved point, with the records so far in lattice order.
     """
     opts = opts or SolverOptions()
     if grid.d != d:
         raise GridError(f"grid dimension {grid.d} != requested dimension {d}")
-    points = lattice(d, alphas, ps, with_spectrum)
-    if reference is None:
+    want = [(pt.alpha, pt.p) for pt in lattice(d, alphas, ps, with_spectrum)]
+    known = dict(done or {})
+    if reference is None and any(pt not in known for pt in want):
         reference = solve_choquard(ChoquardParams(d, float(d - 2), 2.0),
                                    grid, opts)
-    return [sweep_point(d, pt.alpha, pt.p, grid, opts, reference,
-                        with_spectrum) for pt in points]
+    for pt in want:
+        if pt in known:
+            continue
+        known[pt] = sweep_point(d, *pt, grid, opts, reference, with_spectrum)
+        if manifest is not None:
+            text = sweep_manifest([known[q] for q in want if q in known],
+                                  grid, d)
+            write_atomic(manifest, lambda fh: fh.write(text.encode()))
+    return [known[pt] for pt in want]
 
 
 def sweep_to_csv(records, path) -> None:
@@ -201,10 +218,8 @@ def sweep_to_csv(records, path) -> None:
     for rec in records:
         row = [f"{rec.params.alpha:.17g}", f"{rec.params.p:.17g}",
                "1" if rec.converged else "0"]
-        for key in ("L2", "H1", "Linf"):
-            row.append(f"{rec.norms.get(key, float('nan')):.17g}")
-        for key in ("L2", "H1", "Linf"):
-            row.append(f"{rec.dist_to_newtonian.get(key, float('nan')):.17g}")
+        for m in (rec.norms, rec.dist_to_newtonian):
+            row += [f"{m.get(key, float('nan')):.17g}" for key in _CSV_NORMS]
         ss = rec.spectral_summary or {}
         row.append(f"{ss.get('nearest_zero_ell0', float('nan')):.17g}")
         row.append(f"{ss.get('nearest_zero_ell1', float('nan')):.17g}")
@@ -217,5 +232,28 @@ def sweep_manifest(records, grid: RadialGrid, d: int) -> str:
     return json.dumps({
         "d": d,
         "grid": grid.to_dict(),
-        "points": [rec.to_dict() for rec in records],
+        "points": [asdict(rec) for rec in records],
     }, indent=2)
+
+
+def converged_points(path, grid: RadialGrid) -> dict:
+    """Converged records of the manifest at ``path`` written on ``grid``,
+    by (alpha, p).  A manifest that cannot be read or is not a JSON object
+    counts as absent, and so does a point that does not parse: that point
+    is solved again."""
+    try:
+        old = json.loads(Path(path).read_text())
+    except (OSError, ValueError):
+        return {}
+    if not isinstance(old, dict) or old.get("grid") != grid.to_dict():
+        return {}
+    points = old.get("points")
+    done = {}
+    for pt in points if isinstance(points, list) else ():
+        try:
+            rec = SweepRecord.from_dict(pt)
+        except (AttributeError, KeyError, TypeError, ValueError):
+            continue
+        if rec.converged:
+            done[(rec.params.alpha, rec.params.p)] = rec
+    return done

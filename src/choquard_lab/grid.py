@@ -92,9 +92,6 @@ class ChoquardParams:
         return (abs(self.alpha - (self.d - 2)) <= delta
                 and 0.0 <= self.p - 2.0 <= delta)
 
-    def to_dict(self) -> dict:
-        return {"d": self.d, "alpha": self.alpha, "p": self.p}
-
     @classmethod
     def from_dict(cls, data: dict) -> "ChoquardParams":
         return cls(int(data["d"]), float(data["alpha"]), float(data["p"]))
@@ -241,7 +238,8 @@ class RadialField:
     @classmethod
     def from_csv(cls, path, grid: RadialGrid | int) -> "RadialField":
         """Read columns r,value onto ``grid``, or, given a dimension d,
-        onto the geometric d-dimensional grid rebuilt from the nodes."""
+        onto the geometric d-dimensional grid rebuilt from the nodes;
+        GridError unless every entry is a finite number."""
         try:
             data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         except ValueError as exc:
@@ -250,6 +248,8 @@ class RadialField:
         if data.shape[0] < 2 or data.shape[1] < 2:
             raise GridError(f"profile {path} needs two columns r,value and "
                             f"at least two rows, got shape {data.shape}")
+        if not np.all(np.isfinite(data)):
+            raise GridError(f"profile {path} holds a non-finite value")
         r, v = data[:, 0], data[:, 1]
         if isinstance(grid, RadialGrid):
             if not np.allclose(r, grid.nodes, rtol=1e-12, atol=1e-12):

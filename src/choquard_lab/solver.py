@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -72,9 +72,6 @@ class ModelParams:
                 f"p={self.p} supercritical for d={self.d} "
                 f"(needs p < {(self.d + 2) / (self.d - 2)})")
 
-    def to_dict(self) -> dict:
-        return {"d": self.d, "p": self.p}
-
 
 @dataclass
 class SolverOptions:
@@ -95,10 +92,6 @@ class DecayFit:
     C: float
     beta: float
     window: tuple
-
-    def to_dict(self) -> dict:
-        return {"gamma": self.gamma, "C": self.C, "beta": self.beta,
-                "window": list(self.window)}
 
 
 @dataclass
@@ -123,11 +116,11 @@ class GroundState:
     def to_json(self) -> str:
         return json.dumps({
             "equation": self.equation,
-            "params": self.params.to_dict(),
+            "params": asdict(self.params),
             "grid": self.grid.to_dict(),
             "residual": self.residual,
             "iterations": self.iterations,
-            "decay": self.decay.to_dict() if self.decay else None,
+            "decay": asdict(self.decay) if self.decay else None,
             "norms": self.norms,
         }, indent=2)
 
@@ -142,23 +135,27 @@ class GroundState:
 
     @classmethod
     def load(cls, stem) -> "GroundState":
+        """Inverse of save; ValueError if either file is not one that save
+        writes (``equation`` is "choquard" or "model", values finite)."""
         stem = Path(stem)
         meta = json.loads(stem.with_suffix(".json").read_text())
-        grid = RadialGrid.from_dict(meta["grid"])
+        try:
+            grid = RadialGrid.from_dict(meta["grid"])
+            eq, pars, dd = meta["equation"], meta["params"], meta.get("decay")
+            if eq not in ("choquard", "model"):
+                raise ValueError(f"equation must be 'choquard' or 'model', "
+                                 f"got {eq!r}")
+            params = (ChoquardParams.from_dict(pars) if eq == "choquard"
+                      else ModelParams(int(pars["d"]), float(pars["p"])))
+            decay = None if not dd else DecayFit(
+                float(dd["gamma"]), float(dd["C"]), float(dd["beta"]),
+                tuple(dd["window"]))
+            kept = {k: meta[k] for k in ("residual", "iterations", "norms")}
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"{stem.with_suffix('.json')} is not a saved "
+                             f"state: {exc!r}") from None
         fld = RadialField.from_csv(stem.with_suffix(".csv"), grid=grid)
-        if meta["equation"] == "choquard":
-            params = ChoquardParams.from_dict(meta["params"])
-        else:
-            params = ModelParams(int(meta["params"]["d"]),
-                                 float(meta["params"]["p"]))
-        decay = None
-        if meta.get("decay"):
-            dd = meta["decay"]
-            decay = DecayFit(dd["gamma"], dd["C"], dd["beta"],
-                             tuple(dd["window"]))
-        return cls(params=params, field=fld, residual=meta["residual"],
-                   iterations=meta["iterations"], decay=decay,
-                   norms=meta["norms"])
+        return cls(params=params, field=fld, decay=decay, **kept)
 
 
 # ---------------------------------------------------------------------------

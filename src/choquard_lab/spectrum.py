@@ -208,19 +208,6 @@ class NondegeneracyReport:
     eigenvalues_ell0: list
     eigenvalues_ell1: list
 
-    def to_dict(self) -> dict:
-        return {
-            "radial_kernel_trivial": self.radial_kernel_trivial,
-            "translation_mode_found": self.translation_mode_found,
-            "negative_count_ell0": self.negative_count_ell0,
-            "nearest_eigenvalue_ell0": self.nearest_eigenvalue_ell0,
-            "nearest_eigenvalue_ell1": self.nearest_eigenvalue_ell1,
-            "translation_correlation": self.translation_correlation,
-            "gap_tol": self.gap_tol,
-            "eigenvalues_ell0": self.eigenvalues_ell0,
-            "eigenvalues_ell1": self.eigenvalues_ell1,
-        }
-
 
 def nondegeneracy_verdict(state: GroundState, gap_tol: float = 0.05,
                           k: int = 8) -> NondegeneracyReport:

@@ -235,6 +235,50 @@ def test_flags_a_verb_does_not_read_are_usage_errors(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def _damage_json(change):
+    def damage(stem):
+        path = stem.with_suffix(".json")
+        path.write_text(json.dumps(change(json.loads(path.read_text()))))
+    return damage
+
+
+def _damage_csv(token):
+    def damage(stem):
+        path = stem.with_suffix(".csv")
+        lines = path.read_text().splitlines()
+        lines[10] = lines[10].split(",")[0] + "," + token
+        path.write_text("\n".join(lines) + "\n")
+    return damage
+
+
+_DAMAGED_STATES = {
+    "not-an-object": _damage_json(lambda meta: [1, 2]),
+    "grid-a-number": _damage_json(lambda meta: {**meta, "grid": 5}),
+    "params-null": _damage_json(lambda meta: {**meta, "params": None}),
+    "decay-a-list": _damage_json(lambda meta: {**meta, "decay": [1, 2]}),
+    "unknown-equation": _damage_json(lambda meta: {**meta,
+                                                   "equation": "foo"}),
+    "nan-in-profile": _damage_csv("nan"),
+    "inf-in-profile": _damage_csv("inf"),
+}
+
+
+@pytest.mark.parametrize("verb", ["verify", "spectrum"])
+@pytest.mark.parametrize("damage", _DAMAGED_STATES.values(),
+                         ids=list(_DAMAGED_STATES))
+def test_a_damaged_state_is_a_usage_error(solved_dir, tmp_path, capsys, verb,
+                                          damage):
+    import shutil
+    for name in ("Q.json", "Q.csv"):
+        shutil.copy(solved_dir / name, tmp_path / name)
+    damage(tmp_path / "Q")
+    out = tmp_path / "out"
+    extra = ["--out-dir", str(out)] if verb == "spectrum" else []
+    assert run([verb, str(tmp_path / "Q"), *extra]) == 1
+    assert "cannot load state" in capsys.readouterr().err
+    assert not (out / "spectral_report.json").exists()
+
+
 def test_spectrum_verdict(solved_dir, tmp_path):
     code = run(["spectrum", str(solved_dir / "Q"), "--out-dir", str(tmp_path),
                 "--k", "4"])
@@ -346,11 +390,18 @@ def _norms_not_a_map(manifest):
     return manifest
 
 
+def _converged_not_a_bool(manifest):
+    manifest["points"][0].update(converged="false", norms={},
+                                 dist_to_newtonian={})
+    return manifest
+
+
 @pytest.mark.parametrize("damage, resolved", [
     (_not_a_dict, [(0.99, 2.0), (1.0, 2.0)]),
     (_point_without_params, [(0.99, 2.0)]),
     (_points_not_a_list, [(0.99, 2.0), (1.0, 2.0)]),
     (_norms_not_a_map, [(0.99, 2.0)]),
+    (_converged_not_a_bool, [(0.99, 2.0)]),
 ])
 def test_sweep_solves_again_what_a_malformed_manifest_lost(tmp_path,
                                                            monkeypatch,
@@ -362,28 +413,41 @@ def test_sweep_solves_again_what_a_malformed_manifest_lost(tmp_path,
     whole_manifest = path.read_bytes()
     whole_csv = (tmp_path / "sweep.csv").read_bytes()
     path.write_text(json.dumps(damage(json.loads(whole_manifest))))
-    real = cli.sweep_point
+    real = continuation.sweep_point
     solved = []
 
     def counted(d, alpha, p, *rest):
         solved.append((alpha, p))
         return real(d, alpha, p, *rest)
 
-    monkeypatch.setattr(cli, "sweep_point", counted)
+    monkeypatch.setattr(continuation, "sweep_point", counted)
     assert run(args) == 0
     assert solved == resolved
     assert path.read_bytes() == whole_manifest
     assert (tmp_path / "sweep.csv").read_bytes() == whole_csv
 
 
+def test_sweep_verb_runs_the_api_sweep_once(tmp_path, monkeypatch):
+    real = continuation.sweep
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "sweep", counted)
+    assert run(["sweep", "--d", "3", "--alphas", "0.99", "1.0", "--ps", "2.0",
+                "--n", "300", "--out-dir", str(tmp_path)]) == 0
+    assert len(calls) == 1
+
+
 def test_interrupted_sweep_resumes_only_missing_points(tmp_path, monkeypatch):
-    from choquard_lab import cli
     lattice_args = ["sweep", "--d", "3", "--alphas", "0.99", "1.0",
                     "--ps", "2.0", "2.01", "--n", "300", "--out-dir"]
     assert run(lattice_args + [str(tmp_path / "whole")]) == 0
     whole = (tmp_path / "whole" / "sweep.csv").read_bytes()
 
-    real = cli.sweep_point
+    real = continuation.sweep_point
     solved = []
 
     def interrupted_at_third(d, alpha, p, *rest):
@@ -393,7 +457,7 @@ def test_interrupted_sweep_resumes_only_missing_points(tmp_path, monkeypatch):
         return real(d, alpha, p, *rest)
 
     out = tmp_path / "resumed"
-    monkeypatch.setattr(cli, "sweep_point", interrupted_at_third)
+    monkeypatch.setattr(continuation, "sweep_point", interrupted_at_third)
     with pytest.raises(KeyboardInterrupt):
         run(lattice_args + [str(out)])
     partial = json.loads((out / "sweep_manifest.json").read_text())
@@ -405,7 +469,7 @@ def test_interrupted_sweep_resumes_only_missing_points(tmp_path, monkeypatch):
         solved.append((alpha, p))
         return real(d, alpha, p, *rest)
 
-    monkeypatch.setattr(cli, "sweep_point", counted)
+    monkeypatch.setattr(continuation, "sweep_point", counted)
     assert run(lattice_args + [str(out)]) == 0
     assert solved == [(0.99, 2.0), (0.99, 2.01), (1.0, 2.0), (1.0, 2.01)]
     assert (out / "sweep.csv").read_bytes() == whole
@@ -493,6 +557,17 @@ def test_verify_rejects_a_malformed_profile(solved_dir, tmp_path, capsys,
     (tmp_path / "Q.csv").write_text("r,value\n" + body)
     assert run(["verify", str(tmp_path / "Q")]) == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("token", ["nan", "inf"])
+def test_riesz_rejects_a_non_finite_profile(tmp_path, capsys, token):
+    grid = make_grid(3, 10.0, 64, 1.0)
+    RadialField(grid, np.exp(-grid.nodes)).to_csv(tmp_path / "p.csv")
+    _damage_csv(token)(tmp_path / "p")
+    assert run(["riesz", str(tmp_path / "p.csv"), "--d", "3", "--alpha", "1",
+                "--out-dir", str(tmp_path)]) == 1
+    assert "non-finite value" in capsys.readouterr().err
+    assert not (tmp_path / "potential.csv").exists()
 
 
 def test_riesz_verb_needs_args(tmp_path):

@@ -7,6 +7,7 @@ from choquard_lab import (ChoquardParams, ContinuationError, ParameterError,
                           RieszError, SolverOptions, SweepRecord, continuation,
                           distances, newton_continue, solve_choquard,
                           solver_grid, sweep, sweep_to_csv)
+from choquard_lab.continuation import converged_points
 
 
 @pytest.fixture(scope="module")
@@ -141,5 +142,35 @@ def test_sweep_record_round_trip(base_500):
                             converged=False, norms={}, dist_to_newtonian={},
                             message="no convergence"))
     for rec in recs:
-        assert SweepRecord.from_dict(rec.to_dict()) == rec
-        assert SweepRecord.from_dict(json.loads(json.dumps(rec.to_dict()))) == rec
+        data = dataclasses.asdict(rec)
+        assert SweepRecord.from_dict(data) == rec
+        assert SweepRecord.from_dict(json.loads(json.dumps(data))) == rec
+
+
+def test_sweep_resumes_from_reused_records(tmp_path, base_500, monkeypatch):
+    grid = base_500.grid
+    lattice = ([0.99, 1.0], [2.0, 2.01])
+    fresh = tmp_path / "fresh.json"
+    whole = sweep(3, *lattice, grid, manifest=fresh)
+    real = continuation.sweep_point
+    solved = []
+
+    def counted(d, alpha, p, *rest):
+        solved.append((alpha, p))
+        return real(d, alpha, p, *rest)
+
+    monkeypatch.setattr(continuation, "sweep_point", counted)
+    done = {(r.params.alpha, r.params.p): r for r in whole[::2]}
+    resumed = tmp_path / "resumed.json"
+    assert sweep(3, *lattice, grid, done=done, manifest=resumed) == whole
+    assert solved == [(0.99, 2.01), (1.0, 2.01)]
+    assert resumed.read_bytes() == fresh.read_bytes()
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a point of a complete sweep")
+
+    # every point reused: not even the Newtonian reference is solved
+    monkeypatch.setattr(continuation, "solve_choquard", no_solve)
+    assert sweep(3, *lattice, grid, done=converged_points(fresh, grid),
+                 manifest=resumed) == whole
+    assert resumed.read_bytes() == fresh.read_bytes()

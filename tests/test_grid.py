@@ -28,6 +28,16 @@ def test_stretched_grid_construction():
     assert_allclose(g.quad_weights.sum(), 20.0, rtol=1e-12)
 
 
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 6), r_max=st.floats(1.0, 30.0),
+       n=st.integers(16, 400), stretch=st.floats(1.0, 1.03))
+def test_quad_weights_are_positive_and_sum_to_r_max(d, r_max, n, stretch):
+    # d = 1 moves half the first cell from the fence to the origin side
+    g = make_grid(d, r_max, n, stretch)
+    assert np.all(g.quad_weights > 0)
+    assert_allclose(g.quad_weights.sum(), r_max, rtol=1e-12)
+
+
 def test_d1_grid_for_model_oracle():
     g = make_grid(1, 15.0, 128, 1.0)
     assert g.d == 1

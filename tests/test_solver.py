@@ -155,6 +155,21 @@ def test_state_roundtrip(tmp_path, state_model_d1_p3):
     assert back.norms == pytest.approx(state_model_d1_p3.norms)
 
 
+def test_choquard_state_roundtrip(tmp_path, state_312):
+    state_312.save(tmp_path / "Q")
+    back = GroundState.load(tmp_path / "Q")
+    assert back.equation == "choquard"
+    assert back.params == state_312.params
+    assert back.grid.to_dict() == state_312.grid.to_dict()
+    assert np.array_equal(back.grid.quad_weights, state_312.grid.quad_weights)
+    assert np.array_equal(back.field.values, state_312.field.values)
+    assert back.decay == state_312.decay
+    assert isinstance(back.decay.window, tuple)
+    assert back.norms == state_312.norms
+    assert back.residual == state_312.residual
+    assert back.iterations == state_312.iterations
+
+
 @pytest.mark.parametrize("d, n", [(1, 200), (3, 700), (5, 1200)])
 def test_tridiag_solver_matches_solve_banded(d, n):
     # gttrf + gttrs eliminate with the same pivots and in the same order
