@@ -20,7 +20,7 @@ from .spectrum import (NondegeneracyReport, SectorOperator, SpectrumError,
                        lplus_identity_residual, nondegeneracy_verdict,
                        state_from_zero_field, translation_mode)
 from .continuation import (ContinuationError, SweepRecord, distances,
-                           newton_continue, sweep, sweep_manifest, sweep_to_csv)
+                           newton_continue, sweep, sweep_to_csv)
 
 __version__ = "0.1.0"
 

@@ -37,6 +37,8 @@ from .spectrum import assemble_lplus, eig_smallest
 _MAX_BISECTIONS = 6
 # the norms and distances that sweep_to_csv writes for every record
 _CSV_NORMS = ("L2", "H1", "Linf")
+# a record's indent in the manifest: the "points" list sits in the top level
+_POINT_INDENT = "    "
 
 
 class ContinuationError(RuntimeError):
@@ -188,7 +190,10 @@ def sweep(d: int, alphas, ps, grid: RadialGrid,
     ``done`` maps (alpha, p) to converged records to reuse, as
     ``converged_points`` reads them; the reference is solved only if some
     point is missing.  A ``manifest`` path is rewritten atomically after
-    every solved point, with the records so far in lattice order.
+    every solved point, with the records so far in lattice order.  Each
+    record is encoded once, when it is solved or reused, and every
+    rewrite joins those texts, so a point's overhead does not grow with
+    its position in the lattice.
     """
     opts = opts or SolverOptions()
     if grid.d != d:
@@ -198,12 +203,15 @@ def sweep(d: int, alphas, ps, grid: RadialGrid,
     if reference is None and any(pt not in known for pt in want):
         reference = solve_choquard(ChoquardParams(d, float(d - 2), 2.0),
                                    grid, opts)
+    texts = ({pt: _point_text(known[pt]) for pt in want if pt in known}
+             if manifest is not None else {})
     for pt in want:
         if pt in known:
             continue
         known[pt] = sweep_point(d, *pt, grid, opts, reference, with_spectrum)
         if manifest is not None:
-            text = sweep_manifest([known[q] for q in want if q in known],
+            texts[pt] = _point_text(known[pt])
+            text = _manifest_text([texts[q] for q in want if q in texts],
                                   grid, d)
             write_atomic(manifest, lambda fh: fh.write(text.encode()))
     return [known[pt] for pt in want]
@@ -228,12 +236,25 @@ def sweep_to_csv(records, path) -> None:
     write_atomic(path, lambda fh: fh.write(text.encode()))
 
 
-def sweep_manifest(records, grid: RadialGrid, d: int) -> str:
-    return json.dumps({
-        "d": d,
-        "grid": grid.to_dict(),
-        "points": [asdict(rec) for rec in records],
-    }, indent=2)
+def _point_text(rec: SweepRecord) -> str:
+    """The record's JSON as it stands in the manifest's points list: the
+    ``indent=2`` text, shifted by the list's two levels."""
+    return _POINT_INDENT + json.dumps(asdict(rec), indent=2).replace(
+        "\n", "\n" + _POINT_INDENT)
+
+
+def _manifest_text(points, grid: RadialGrid, d: int) -> str:
+    """The manifest of the records whose ``_point_text`` are ``points``:
+    the text of ``json.dumps({"d": d, "grid": grid.to_dict(), "points":
+    [asdict(rec) for rec in records]}, indent=2)``.  JSON strings hold no
+    raw newline, so shifting every line of a record reproduces the
+    encoder's nesting exactly."""
+    head = json.dumps({"d": d, "grid": grid.to_dict(), "points": []},
+                      indent=2)
+    if not points:
+        return head
+    return (head[:-len("[]\n}")] + "[\n" + ",\n".join(points)
+            + "\n  ]\n}")
 
 
 def converged_points(path, grid: RadialGrid) -> dict:

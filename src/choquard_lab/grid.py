@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +65,7 @@ class ChoquardParams:
     def __post_init__(self):
         if int(self.d) != self.d or self.d < 1:
             raise ParameterError(f"d must be a positive integer, got {self.d}")
+        object.__setattr__(self, "d", int(self.d))
         if not (0.0 < self.alpha < self.d):
             raise ParameterError(
                 f"alpha outside (0,d): alpha={self.alpha}, d={self.d}")
@@ -94,7 +96,7 @@ class ChoquardParams:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ChoquardParams":
-        return cls(int(data["d"]), float(data["alpha"]), float(data["p"]))
+        return cls(data["d"], float(data["alpha"]), float(data["p"]))
 
 
 @dataclass(frozen=True)
@@ -145,8 +147,24 @@ class RadialGrid:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RadialGrid":
-        return make_grid(int(data["d"]), float(data["r_max"]),
+        return make_grid(data["d"], float(data["r_max"]),
                          int(data["n"]), float(data.get("stretch", 1.0)))
+
+    @cached_property
+    def _constants(self) -> dict:
+        return {}
+
+    def _constant(self, key, build) -> np.ndarray:
+        """The array ``build()`` under ``key``, derived once per grid and
+        read-only, because every caller shares it.  The grid is frozen, so
+        the array cannot go stale; a refined or reloaded grid is a new
+        instance with constants of its own."""
+        try:
+            return self._constants[key]
+        except KeyError:
+            a = self._constants[key] = build()
+            a.setflags(write=False)
+            return a
 
 
 def make_grid(d: int, r_max: float, n: int, stretch: float = 1.0) -> RadialGrid:
@@ -400,20 +418,22 @@ def differentiate(grid: RadialGrid, values: np.ndarray,
     Five nodes per stencil give fourth-order first derivatives on smooth
     grids, which the diagnostics rely on.  Node i uses the k = min(5, n)
     nodes starting at lo_i = clip(i - k//2, 0, n - k), centred where the
-    grid allows and one-sided at the ends.  The stencil table idx[i] = lo_i + arange(k)
-    is built once per call and all weights come from one row-wise
-    Fornberg pass.  The reduction is a batched (1, k) @ (k, 1) matmul
-    because that reproduces, bit for bit, a per-node ``w @ v``; einsum
-    or a column-by-column sum round differently (up to 3e-13 relative
-    near the origin).
+    grid allows and one-sided at the ends.  The stencil table
+    idx[i] = lo_i + arange(k) and the weights of each order, from one
+    row-wise Fornberg pass, are derived once per grid and kept on it, so
+    repeated calls pay only the reduction.  The reduction is a batched
+    (1, k) @ (k, 1) matmul because that reproduces, bit for bit, a
+    per-node ``w @ v``; einsum or a column-by-column sum round
+    differently (up to 3e-13 relative near the origin).
     """
     values = np.asarray(values, dtype=float)
     n = grid.n
     k = min(5, n)
     r = grid.nodes
-    lo = np.clip(np.arange(n) - k // 2, 0, n - k)
-    idx = lo[:, None] + np.arange(k)
-    w = _fd_weights(r, r[idx], order)
+    idx = grid._constant("stencil_index", lambda: (
+        np.clip(np.arange(n) - k // 2, 0, n - k)[:, None] + np.arange(k)))
+    w = grid._constant(("fd_weights", order),
+                      lambda: _fd_weights(r, r[idx], order))
     return (w[:, None, :] @ values[idx][:, :, None])[:, 0, 0]
 
 
@@ -499,11 +519,15 @@ def kinetic_tridiag(grid: RadialGrid, ell: int) -> np.ndarray:
     1..n-1, row 1 the diagonal, and row 2 the subdiagonal in columns
     0..n-2, the input of ``solver.tridiag_solver`` and ``band_matvec``.
     The fence row keeps the zero ghost, so the matrix is the one whose
-    root the solver actually finds.
+    root the solver actually finds.  The band is a read-only
+    ``RadialGrid._constant``: a solve asks for the l = 0 one several times.
     """
-    ab = _pointwise_rows(grid, ell)
-    ab[1] += 1.0
-    return ab
+    def build():
+        ab = _pointwise_rows(grid, ell)
+        ab[1] += 1.0
+        return ab
+
+    return grid._constant(("kinetic", ell), build)
 
 
 def sector_symmetric(grid: RadialGrid, ell: int) -> np.ndarray:

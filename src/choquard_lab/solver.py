@@ -65,6 +65,7 @@ class ModelParams:
     def __post_init__(self):
         if int(self.d) != self.d or self.d < 1:
             raise ParameterError(f"d must be a positive integer, got {self.d}")
+        object.__setattr__(self, "d", int(self.d))
         if self.p <= 1.0:
             raise ParameterError(f"p must be > 1, got {self.p}")
         if self.d >= 3 and self.p >= (self.d + 2) / (self.d - 2):
@@ -136,7 +137,8 @@ class GroundState:
     @classmethod
     def load(cls, stem) -> "GroundState":
         """Inverse of save; ValueError if either file is not one that save
-        writes (``equation`` is "choquard" or "model", values finite)."""
+        writes (``equation`` is "choquard" or "model", an integral d that
+        params and grid share, values finite)."""
         stem = Path(stem)
         meta = json.loads(stem.with_suffix(".json").read_text())
         try:
@@ -146,7 +148,10 @@ class GroundState:
                 raise ValueError(f"equation must be 'choquard' or 'model', "
                                  f"got {eq!r}")
             params = (ChoquardParams.from_dict(pars) if eq == "choquard"
-                      else ModelParams(int(pars["d"]), float(pars["p"])))
+                      else ModelParams(pars["d"], float(pars["p"])))
+            if params.d != grid.d:
+                raise ValueError(f"params dimension {params.d} != grid "
+                                 f"dimension {grid.d}")
             decay = None if not dd else DecayFit(
                 float(dd["gamma"]), float(dd["C"]), float(dd["beta"]),
                 tuple(dd["window"]))

@@ -258,6 +258,12 @@ _DAMAGED_STATES = {
     "decay-a-list": _damage_json(lambda meta: {**meta, "decay": [1, 2]}),
     "unknown-equation": _damage_json(lambda meta: {**meta,
                                                    "equation": "foo"}),
+    "fractional-d": _damage_json(lambda meta: {
+        **meta, "params": {**meta["params"], "d": 3.9}}),
+    "params-d-not-grid-d": _damage_json(lambda meta: {
+        **meta, "params": {**meta["params"], "d": 4}}),
+    "fractional-grid-d": _damage_json(lambda meta: {
+        **meta, "grid": {**meta["grid"], "d": 3.5}}),
     "nan-in-profile": _damage_csv("nan"),
     "inf-in-profile": _damage_csv("inf"),
 }

@@ -5,8 +5,8 @@ import pytest
 
 from choquard_lab import (ChoquardParams, ContinuationError, ParameterError,
                           RieszError, SolverOptions, SweepRecord, continuation,
-                          distances, newton_continue, solve_choquard,
-                          solver_grid, sweep, sweep_to_csv)
+                          distances, make_grid, newton_continue,
+                          solve_choquard, solver_grid, sweep, sweep_to_csv)
 from choquard_lab.continuation import converged_points
 
 
@@ -174,3 +174,80 @@ def test_sweep_resumes_from_reused_records(tmp_path, base_500, monkeypatch):
     assert sweep(3, *lattice, grid, done=converged_points(fresh, grid),
                  manifest=resumed) == whole
     assert resumed.read_bytes() == fresh.read_bytes()
+
+
+def _fake_point(d, alpha, p, *rest):
+    """A record without a solve: converged with a spectral summary, not
+    converged with a message that needs escaping, or converged without a
+    summary, by the point's position."""
+    pars = ChoquardParams(d, alpha, p)
+    norms = {"L2": alpha, "H1": p, "Linf": alpha * p}
+    kind = round(10 * alpha + 100 * p) % 3
+    if kind == 1:
+        return SweepRecord(pars, False, {}, {},
+                           message='gave up: "no" über ☃ \\ end')
+    return SweepRecord(pars, True, norms, dict(norms),
+                       spectral_summary=({"nearest_zero_ell0": -2.5,
+                                          "nearest_zero_ell1": 1e-300}
+                                         if kind == 0 else None))
+
+
+def _whole_manifest(records, grid, d):
+    return json.dumps({"d": d, "grid": grid.to_dict(),
+                       "points": [dataclasses.asdict(r) for r in records]},
+                      indent=2)
+
+
+def test_manifest_is_the_encoding_of_the_records_so_far(tmp_path,
+                                                        monkeypatch):
+    grid = make_grid(3, 25.0, 16)
+    alphas, ps = [0.9, 1.0, 1.1], [2.0, 2.5]
+    want = [(a, p) for a in alphas for p in ps]
+    reused = _fake_point(3, 1.0, 2.5)
+    monkeypatch.setattr(continuation, "sweep_point", _fake_point)
+    written = []
+    real_write = continuation.write_atomic
+
+    def capture(path, write):
+        real_write(path, write)
+        written.append(path.read_text())
+
+    monkeypatch.setattr(continuation, "write_atomic", capture)
+    assert continuation._manifest_text([], grid, 3) == _whole_manifest(
+        [], grid, 3)
+    sweep(3, alphas, ps, grid, reference=object(),
+          done={(1.0, 2.5): reused}, manifest=tmp_path / "m.json")
+    # one write per solved point, each holding the records so far
+    solved = [pt for pt in want if pt != (1.0, 2.5)]
+    assert len(written) == len(solved)
+    for k, text in enumerate(written):
+        so_far = set(solved[:k + 1]) | {(1.0, 2.5)}
+        recs = [reused if pt == (1.0, 2.5) else _fake_point(3, *pt)
+                for pt in want if pt in so_far]
+        assert text == _whole_manifest(recs, grid, 3)
+    assert {r.converged for r in recs} == {True, False}
+    assert any(r.spectral_summary for r in recs)
+
+
+@pytest.mark.parametrize("side", [2, 3])
+@pytest.mark.parametrize("reuse", [False, True])
+def test_each_manifest_record_is_encoded_once(tmp_path, monkeypatch, side,
+                                              reuse):
+    # the parent encoded every record so far at every point: N(N+1)/2 calls
+    grid = make_grid(3, 25.0, 16)
+    lattice = ([0.9 + 0.1 * j for j in range(side)],
+               [2.0 + 0.1 * j for j in range(side)])
+    points = [(a, p) for a in lattice[0] for p in lattice[1]]
+    done = {pt: _fake_point(3, *pt) for pt in points[::2]} if reuse else {}
+    monkeypatch.setattr(continuation, "sweep_point", _fake_point)
+    encoded = []
+    real_asdict = continuation.asdict
+
+    def counted(rec):
+        encoded.append((rec.params.alpha, rec.params.p))
+        return real_asdict(rec)
+
+    monkeypatch.setattr(continuation, "asdict", counted)
+    sweep(3, *lattice, grid, reference=object(), done=done,
+          manifest=tmp_path / "m.json")
+    assert sorted(encoded) == sorted(points)

@@ -8,7 +8,8 @@ from choquard_lab import (ChoquardParams, GridError, ParameterError,
                           RadialField, RadialGrid, differentiate,
                           integrate_radial, laplacian_sector, make_grid,
                           sector_symmetric, sphere_area)
-from choquard_lab.grid import _fd_weights, band_matvec, solver_grid
+from choquard_lab.grid import (_fd_weights, _pointwise_rows, band_matvec,
+                               kinetic_tridiag, solver_grid)
 
 
 def test_uniform_grid_construction():
@@ -260,6 +261,38 @@ def test_differentiate_matches_per_node_oracle(n, order):
                 w = _fornberg_oracle(r[i], r[idx[i]], order)
                 scale = np.sum(np.abs(w) * np.abs(v[idx[i]]))
                 assert abs(got[i] - w @ v[idx[i]]) <= 1e-13 * scale
+
+
+@settings(max_examples=25, deadline=None)
+@given(d=st.integers(1, 5), r_max=st.floats(1.0, 30.0),
+       n=st.integers(16, 300), stretch=st.floats(1.0, 1.02),
+       order=st.sampled_from([1, 2]))
+def test_grid_constants_are_derived_once_per_grid(d, r_max, n, stretch,
+                                                  order):
+    g = make_grid(d, r_max, n, stretch)
+    r = g.nodes
+    v = np.random.default_rng(n).standard_normal(n)
+    idx = _stencil_table(n, 5)
+    w = _fd_weights(r, r[idx], order)
+    uncached = (w[:, None, :] @ v[idx][:, :, None])[:, 0, 0]
+    for _ in range(2):      # the first call derives, the second reuses
+        assert np.array_equal(differentiate(g, v, order), uncached)
+    band = _pointwise_rows(g, 0)
+    band[1] += 1.0
+    assert kinetic_tridiag(g, 0) is kinetic_tridiag(g, 0)
+    assert np.array_equal(kinetic_tridiag(g, 0), band)
+    held = [g._constants["stencil_index"], g._constants[("fd_weights", order)],
+            kinetic_tridiag(g, 0)]
+    assert np.array_equal(held[0], idx) and np.array_equal(held[1], w)
+    for a in held:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 1
+    for other in (g.refined(), RadialGrid.from_dict(g.to_dict())):
+        differentiate(other, np.ones(other.n), order)
+        mine = other._constants[("fd_weights", order)]
+        assert mine is not held[1] and kinetic_tridiag(other, 0) is not held[2]
+        assert np.array_equal(mine, _fd_weights(other.nodes, other.nodes[
+            _stencil_table(other.n, 5)], order))
 
 
 @settings(max_examples=40, deadline=None)
