@@ -19,6 +19,7 @@ nearest-to-zero sector eigenvalues on request.  The CLI verb runs
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -28,8 +29,8 @@ from .grid import (ChoquardParams, GridError, RadialField, RadialGrid,
                    write_atomic)
 from .riesz import RieszError, riesz_apply_matrix
 from .solver import (ConvergenceError, GroundState, SolverOptions,
-                     _newton_refine, solve_choquard, state_from_field,
-                     state_norms)
+                     _newton_refine, equation_residual, solve_choquard,
+                     state_from_field, state_norms)
 from .spectrum import assemble_lplus, eig_smallest
 
 
@@ -90,12 +91,17 @@ def newton_continue(base: GroundState, target: ChoquardParams,
                     opts: SolverOptions | None = None) -> GroundState:
     """Continue the base state to the target parameters.
 
-    The homotopy is linear in (alpha, p) over ``steps`` increments; a
-    failed Newton solve bisects the increment (up to ``_MAX_BISECTIONS``
-    times) before reporting the last good parameter point.  Returns a
-    state whose fixed-point residual meets opts.tol; iteration residual
-    history of the last increment is kept in ``newton_history``.
+    The homotopy is linear in (alpha, p) over ``steps`` increments (an int
+    >= 1, else ValueError); a failed Newton solve bisects the increment
+    (up to ``_MAX_BISECTIONS`` times) before reporting the last good
+    parameter point.  The first increment starts Newton from the base
+    state; every later attempt, also after a bisection, from the secant
+    predictor through the last two accepted points (``_secant_start``).
+    Returns a state whose fixed-point residual meets opts.tol; iteration
+    residual history of the last increment is kept in ``newton_history``.
     """
+    if type(steps) is not int or steps < 1:
+        raise ValueError(f"steps must be an int >= 1, got {steps!r}")
     opts = opts or SolverOptions()
     grid = base.grid
     start = base.params
@@ -107,6 +113,8 @@ def newton_continue(base: GroundState, target: ChoquardParams,
         return base
 
     u = base.field.values.copy()
+    # the accepted point before (s_now, u); none before the first increment
+    s_prev, u_prev = None, None
     s_now = 0.0
     ds = 1.0 / steps
     last_good = start
@@ -119,8 +127,12 @@ def newton_continue(base: GroundState, target: ChoquardParams,
             (1 - s_try) * start.alpha + s_try * target.alpha,
             (1 - s_try) * start.p + s_try * target.p)
         W = riesz_apply_matrix(grid, pars.alpha, 0)
-        u_try, hist = _newton_refine(grid, u, pars.p, W, opts.tol)
+        u0 = u if u_prev is None else _secant_start(
+            grid, u, u + (s_try - s_now) / (s_now - s_prev) * (u - u_prev),
+            pars.p, W)
+        u_try, hist = _newton_refine(grid, u0, pars.p, W, opts.tol)
         if hist[-1] <= opts.tol:
+            s_prev, u_prev = s_now, u
             u = u_try
             s_now = s_try
             ds = min(2 * ds, 1.0 - s_now) if s_now < 1.0 else ds
@@ -135,6 +147,16 @@ def newton_continue(base: GroundState, target: ChoquardParams,
                     f"(residual {hist[-1]:.2e})", last_good=last_good)
     return state_from_field(target, RadialField(grid=grid, values=u),
                             history[-1], len(history), newton_history=history)
+
+
+def _secant_start(grid: RadialGrid, u: np.ndarray, guess: np.ndarray,
+                  p: float, W: np.ndarray) -> np.ndarray:
+    """Newton's start at the next parameters: the secant ``guess`` if its
+    sup-norm residual there is finite and below that of the accepted
+    state ``u``, else ``u``.  Two residual evaluations."""
+    r_guess = float(np.max(np.abs(equation_residual(grid, guess, p, W))))
+    r_u = float(np.max(np.abs(equation_residual(grid, u, p, W))))
+    return guess if math.isfinite(r_guess) and r_guess < r_u else u
 
 
 def lattice(d: int, alphas, ps, with_spectrum: bool = False) -> list:

@@ -35,9 +35,11 @@ from .grid import (ChoquardParams, GridError, ParameterError, RadialField,
 from .riesz import riesz_apply_matrix
 
 # GMRES of a Newton step stops at this residual of the preconditioned
-# system, relative to K^{-1} G, or after one cycle of 60 iterations
-# (8 to 11 are needed near the Newtonian pair)
+# system, relative to K^{-1} G, or after one cycle of _KRYLOV_CYCLE
+# iterations (8 to 11 are needed near the Newtonian pair)
 _KRYLOV_RTOL = 1e-12
+_KRYLOV_CYCLE = 60
+_EPS = float(np.finfo(float).eps)
 # Anderson mixing of the fixed-point phase uses the last 5 differences
 _ANDERSON_DEPTH = 5
 
@@ -241,17 +243,65 @@ def linearized_matrix(grid: RadialGrid, u: np.ndarray, p: float,
 
 
 def _krylov_step(J, G: np.ndarray, kinv):
-    """Newton step s with J s = G by GMRES on (K^{-1} J) s = K^{-1} G, K the
-    kinetic tridiagonal and ``kinv`` its ``tridiag_solver``.
-    K^{-1} J = I - K^{-1} B, with B smoothing, so the iteration count does
-    not grow with n.  A step short of _KRYLOV_RTOL is returned too; the
-    line search judges it."""
-    from scipy.sparse.linalg import LinearOperator, gmres
-    A = LinearOperator(J.shape, matvec=lambda v: kinv(J.matvec(v)),
-                       dtype=float)
-    step, _ = gmres(A, kinv(G), rtol=_KRYLOV_RTOL, atol=0.0,
-                    restart=60, maxiter=1)
-    return step
+    """Newton step s with J s = G by one restart-free GMRES cycle on
+    (K^{-1} J) s = K^{-1} G from s = 0, K the kinetic tridiagonal and
+    ``kinv`` its ``tridiag_solver``.  K^{-1} J = I - K^{-1} B, with B
+    smoothing, so the iteration count does not grow with n.
+
+    The cycle stops as scipy's ``gmres`` does: when the Givens estimate of
+    the residual falls to _KRYLOV_RTOL |K^{-1} G|, at a breakdown (the new
+    basis vector vanishes to roundoff, h_{k+1,k} <= eps |K^{-1} J v_k|),
+    or after _KRYLOV_CYCLE iterations.  Each iteration orthogonalises by
+    classical Gram-Schmidt done twice, two products with the basis block,
+    and rotates its Hessenberg column in Python floats.  A step short of
+    _KRYLOV_RTOL is returned too; the line search judges it.  A zero G
+    gives a zero step; a non-finite G, or an operator that is singular or
+    not finite on the Krylov space, a non-finite one.
+    """
+    b = kinv(G)
+    beta = float(np.linalg.norm(b))
+    if beta == 0.0:
+        return np.zeros_like(b)
+    if not math.isfinite(beta):
+        return np.full_like(b, np.nan)
+    V = np.empty((_KRYLOV_CYCLE + 1, b.size))
+    V[0] = b / beta
+    # columns of the rotated Hessenberg matrix (the triangle R), the
+    # rotations (c, s), and the rotated right-hand side beta e_1
+    cols, rots, g = [], [], [beta]
+    for k in range(_KRYLOV_CYCLE):
+        w = kinv(J.matvec(V[k]))
+        h0 = float(np.linalg.norm(w))
+        basis = V[:k + 1]
+        h = basis @ w
+        w -= h @ basis
+        h2 = basis @ w
+        w -= h2 @ basis
+        col = (h + h2).tolist()
+        h1 = float(np.linalg.norm(w))
+        if h1 <= _EPS * h0:     # breakdown: w is roundoff in span(basis)
+            h1 = 0.0
+        for i, (c, s) in enumerate(rots):
+            col[i], col[i + 1] = (c * col[i] + s * col[i + 1],
+                                  c * col[i + 1] - s * col[i])
+        rho = math.hypot(col[k], h1)
+        if not rho > 0.0:
+            return np.full_like(b, np.nan)
+        c, s = col[k] / rho, h1 / rho
+        col[k] = rho
+        cols.append(col)
+        rots.append((c, s))
+        g.append(-s * g[k])
+        g[k] *= c
+        if abs(g[k + 1]) <= _KRYLOV_RTOL * beta or h1 == 0.0:
+            break
+        V[k + 1] = w / h1
+    m = len(cols)
+    y = [0.0] * m
+    for i in reversed(range(m)):
+        y[i] = (g[i] - sum(cols[j][i] * y[j] for j in range(i + 1, m))
+                ) / cols[i][i]
+    return np.array(y) @ V[:m]
 
 
 def _newton_refine(grid: RadialGrid, u: np.ndarray, p: float,

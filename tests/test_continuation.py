@@ -1,12 +1,15 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from choquard_lab import (ChoquardParams, ContinuationError, ParameterError,
                           RieszError, SolverOptions, SweepRecord, continuation,
                           distances, make_grid, newton_continue,
-                          solve_choquard, solver_grid, sweep, sweep_to_csv)
+                          solve_choquard, solver, solver_grid, sweep,
+                          sweep_to_csv)
 from choquard_lab.continuation import converged_points
 
 
@@ -52,6 +55,81 @@ def test_newton_quadratic_tail(base_500):
     for a, b in zip(small, small[1:]):
         if a > 1e-14:
             assert b / a <= 0.1
+
+
+@pytest.mark.parametrize("steps", [0, -1, True, 2.5])
+def test_continuation_rejects_bad_steps_before_solving(base_500, monkeypatch,
+                                                       steps):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a Newton solve was started")
+
+    monkeypatch.setattr(continuation, "_newton_refine", no_solve)
+    with pytest.raises(ValueError, match="steps"):
+        newton_continue(base_500, ChoquardParams(3, 1.01, 2.01), steps=steps)
+
+
+@pytest.fixture(scope="module")
+def base_300():
+    return solve_choquard(ChoquardParams(3, 1.0, 2.0),
+                          solver_grid(3, 25.0, 300))
+
+
+@pytest.mark.parametrize("target", [(3, 1.0, 2.034), (3, 0.97, 2.034)],
+                         ids=["cold", "sweep-warm"])
+def test_secant_predictor_saves_newton_steps(base_300, monkeypatch, target):
+    # the benchmark's two continuation paths: in p at the Newtonian alpha,
+    # and in (alpha, p); a zero-order start takes 10 Newton steps on both
+    target = ChoquardParams(*target)
+    calls = []
+    real = solver.linearized_matrix
+    monkeypatch.setattr(solver, "linearized_matrix",
+                        lambda *a: calls.append(1) or real(*a))
+
+    def newton_steps():
+        calls.clear()
+        st = newton_continue(base_300, target, steps=4)
+        assert st.residual <= 1e-10
+        return len(calls), st
+
+    secant, st = newton_steps()
+    monkeypatch.setattr(continuation, "_secant_start", lambda g, u, *a: u)
+    zero_order, _ = newton_steps()
+    assert secant < zero_order
+    fresh = solve_choquard(target, base_300.grid)
+    d = distances(base_300.grid, st.field.values, fresh.field.values)
+    assert d["Linf"] <= 1e-6
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.05])
+def test_a_bad_secant_guess_starts_newton_from_the_last_state(
+        base_300, monkeypatch, shift):
+    # shifting the first accepted state throws the secant line off, so its
+    # guess at the next increment has the larger residual and is dropped
+    starts, accepted = [], []
+    real = continuation._newton_refine
+
+    def refine(grid, u, *args, **kwargs):
+        starts.append(u)
+        out, hist = real(grid, u, *args, **kwargs)
+        if not accepted:
+            out = out + shift * np.exp(-grid.nodes)
+        accepted.append(out)
+        return out, hist
+
+    monkeypatch.setattr(continuation, "_newton_refine", refine)
+    st = newton_continue(base_300, ChoquardParams(3, 0.97, 2.034), steps=4)
+    assert st.residual <= 1e-10
+    assert np.array_equal(starts[0], base_300.field.values)
+    assert len(starts) == 3   # no increment was bisected
+    if shift:
+        assert starts[1] is accepted[0]
+    else:
+        assert not np.array_equal(starts[1], accepted[0])
+        assert_allclose(starts[1],
+                        3 * accepted[0] - 2 * base_300.field.values,
+                        rtol=0, atol=1e-14)
+        assert_allclose(starts[2], 1.5 * accepted[1] - 0.5 * accepted[0],
+                        rtol=0, atol=1e-14)
 
 
 def test_continuation_across_dimension_raises(base_500):

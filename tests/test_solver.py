@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -253,6 +254,99 @@ def test_krylov_step_matches_dense_solve(d, n, dalpha, dp):
                         tridiag_solver(ab))
     want = np.linalg.solve(dense_jacobian(grid, u, params.p, W, ab), G)
     assert np.max(np.abs(step - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def counted_matvecs(J):
+    """J with its matvec wrapped; returns the list the calls append to."""
+    calls = []
+    real = J.matvec
+    J.matvec = lambda v: calls.append(1) or real(v)
+    return calls
+
+
+def test_krylov_step_of_a_zero_residual_is_zero():
+    grid = solver_grid(3, 25.0, 200)
+    ab = kinetic_tridiag(grid, 0)
+    u = _initial_gaussian(grid, 2.0, None)
+    J = linearized_matrix(grid, u, 2.0, None, ab)
+    calls = counted_matvecs(J)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        step = _krylov_step(J, np.zeros(grid.n), tridiag_solver(ab))
+    assert np.array_equal(step, np.zeros(grid.n))
+    assert calls == []
+
+
+def test_krylov_step_at_a_breakdown_is_the_preconditioned_residual():
+    # the local model at u = 0 has B = 0, so K^{-1} J = I: the first
+    # Arnoldi vector spans the solution, and the cycle ends after one
+    # product without dividing by the vanishing h_{1,0}
+    grid = solver_grid(3, 25.0, 200)
+    ab = kinetic_tridiag(grid, 0)
+    kinv = tridiag_solver(ab)
+    J = linearized_matrix(grid, np.zeros(grid.n), 2.0, None, ab)
+    calls = counted_matvecs(J)
+    G = np.exp(-grid.nodes ** 2)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        step = _krylov_step(J, G, kinv)
+    assert len(calls) == 1
+    assert_allclose(step, kinv(G), rtol=1e-14, atol=0.0)
+    # the same in exact arithmetic: h_{1,0} is 0.0 for 2 I on a unit vector
+    J.matvec = lambda v: calls.append(1) or 2.0 * v
+    G = np.zeros(grid.n)
+    G[4] = 3.0
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        step = _krylov_step(J, G, lambda v: v.copy())
+    assert len(calls) == 2
+    assert np.array_equal(step, G / 2.0)
+
+
+def test_krylov_step_of_a_singular_operator_is_not_finite():
+    grid = solver_grid(3, 25.0, 200)
+    ab = kinetic_tridiag(grid, 0)
+    J = linearized_matrix(grid, np.zeros(grid.n), 2.0, None, ab)
+    J.matvec = lambda v: np.zeros_like(v)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        step = _krylov_step(J, np.exp(-grid.nodes ** 2), tridiag_solver(ab))
+    assert not np.any(np.isfinite(step))
+
+
+def test_krylov_step_of_a_nan_residual_is_not_finite():
+    grid = solver_grid(3, 25.0, 200)
+    ab = kinetic_tridiag(grid, 0)
+    W = riesz_apply_matrix(grid, 1.0, 0)
+    u = _initial_gaussian(grid, 2.0, W)
+    J = linearized_matrix(grid, u, 2.0, W, ab)
+    calls = counted_matvecs(J)
+    G = equation_residual(grid, u, 2.0, W, ab)
+    G[7] = np.nan
+    step = _krylov_step(J, G, tridiag_solver(ab))
+    assert not np.all(np.isfinite(step))
+    assert calls == []   # no Arnoldi cycle on NaNs
+
+
+def test_krylov_step_iterations_on_the_continuation_path():
+    # the first Newton step of continuing the Newtonian state to
+    # (3, 0.97, 2.034): K^{-1} J is a compact perturbation of I, so the
+    # cycle needs a handful of products, not a number growing with n
+    grid = solver_grid(3, 25.0, 700)
+    ab = kinetic_tridiag(grid, 0)
+    kinv = tridiag_solver(ab)
+    u = solve_choquard(ChoquardParams(3, 1.0, 2.0), grid).field.values
+    p = 2.034
+    W = riesz_apply_matrix(grid, 0.97, 0)
+    J = linearized_matrix(grid, u, p, W, ab)
+    G = equation_residual(grid, u, p, W, ab)
+    calls = counted_matvecs(J)
+    step = _krylov_step(J, G, kinv)
+    assert 1 <= len(calls) <= 12
+    # the Givens estimate met the stopping rule on the true residual too
+    rel = (np.linalg.norm(kinv(J.matvec(step) - G))
+           / np.linalg.norm(kinv(G)))
+    assert rel <= 1e-11
 
 
 def test_newton_step_allocates_no_dense_matrix():
