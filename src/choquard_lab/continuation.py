@@ -127,10 +127,10 @@ def newton_continue(base: GroundState, target: ChoquardParams,
             (1 - s_try) * start.alpha + s_try * target.alpha,
             (1 - s_try) * start.p + s_try * target.p)
         W = riesz_apply_matrix(grid, pars.alpha, 0)
-        u0 = u if u_prev is None else _secant_start(
+        u0, G0 = (u, None) if u_prev is None else _secant_start(
             grid, u, u + (s_try - s_now) / (s_now - s_prev) * (u - u_prev),
             pars.p, W)
-        u_try, hist = _newton_refine(grid, u0, pars.p, W, opts.tol)
+        u_try, hist = _newton_refine(grid, u0, pars.p, W, opts.tol, G=G0)
         if hist[-1] <= opts.tol:
             s_prev, u_prev = s_now, u
             u = u_try
@@ -150,13 +150,17 @@ def newton_continue(base: GroundState, target: ChoquardParams,
 
 
 def _secant_start(grid: RadialGrid, u: np.ndarray, guess: np.ndarray,
-                  p: float, W: np.ndarray) -> np.ndarray:
-    """Newton's start at the next parameters: the secant ``guess`` if its
-    sup-norm residual there is finite and below that of the accepted
-    state ``u``, else ``u``.  Two residual evaluations."""
-    r_guess = float(np.max(np.abs(equation_residual(grid, guess, p, W))))
-    r_u = float(np.max(np.abs(equation_residual(grid, u, p, W))))
-    return guess if math.isfinite(r_guess) and r_guess < r_u else u
+                  p: float, W: np.ndarray):
+    """(start, residual): Newton's start at the next parameters, the
+    secant ``guess`` if its sup-norm residual there is finite and below
+    that of the accepted state ``u``, else ``u``, with its residual vector,
+    which Newton then need not evaluate again.  Two residual evaluations."""
+    G_guess = equation_residual(grid, guess, p, W)
+    G_u = equation_residual(grid, u, p, W)
+    r_guess = float(np.max(np.abs(G_guess)))
+    if math.isfinite(r_guess) and r_guess < float(np.max(np.abs(G_u))):
+        return guess, G_guess
+    return u, G_u
 
 
 def lattice(d: int, alphas, ps, with_spectrum: bool = False) -> list:

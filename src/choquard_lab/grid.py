@@ -203,6 +203,10 @@ def make_grid(d: int, r_max: float, n: int, stretch: float = 1.0) -> RadialGrid:
         raise GridError(f"nodes are not positive and strictly increasing: "
                         f"{per_cell}")
     h = np.diff(nodes, prepend=0.0)
+    # the denominators h_l h_r (h_l + h_r) of the Laplacian stencils
+    if not np.min(h[:-1] * h[1:] * (h[:-1] + h[1:])) >= np.finfo(float).tiny:
+        raise GridError(f"the first spacing {h[0]:.3g} is too small: the "
+                        f"Laplacian stencils underflow; {per_cell}")
 
     # Trapezoid weights on the extended node set {0} u nodes u {fence},
     # fence spacing equal to the first spacing so the weights sum to r_max.

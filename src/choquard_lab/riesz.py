@@ -14,10 +14,10 @@ u = |x - y| turns the angular integral into
 
 with A = r+s, B = |r-s|, t(u) = (r^2+s^2-u^2)/(2rs).  For every d >= 2
 the kernel is a Gauss hypergeometric function of z = 4rs/(r+s)^2, summed
-by its series: the one kernel-value layer, behind the "angular" route
-and the band round the diagonal of the sector kernels.  Far from the
-diagonal, r <= 0.8 s (_RHO_FAR), the sector kernels sum the Gegenbauer
-expansion instead (DLMF 18.12.4 as 15.2.1),
+by its series: the one kernel-value layer, behind the band round the
+diagonal of the "angular" route and of the sector kernels.  Far from the
+diagonal, r <= 0.8 s (_RHO_FAR) or, by the symmetry of K, s <= 0.8 r,
+both sum the Gegenbauer expansion instead (DLMF 18.12.4 as 15.2.1),
 
     K_l(r,s) = |S^{d-1}| c_l r^l s^{-alpha-l}
                2F1(alpha/2+l, alpha/2-d/2+1; d/2+l; (r/s)^2),
@@ -32,10 +32,16 @@ max(r,s)^{2-d}.
 
 Application operators integrate, cell by cell, the kernel against the
 quadratic interpolant of f alone.  The exact route takes every power
-weight by closed-form moments of monomials in s; the angular route takes
-the |s-r|^{d-1-alpha} factor on the cells beside the diagonal by
-Gauss-Jacobi.  So the kink or integrable singularity on the diagonal
-costs no accuracy.  The Newtonian route is two rank-one triangles,
+weight by closed-form moments of monomials in s.  The angular route
+takes an entry whose cells all lie outside the band 0.8 r < s < r/0.8
+from the far series, term by term: c_k r^{2k+l} times the cell moments
+of s^{d-1-alpha-l-2k} l(s) beyond the band, and c_k r^{-alpha-l-2k} times
+those of s^{d-1+l+2k} l(s) before it, l the Lagrange polynomial, exact
+and written in a cell end's own variable.  The band entries (about 10%)
+take the 2F1 kernel by Gauss on each cell, and the |s-r|^{d-1-alpha}
+factor on the cells beside the diagonal by Gauss-Jacobi.  So the kink or
+integrable singularity on the diagonal costs no accuracy.  The Newtonian
+route is two rank-one triangles,
 |S^{d-1}| r_i^{2-d} A_j inside r_i and B_j outside it, with the cell
 weights from a Gauss-Legendre rule in each cell's own coordinate, exact
 on these polynomials; only the entries whose cells straddle r_i are
@@ -44,6 +50,7 @@ summed cell by cell.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from collections import OrderedDict
@@ -62,6 +69,9 @@ class RieszError(ValueError):
 # Rows assembled together: every (rows, n) temporary of a block stays
 # small (0.5 MB at n = 1200), and no n x n temporary is held beside W.
 _BLOCK_ROWS = 48
+# Band cells integrated together: every (cells, 8) temporary stays at
+# 2 MB, and on grids up to n = 500 the band takes one _kernel call.
+_BAND_PIECES = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -126,20 +136,14 @@ class _CellRule:
             dm = (self.xs[m] - a1) * (self.xs[m] - a2)
             self.lagrange.append((a1 * a2 / dm, -(a1 + a2) / dm, 1.0 / dm))
 
-    def lagrange_at(self, j, s) -> list:
-        """l_m(s) of the stencil of cell j, m = 0..2 (j, s broadcast)."""
-        xs = [x[j] for x in self.xs]
-        return [(s - xs[m - 1]) * (s - xs[m - 2])
-                / ((xs[m] - xs[m - 1]) * (xs[m] - xs[m - 2]))
-                for m in range(3)]
-
-    def lagrange_local(self, t: np.ndarray) -> list:
-        """l_m on every cell at s = a + (b - a)(1 + t)/2, m = 0..2, shape
-        (n, t.size).  Each s - x_k is taken as (a - x_k) + (s - a), both
-        of the cell's size, so no digit goes to |s| on thin far cells."""
-        xs = self.xs
-        off = 0.5 * (self.b - self.a)[:, None] * (1.0 + t)
-        ds = [(self.a - x)[:, None] + off for x in xs]
+    def lagrange_local(self, c: np.ndarray, p: np.ndarray,
+                       off: np.ndarray) -> list:
+        """l_m of the stencils of cells c at s = p + off, m = 0..2, shape
+        off.shape, p a point of each cell.  Each s - x_k is taken as
+        (p - x_k) + off, both of the cell's size, so no digit goes to |s|
+        on thin far cells."""
+        xs = self.xs[:, c]
+        ds = [(p - x)[:, None] + off for x in xs]
         return [ds[m - 1] * ds[m - 2]
                 / ((xs[m] - xs[m - 1]) * (xs[m] - xs[m - 2]))[:, None]
                 for m in range(3)]
@@ -306,6 +310,160 @@ def _kernel_values(d, ell, alpha, r, s) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# the separable far field
+#
+# Where r <= _RHO_FAR s, the kernel sums the far-field series of the module
+# docstring term by term, c_k r^{2k+l} s^{-alpha-l-2k}; where s <= _RHO_FAR
+# r, by the symmetry of K, c_k s^{2k+l} r^{-alpha-l-2k}.  The series has no
+# log case, so it needs no interpolant in alpha.  The band round the
+# diagonal takes the 2F1 layer.
+
+_RHO_FAR = 0.8
+
+
+def _far_coefficients(d, ell, alpha) -> np.ndarray:
+    """c_k of F(alpha/2+l, alpha/2-d/2+1; d/2+l; x), cut after the last k
+    with |c_k| _RHO_FAR^{2k} >= 1e-17: 47-76 terms for d = 2..6, one at
+    alpha = d-2, where the series ends."""
+    coef = _gauss_coefficients(alpha / 2.0 + ell, alpha / 2.0 - d / 2.0 + 1.0,
+                               d / 2.0 + ell)
+    kept = np.abs(coef) * _RHO_FAR ** (2.0 * np.arange(_TERMS)) >= 1e-17
+    return coef[:np.flatnonzero(kept)[-1] + 1]
+
+
+def _powers(base: np.ndarray, terms: int) -> np.ndarray:
+    """P[i, k] = base_i^(2k), k < terms, by cumprod along rows; entries
+    below 1e-300 are set to zero, as subnormal GEMM operands are slow."""
+    out = np.empty((base.size, terms))
+    out[:, 0] = 1.0
+    out[:, 1:] = (base * base)[:, None]
+    np.cumprod(out, axis=1, out=out)
+    out[out < 1e-300] = 0.0
+    return out
+
+
+def _octaves(r: np.ndarray) -> list:
+    """(g0, g1, e) for each run of nodes r[g0:g1] in one binary octave,
+    r_i = m_i 2^e with m_i in [1/2, 1).  The far field is one product per
+    octave, so its shapes, and its bits, depend on no row block."""
+    expo = np.frexp(r)[1]
+    starts = np.flatnonzero(np.diff(expo, prepend=expo[0] - 1)).tolist()
+    return [(g0, g1, int(expo[g0]))
+            for g0, g1 in zip(starts, starts[1:] + [r.size])]
+
+
+def _far_rows(d, ell, alpha, r, inner=False) -> np.ndarray:
+    """Row factors R[i, k] of the far series at r_i = m_i 2^e (_octaves):
+    |S^{d-1}| c_l c_k times m_i^{2k} r_i^l for the columns beyond the
+    band, or, with ``inner``, m_i^{-2k} r_i^{-alpha-l} for those before it.
+    The column factors carry the rest, (2^e/s)^{2k} or (s/2^e)^{2k}."""
+    coef = _far_coefficients(d, ell, alpha)
+    mant = np.frexp(r)[0]
+    R = _powers(1.0 / mant if inner else mant, coef.size)
+    R *= sphere_area(d) * (alpha / d if ell else 1.0) * coef
+    R *= (r ** (-alpha - ell) if inner else r ** ell)[:, None]
+    return R
+
+
+def _power_moments(E: np.ndarray, tau: np.ndarray) -> list:
+    """[G_0, G_1, G_2], G_q = int_0^1 (1 + tau v)^E v^q dv, at broadcast E
+    and tau >= -1 (E > -1 where tau = -1).
+
+    G_0 = L exprel((E+1) L)/tau, L = log1p(tau), has no case at E = -1
+    and cancels nothing.  By parts, G_q = ((1+tau)^{E+1} - q G_{q-1}) /
+    (tau (E+1+q)), which loses digits as |tau (E+1+q)| falls.  Below 1/2
+    the integrand is nearly a polynomial in v, and a 12-point Gauss rule
+    takes it instead, to rounding while |tau| <= 1.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        L = np.log1p(tau)
+        x = (E + 1.0) * L
+        exprel = np.where(x == 0.0, 1.0, np.expm1(x) / x)
+        G = [np.where(tau > -1.0, L * exprel / tau, 1.0 / (E + 1.0))]
+        P = np.exp(x)
+        for q in (1, 2):
+            G.append((P - q * G[-1]) / (tau * (E + 1.0 + q)))
+    near = np.minimum(abs(tau * (E + 2.0)), abs(tau * (E + 3.0))) < 0.5
+    if near.any():
+        E, tau = np.broadcast_arrays(E, tau)
+        t, w = _gauss_jacobi(12, 0.0)
+        v = 0.5 * (1.0 + t)
+        f = np.exp(E[near][:, None] * np.log1p(tau[near][:, None] * v))
+        f *= 0.5 * w
+        for q in range(3):
+            G[q][near] = f @ v ** q
+    return G
+
+
+def _far_moments(rule: _CellRule, expo: np.ndarray, e0: float, sign: int,
+                 terms: int) -> np.ndarray:
+    """Column factors of the far series before the octave scaling,
+    M[k, j] = 2^{-2k sign f_j} int s^{e0 + 2k sign} l_j(s) ds over the
+    cells of column j, f_j = expo[j]: sign = -1 for the columns beyond the
+    band, +1 for those before it.
+
+    Each cell integral is written in the variable u = s - z of one end z
+    of the cell: with eta = +-h the step to the other end, int s^E u^q ds
+    = z^E h eta^q G_q(E, eta/z) (_power_moments), and l_j = (beta_1 + u)
+    (beta_2 + u)/D with beta = z - x over the two other stencil nodes x.
+    z is the end nearer the origin for sign = -1, so (s/z)^E <= 1 at every
+    E < 0, and the far end for sign = +1; cell 0, from the origin, is
+    never beyond a band.  The powers of two 2^{2k (f_z - f_j)} are exact.
+    """
+    n = rule.b.size
+    cells = slice(1, None) if sign < 0 else slice(None)
+    h = (rule.b - rule.a)[cells]
+    z = (rule.a if sign < 0 else rule.b)[cells]
+    eta = -sign * h
+    k = np.arange(terms)[:, None]
+    G = _power_moments(e0 + 2.0 * sign * k, eta / z)
+    mant, fz = np.frexp(z)
+    scale = _powers(mant ** sign, terms).T * (z ** e0 * h)
+    xs = rule.xs[:, cells]
+    M = np.zeros((terms, n))
+    for m in range(3):
+        b1, b2 = (z - xs[m - 1]), (z - xs[m - 2])
+        cell = np.zeros((terms, n))
+        cell[:, cells] = np.ldexp(
+            (b1 * b2 * G[0] + (b1 + b2) * eta * G[1] + eta * eta * G[2])
+            * scale / ((xs[m] - xs[m - 1]) * (xs[m] - xs[m - 2])),
+            2 * sign * k * (fz - expo[rule.j0[cells] + m]))
+        rule.add_cells(M, cell, m)
+    return M
+
+
+def _far_field(grid: RadialGrid, rule: _CellRule, alpha: float, ell: int,
+               W: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
+    """Write the far entries of the application operator into W: in row
+    i, the columns j <= lo[i] and j >= hi[i] (_far_columns).
+
+    Beyond the band the entries are sum_k R[i, k] (2^e)^{2k} times the
+    moments of s^{d-1-alpha-l-2k} l_j, before it sum_k R[i, k] (2^e)^{-2k}
+    times those of s^{d-1+l+2k} l_j (_far_rows, _far_moments).  Per octave
+    and side this is one numpy product, on numpy's BLAS, where the solver's
+    products run.  It spans the columns that are far for any row of the
+    octave; a mask keeps each row's own.
+    """
+    d, r = grid.d, grid.nodes
+    expo = np.frexp(r)[1]
+    cols = np.arange(grid.n)
+    for sign, e0 in ((-1, d - 1.0 - alpha - ell), (1, d - 1.0 + ell)):
+        R = _far_rows(d, ell, alpha, r, inner=sign > 0)
+        M = _far_moments(rule, expo, e0, sign, R.shape[1])
+        k2 = 2 * sign * np.arange(R.shape[1])[:, None]
+        k2f = k2 * expo
+        for g0, g1, e in _octaves(r):
+            j = slice(hi[g0], None) if sign < 0 else slice(0, lo[g1 - 1] + 1)
+            C = np.ldexp(M[:, j], k2f[:, j] - k2 * e)
+            if C.size == 0:
+                continue
+            C[np.abs(C) < 1e-300] = 0.0
+            keep = (cols[j] >= hi[g0:g1, None] if sign < 0
+                    else cols[j] <= lo[g0:g1, None])
+            np.copyto(W[g0:g1, j], R[g0:g1] @ C, where=keep)
+
+
+# ---------------------------------------------------------------------------
 # application operators (product integration of f's interpolant)
 
 
@@ -366,7 +524,7 @@ def _newton_matrix(grid: RadialGrid, rule: _CellRule) -> np.ndarray:
     half = 0.5 * (rule.b - rule.a)[:, None]
     hw = half * w
     s = rule.a[:, None] + half * (1.0 + t)
-    lm = rule.lagrange_local(t)
+    lm = rule.lagrange_local(np.arange(n), rule.a, half * (1.0 + t))
     p_in = np.stack([np.sum(hw * s ** (d - 1) * l, axis=1) for l in lm])
     p_out = np.stack([area * np.sum(hw * s * l, axis=1) for l in lm])
     A = np.zeros((1, n))
@@ -400,11 +558,13 @@ def _newton_matrix(grid: RadialGrid, rule: _CellRule) -> np.ndarray:
     return W
 
 
+@functools.lru_cache(maxsize=64)
 def _gauss_jacobi(n: int, beta: float):
     """Nodes and weights of the n-point Gauss rule for the weight
     (1 - x)^beta on [-1, 1] (beta = 0: Gauss-Legendre), by Golub-Welsch:
     the eigenvalues of the Jacobi matrix of the Jacobi polynomials
-    P^(beta, 0), and the squared first components of its eigenvectors."""
+    P^(beta, 0), and the squared first components of its eigenvectors.
+    Cached, so both arrays are read-only."""
     k = np.arange(1, n, dtype=float)
     s = 2.0 * k + beta
     diag = np.concatenate([[-beta / (beta + 2.0)],
@@ -412,57 +572,119 @@ def _gauss_jacobi(n: int, beta: float):
     off = np.sqrt(4.0 * k * k * (k + beta) ** 2
                   / (s * s * (s + 1.0) * (s - 1.0)))
     x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    return x, 2.0 ** (beta + 1.0) / (beta + 1.0) * v[0] ** 2
+    w = 2.0 ** (beta + 1.0) / (beta + 1.0) * v[0] ** 2
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
-def _angular_rows(grid: RadialGrid, rule: _CellRule, alpha: float, ell: int,
-                  lo: int, hi: int) -> np.ndarray:
-    """Rows lo..hi-1 of the application operator of the 2F1 kernel.
+def _far_columns(rule: _CellRule, r: np.ndarray):
+    """(lo, hi, c0, c1): the columns of row i whose cells all lie before
+    the band, b <= _RHO_FAR r_i, are j <= lo[i], and those whose cells all
+    lie beyond it, _RHO_FAR a >= r_i, are j >= hi[i]; the cells of the
+    columns between are c0[i]..c1[i]."""
+    cols = np.arange(r.size)
+    # column j takes the cells whose stencil holds node j
+    first = np.searchsorted(rule.j0 + 2, cols)
+    last = np.searchsorted(rule.j0, cols, side="right") - 1
+    before = np.searchsorted(rule.b, _RHO_FAR * r, side="right") - 1
+    beyond = np.searchsorted(_RHO_FAR * rule.a, r)
+    lo = np.searchsorted(last, before, side="right") - 1
+    hi = np.searchsorted(first, beyond)
+    return lo, hi, first[lo + 1], last[hi - 1]
 
-    Cell integrals of K(r_i, s) s^{d-1} l_m(s) by per-cell Gauss.  On the
-    two cells beside the diagonal, K = R + |s-r_i|^beta S, beta = d-1-alpha,
-    with R and S analytic: R goes to Gauss-Legendre and |s-r_i|^beta S to
-    Gauss-Jacobi, once the part of the cell with y^2 <= 3/4 (on solver
-    grids only in the first two cells) is split off to plain Gauss.
+
+def _band(grid: RadialGrid, rule: _CellRule, alpha: float, ell: int,
+          lo: np.ndarray, hi: np.ndarray, c0: np.ndarray, c1: np.ndarray):
+    """(index, values): the cell integrals of the band entries, row i's
+    columns lo[i] < j < hi[i] from its cells c0[i]..c1[i], at the flat
+    indices i n + j of W (_far_columns).
+
+    Each cell integral of K(r_i, s) s^{d-1} l_m(s) goes to 8-point Gauss,
+    in one _kernel call for every row.  On the two cells beside the
+    diagonal, K = R + |s-r_i|^beta S, beta = d-1-alpha, with R and S
+    analytic: R goes to Gauss-Legendre and |s-r_i|^beta S to Gauss-Jacobi,
+    in one more call, once the part of the cell with y^2 <= 3/4 (on
+    solver grids only in the first two cells) is split off to plain
+    Gauss.  l_m is taken in the piece's own coordinate
+    (_CellRule.lagrange_local).  Near a log point the values are the
+    interpolant in alpha (_log_nodes); the index does not depend on alpha.
     """
-    nodes = _log_nodes(grid.d, alpha)
-    if nodes is not None:
-        return sum(wk * _angular_rows(grid, rule, ak, ell, lo, hi)
-                   for ak, wk in nodes)
-    d, n, beta = grid.d, grid.n, grid.d - 1 - alpha
-    t, w = _gauss_jacobi(8, 0.0)
-    half = 0.5 * (rule.b - rule.a)[:, None]
-    sq = 0.5 * (rule.a + rule.b)[:, None] + half * t
-    i = np.arange(lo, hi)
-    r = grid.nodes[i]
-    K = _kernel(d, ell, alpha, r[:, None, None], sq)
-    K[i - lo, i] = 0.0                       # the cells beside the diagonal
-    K[i - lo, np.minimum(i + 1, n - 1)] = 0.0    # are integrated below
-    W = np.zeros((hi - lo, n))
-    for m, lm in enumerate(rule.lagrange_at(np.arange(n)[:, None], sq)):
-        rule.add_cells(W, np.sum(K * (half * w * sq ** (d - 1) * lm), axis=2),
-                       m)
-    cut = np.maximum(rule.a[i], _RHO_SPLIT * r)
-    end = np.where(i < n - 1, rule.b[np.minimum(i + 1, n - 1)], r)
+    d, n, r = grid.d, grid.n, grid.nodes
+    rows = np.arange(n)
+    counts = c1 - c0 + 1
+    i = np.repeat(rows, counts)
+    c = np.arange(i.size) - np.repeat(np.cumsum(counts) - counts - c0,
+                                      counts)
+    off_diagonal = (c != i) & (c != i + 1)
+    i, c = i[off_diagonal], c[off_diagonal]
+    right = np.minimum(rows + 1, n - 1)
+    end = np.where(rows < n - 1, rule.b[right], r)
+    cut = np.maximum(rule.a, _RHO_SPLIT * r)
     cut_right = np.minimum(end, r / _RHO_SPLIT)
-    x, wj = _gauss_jacobi(8, beta)          # weight (1 - x)^beta
-    for j, p, q, side in ((i, rule.a[i], cut, 0), (i, cut, r, -1),
-                          (i + 1, r, cut_right, 1), (i + 1, cut_right, end, 0)):
-        keep = q > p                         # skip pieces of zero width
-        j, ri, hw = j[keep], r[keep, None], 0.5 * (q - p)[keep, None]
-        s = 0.5 * (p + q)[keep, None] + hw * t
-        if side == 0:
-            vals = hw * w * _kernel(d, ell, alpha, ri, s)
-        else:                                # r_i = q (side -1) or p (+1)
-            sj = ri + side * hw * (1.0 - x)
-            vals = np.concatenate(
-                [hw * w * _kernel(d, ell, alpha, ri, s, split=True)[0],
-                 hw ** (beta + 1.0) * wj
-                 * _kernel(d, ell, alpha, ri, sj, split=True)[1]], axis=1)
-            s = np.concatenate([s, sj], axis=1)
-        vals *= s ** (d - 1)
-        for m, lm in enumerate(rule.lagrange_at(j[:, None], s)):
-            W[(i - lo)[keep], rule.j0[j] + m] += np.sum(vals * lm, axis=1)
+    # pieces (row, cell, p, q, side): plain Gauss (side 0), or split at
+    # r_i = q (side -1) or r_i = p (side 1); pieces of zero width go
+    pieces = [(i, c, rule.a[c], rule.b[c], 0), (rows, rows, rule.a, cut, 0),
+              (rows, right, cut_right, end, 0), (rows, rows, cut, r, -1),
+              (rows, right, r, cut_right, 1)]
+    groups = []
+    for sides in ((0,), (-1, 1)):
+        kept = [[x[q > p] for x in (i, c, p, q)] + [np.full((q > p).sum(), s)]
+                for i, c, p, q, s in pieces if s in sides]
+        groups.append([np.concatenate(x) for x in zip(*kept)])
+    index, keep = [], []
+    for i, c, *_ in groups:
+        for m in range(3):
+            j = rule.j0[c] + m
+            keep.append((j > lo[i]) & (j < hi[i]))
+            index.append((i * n + j)[keep[-1]])
+    t, w = _gauss_jacobi(8, 0.0)
+
+    def contract(vals, c, p, off):
+        return [np.sum(vals * lm, axis=1)
+                for lm in rule.lagrange_local(c, p, off)]
+
+    def plain(alpha, pieces):
+        i, c, p, q = (x[pieces] for x in groups[0][:4])
+        hw = 0.5 * (q - p)[:, None]
+        s = 0.5 * (p + q)[:, None] + hw * t
+        vals = hw * w * _kernel(d, ell, alpha, r[i, None], s) * s ** (d - 1)
+        return contract(vals, c, p, hw * (1.0 + t))
+
+    def values(alpha):
+        chunks = range(0, max(groups[0][0].size, 1), _BAND_PIECES)
+        out = [np.concatenate(m) for m in zip(
+            *(plain(alpha, slice(k, k + _BAND_PIECES)) for k in chunks))]
+        i, c, p, q, side = groups[1]
+        beta = d - 1 - alpha
+        x, wj = _gauss_jacobi(8, beta)          # weight (1 - x)^beta
+        hw = 0.5 * (q - p)[:, None]
+        ri, side = r[i, None], side[:, None]
+        s = np.concatenate([0.5 * (p + q)[:, None] + hw * t,
+                            ri + side * hw * (1.0 - x)], axis=1)
+        R, S = _kernel(d, ell, alpha, ri, s, split=True)
+        vals = np.concatenate([hw * w * R[:, :8],
+                               hw ** (beta + 1.0) * wj * S[:, 8:]], axis=1)
+        off = np.concatenate([hw * (1.0 + t), hw * (1.0 - side * x)], axis=1)
+        return out + contract(vals * s ** (d - 1), c, p, off)
+
+    nodes = _log_nodes(d, alpha) or [(alpha, 1.0)]
+    parts = [values(ak) for ak, _ in nodes]
+    vals = [sum(wk * v[m] for (_, wk), v in zip(nodes, parts))
+            for m in range(len(keep))]
+    return (np.concatenate(index),
+            np.concatenate([v[k] for v, k in zip(vals, keep)]))
+
+
+def _angular_matrix(grid: RadialGrid, rule: _CellRule, alpha: float,
+                    ell: int) -> np.ndarray:
+    """The application operator of the 2F1 kernel: the separable far field
+    (_far_field), then the cell integrals of the band (_band)."""
+    lo, hi, c0, c1 = _far_columns(rule, grid.nodes)
+    W = np.zeros((grid.n, grid.n))
+    _far_field(grid, rule, alpha, ell, W, lo, hi)
+    index, values = _band(grid, rule, alpha, ell, lo, hi, c0, c1)
+    np.add.at(W.reshape(-1), index, values)
     return W
 
 
@@ -472,7 +694,7 @@ _APPLY_CACHE: OrderedDict = OrderedDict()
 _APPLY_CACHE_BYTES = 512 << 20
 # Leads every disk-cache file name; raise it whenever an assembly change
 # alters W, so files written by older code are never read.
-_CACHE_VERSION = 6
+_CACHE_VERSION = 7
 
 
 def _cache_dir() -> Path | None:
@@ -498,7 +720,10 @@ def riesz_apply_matrix(grid: RadialGrid, alpha: float, ell: int = 0,
     ``method``: "newton" (alpha = d-2, l = 0: the shell formula, built
     from its two rank-one triangles), "exact"
     (elementary reduced kernel, d = 1 and d = 3 with l = 0), "angular"
-    (the spherical mean in closed form, a Gauss 2F1, d >= 2), or "auto"
+    (the spherical mean in closed form, d >= 2: the separable Gegenbauer
+    far field wherever a column's cells lie wholly outside the band
+    0.8 r < s < r/0.8, and the Gauss 2F1 kernel by per-cell Gauss rules
+    within it), or "auto"
     (newton where it applies, else exact where it exists, else angular).
     Matrices are cached in memory and, when CHOQUARD_LAB_CACHE is set, on
     disk.
@@ -550,16 +775,15 @@ def riesz_apply_matrix(grid: RadialGrid, alpha: float, ell: int = 0,
     n = grid.n
     if method == "newton":
         W = _newton_matrix(grid, rule)
+    elif method == "angular":
+        W = _angular_matrix(grid, rule, alpha, ell)
     else:
         W = np.empty((n, n))
         for lo in range(0, n, _BLOCK_ROWS):
             hi = min(lo + _BLOCK_ROWS, n)
-            if method == "exact":
-                r = grid.nodes[lo:hi]
-                W[lo:hi] = _rows_from_groups(rule,
-                                             _term_table(d, ell, alpha, r), r)
-            else:
-                W[lo:hi] = _angular_rows(grid, rule, alpha, ell, lo, hi)
+            r = grid.nodes[lo:hi]
+            W[lo:hi] = _rows_from_groups(rule, _term_table(d, ell, alpha, r),
+                                         r)
     _remember(key, W)
     if fname is not None:
         cdir.mkdir(parents=True, exist_ok=True)
@@ -590,34 +814,6 @@ def riesz_at_zero(grid: RadialGrid, f: RadialField, alpha: float) -> float:
 # sector kernel matrices
 
 
-# Sector-kernel entries with r <= _RHO_FAR s sum the far-field series of
-# the module docstring, term by term c_k r^{2k} s^{-2k}.  It has no log
-# case, so it needs no interpolant in alpha.  The band round the diagonal
-# takes _kernel_values.
-_RHO_FAR = 0.8
-
-
-def _far_coefficients(d, ell, alpha) -> np.ndarray:
-    """c_k of F(alpha/2+l, alpha/2-d/2+1; d/2+l; x), cut after the last k
-    with |c_k| _RHO_FAR^{2k} >= 1e-17: 47-76 terms for d = 2..6, one at
-    alpha = d-2, where the series ends."""
-    coef = _gauss_coefficients(alpha / 2.0 + ell, alpha / 2.0 - d / 2.0 + 1.0,
-                               d / 2.0 + ell)
-    kept = np.abs(coef) * _RHO_FAR ** (2.0 * np.arange(_TERMS)) >= 1e-17
-    return coef[:np.flatnonzero(kept)[-1] + 1]
-
-
-def _powers(base: np.ndarray, terms: int) -> np.ndarray:
-    """P[i, k] = base_i^(2k), k < terms, by cumprod along rows; entries
-    below 1e-300 are set to zero, as subnormal GEMM operands are slow."""
-    out = np.empty((base.size, terms))
-    out[:, 0] = 1.0
-    out[:, 1:] = (base * base)[:, None]
-    np.cumprod(out, axis=1, out=out)
-    out[out < 1e-300] = 0.0
-    return out
-
-
 def sector_kernel(grid: RadialGrid, alpha: float, ell: int) -> np.ndarray:
     """Reduced-kernel samples K_l(r_i, r_j), for every d >= 2; finite
     entries require alpha < d - 1.
@@ -626,11 +822,10 @@ def sector_kernel(grid: RadialGrid, alpha: float, ell: int) -> np.ndarray:
     mirrored, so K is bitwise symmetric.  A far entry, r_i <= _RHO_FAR r_j,
     sums the separable far-field series.  The rows of one octave, r_i =
     m_i t with t = 2^e and m_i in [1/2, 1), take it as one GEMM of
-    c_k m_i^{2k} by (t / r_j)^{2k}, scaled by |S^{d-1}| c_l r_i^l and by
-    r_j^{-alpha-l}.  The octaves, not _BLOCK_ROWS, set the GEMM shapes,
-    so the far entries do not depend on the row block.  The band entries
-    are 2F1 samples (_kernel_values), which depend on r, s only through
-    r s, r^2 + s^2, (r - s)^2 and r + s.
+    _far_rows by (t / r_j)^{2k}, scaled by r_j^{-alpha-l}.  The GEMM runs
+    on scipy's BLAS, where the eigensolver that reads K runs.  The band
+    entries are 2F1 samples (_kernel_values), which depend on r, s only
+    through r s, r^2 + s^2, (r - s)^2 and r + s.
     """
     d = grid.d
     if ell not in (0, 1):
@@ -647,17 +842,12 @@ def sector_kernel(grid: RadialGrid, alpha: float, ell: int) -> np.ndarray:
     K = np.empty((n, n))
     # row i is far from column far[i] on
     far = np.searchsorted(_RHO_FAR * r, r)
-    coef = _far_coefficients(d, ell, alpha)
-    mant, expo = np.frexp(r)
-    R = _powers(mant, coef.size)
-    R *= sphere_area(d) * (alpha / d if ell else 1.0) * coef
-    R *= (r ** ell)[:, None]
+    R = _far_rows(d, ell, alpha, r)
     col_scale = r ** (-alpha - ell)
-    starts = np.flatnonzero(np.diff(expo, prepend=expo[0] - 1)).tolist()
-    for g0, g1 in zip(starts, starts[1:] + [n]):
+    for g0, g1, e in _octaves(r):
         j0 = int(far[g0])
         if j0 < n:
-            S = _powers(np.ldexp(1.0, expo[g0]) / r[j0:], coef.size)
+            S = _powers(np.ldexp(1.0, e) / r[j0:], R.shape[1])
             # (S R^T)^T from the views S^T and R^T: no operand is copied
             F = dgemm(1.0, S.T, R[g0:g1].T, trans_a=1).T
             F *= col_scale[j0:]

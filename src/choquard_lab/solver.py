@@ -306,16 +306,18 @@ def _krylov_step(J, G: np.ndarray, kinv):
 
 def _newton_refine(grid: RadialGrid, u: np.ndarray, p: float,
                    W: np.ndarray | None, tol: float, max_steps: int = 25,
-                   ab=None, kinv=None):
+                   ab=None, kinv=None, G=None):
     """Damped Newton to the discrete root; returns (u, residuals).  Stops
     at the first residual or Krylov step that is not finite.  ``kinv`` is
-    the ``tridiag_solver`` of ``ab``; it is factored here when not given."""
+    the ``tridiag_solver`` of ``ab``; it is factored here when not given.
+    ``G``, when given, is the residual ``equation_residual`` of u."""
     if ab is None:
         ab = kinetic_tridiag(grid, 0)
     if kinv is None:
         kinv = tridiag_solver(ab)
     res_hist = []
-    G = equation_residual(grid, u, p, W, ab)
+    if G is None:
+        G = equation_residual(grid, u, p, W, ab)
     res = float(np.max(np.abs(G)))
     res_hist.append(res)
     for _ in range(max_steps):

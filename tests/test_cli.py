@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -58,6 +59,19 @@ def test_solve_overflowing_stretch_is_a_usage_error(tmp_path, capsys):
                 "--out-dir", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert "per cell" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_solve_with_underflowing_stencils_is_a_usage_error(tmp_path, capsys):
+    # 25 ** 80 does not overflow, but the first spacing is 9e-110 and the
+    # stencil denominators h_l h_r (h_l + h_r) underflow to 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["solve", "--d", "4", "--alpha", "1.973", "--p", "2",
+                    "--n", "80", "--stretch", "25",
+                    "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "underflow" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 

@@ -92,12 +92,48 @@ def test_secant_predictor_saves_newton_steps(base_300, monkeypatch, target):
         return len(calls), st
 
     secant, st = newton_steps()
-    monkeypatch.setattr(continuation, "_secant_start", lambda g, u, *a: u)
+    monkeypatch.setattr(continuation, "_secant_start",
+                        lambda g, u, *a: (u, None))
     zero_order, _ = newton_steps()
     assert secant < zero_order
     fresh = solve_choquard(target, base_300.grid)
     d = distances(base_300.grid, st.field.values, fresh.field.values)
     assert d["Linf"] <= 1e-6
+
+
+def test_newton_reuses_the_residual_of_the_secant_start(base_300,
+                                                       monkeypatch):
+    # _secant_start has evaluated the residual of the start it picks, so
+    # Newton skips that evaluation: one fewer per secant increment, and
+    # the same bits, as the kinetic band is the grid's cached constant
+    target = ChoquardParams(3, 0.97, 2.034)
+    residuals, secants = [], []
+    real_residual = solver.equation_residual
+    real_secant = continuation._secant_start
+
+    def residual(*args, **kwargs):
+        residuals.append(1)
+        return real_residual(*args, **kwargs)
+
+    def secant(*args):
+        secants.append(1)
+        return real_secant(*args)
+
+    for module in (solver, continuation):
+        monkeypatch.setattr(module, "equation_residual", residual)
+    monkeypatch.setattr(continuation, "_secant_start", secant)
+    shared = newton_continue(base_300, target, steps=4)
+    counts = [len(residuals), len(secants)]
+    residuals.clear()
+    secants.clear()
+    real_refine = continuation._newton_refine
+    monkeypatch.setattr(continuation, "_newton_refine",
+                        lambda *a, G=None, **k: real_refine(*a, **k))
+    again = newton_continue(base_300, target, steps=4)
+    assert counts[1] == len(secants) == 2
+    assert counts[0] == len(residuals) - len(secants)
+    assert shared.field.values.tobytes() == again.field.values.tobytes()
+    assert shared.newton_history == again.newton_history
 
 
 @pytest.mark.parametrize("shift", [0.0, 0.05])

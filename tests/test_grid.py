@@ -62,6 +62,9 @@ def test_make_grid_rejects_bad_arguments():
     (25.0, 1800, 1.5, "stretch\\*\\*n overflows"),
     (1e300, 600, 1.5, "not positive and strictly increasing"),
     (1e-300, 100, 1e3, "not positive and strictly increasing"),
+    # 25 ** 80 is finite, but the stencil denominators underflow
+    (25.0, 80, 25.0, "stencils underflow"),
+    (1e-110, 100, 1.0, "stencils underflow"),
 ])
 def test_make_grid_rejects_overflowing_stretch(r_max, n, stretch, match):
     # stretch is per cell: solver_grid's total stretch 25 at n = 1200 is

@@ -255,23 +255,35 @@ _EXACT_ROUTE_DEFECT = pytest.mark.xfail(strict=True, reason=(
 
 
 @pytest.mark.parametrize("d,ell,method", [
-    (3, 0, "angular"), (3, 1, "angular"), (4, 0, "angular"),
-    (4, 1, "angular"), (5, 0, "angular"), (5, 1, "angular"),
+    (2, 0, "angular"), (2, 1, "angular"), (3, 0, "angular"),
+    (3, 1, "angular"), (4, 0, "angular"), (4, 1, "angular"),
+    (5, 0, "angular"), (5, 1, "angular"), (6, 0, "angular"),
+    (6, 1, "angular"),
     pytest.param(3, 0, "exact", marks=_EXACT_ROUTE_DEFECT)])
 def test_application_entries_against_quadrature_oracle(d, ell, method):
     # smooth inputs hide entry errors, which telescope in W f; 20 seeded
-    # entries, half of them within two columns of the diagonal.  Worst
-    # measured: 7.3e-15 max|W| (angular); 1.0e-9 max|W| (exact)
+    # entries, half of them within two columns of the diagonal, and in 4
+    # rows the columns on both sides of each band edge: the last far
+    # column before the band and the first after it, whose cells lie
+    # wholly outside rho_0 r < s < r / rho_0, and the band columns beside
+    # them, whose cells straddle rho_0 r and r / rho_0.  Worst measured:
+    # 3.7e-15 max|W| (angular); 1.0e-9 max|W| (exact)
     g = solver_grid(d, 25.0, 200)
-    alpha = d - 2 - 0.03
+    alpha = d - 2 - 0.03 if d > 2 else 0.6
     W = riesz_apply_matrix(g, alpha, ell, method)
     rng = np.random.default_rng(12)
     rows = rng.integers(0, g.n, 20)
     cols = np.concatenate([rng.integers(0, g.n, 10),
                            np.clip(rows[10:] + rng.integers(-2, 3, 10),
                                    0, g.n - 1)])
+    lo, hi, *_ = riesz._far_columns(riesz._CellRule(g), g.nodes)
+    idx = list(zip(rows, cols))
+    for i in (1, 40, 120, 190):
+        assert lo[i] < i < hi[i]
+        idx += [(i, j) for j in (lo[i], lo[i] + 1, hi[i] - 1, hi[i])
+                if 0 <= j < g.n]
     worst = max(abs(W[i, j] - _entry_oracle(g, alpha, ell, i, j))
-                for i, j in zip(rows, cols))
+                for i, j in idx)
     assert worst <= 1e-11 * np.max(np.abs(W))
 
 
@@ -282,6 +294,59 @@ def test_exact_route_entries_agree_with_angular():
     We = riesz_apply_matrix(g, 0.97, 0, "exact")
     Wa = riesz_apply_matrix(g, 0.97, 0, "angular")
     assert np.max(np.abs(We - Wa)) <= 1e-10 * np.max(np.abs(Wa))
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_angular_route_at_the_newtonian_exponent_matches_newton(d):
+    # at alpha = d-2 the far series ends after one term, |S^{d-1}|
+    # max(r, s)^{2-d}, and the band takes the 2F1 layer; measured 1e-15
+    g = solver_grid(d, 25.0, 600)
+    Wn = riesz_apply_matrix(g, d - 2.0, 0, "newton")
+    Wa = riesz_apply_matrix(g, d - 2.0, 0, "angular")
+    assert np.max(np.abs(Wa - Wn)) <= 1e-13 * np.max(np.abs(Wn))
+
+
+@pytest.mark.parametrize("d,ell,alpha", [(4, 0, 2.0), (4, 1, 1.0),
+                                         (4, 1, 2.0)])
+def test_angular_route_is_smooth_where_a_far_moment_changes_form(d, ell,
+                                                                 alpha):
+    # the far moments of s^E with E = d-1-alpha-l-2k: E = -1 at k = 1 in
+    # the first two cases (d = 4, alpha = 2 is also the Newtonian exponent,
+    # and alpha = 1 a log point, where only the band is the interpolant in
+    # alpha), E = -2 at k = 1 in the third, where the by-parts recursion
+    # would divide by E + 2.  W has no kink or jump there: the mean of W at
+    # alpha -+ 1e-9 is W at alpha to second order; measured 7e-16 max|W|
+    g = solver_grid(d, 25.0, 200)
+    W = riesz_apply_matrix(g, alpha, ell, "angular")
+    below, above = (riesz_apply_matrix(g, a, ell, "angular")
+                    for a in (alpha - 1e-9, alpha + 1e-9))
+    assert np.max(np.abs(0.5 * (below + above) - W)) <= (
+        1e-12 * np.max(np.abs(W)))
+
+
+def _power_moment_mpmath(E, tau, q):
+    """int_0^1 (1 + tau v)^E v^q dv = 2F1(-E, q+1; q+2; -tau)/(q+1)."""
+    with mpmath.workdps(40):
+        return float(mpmath.hyp2f1(-mpmath.mpf(E), q + 1, q + 2,
+                                   -mpmath.mpf(tau)) / (q + 1))
+
+
+def test_power_moments_against_mpmath():
+    # the domain of the far moments: beyond the band E = d-1-alpha-l-2k
+    # <= 5 and tau = h/a > 0 (at most 0.55 on solver grids); before it
+    # E = d-1+l+2k >= 1, an integer, and tau = -h/b in [-1, 0).  Each of
+    # the three forms (exprel, by parts, Gauss) is within 2.8e-15
+    E = [-150.3, -60.0, -20.5, -7.0, -4.0, -3.5, -3.0, -2.0, -1.0 - 1e-9,
+         -1.0, -0.97, 0.0, 0.5, 1.0, 2.0, 3.0, 4.9]
+    taus = [1e-4, 1e-3, 0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.6, 0.8, 1.0]
+    cases = [(e, t) for e in E for t in taus]
+    cases += [(e, -t) for e in (1, 2, 3, 4, 5, 7, 9, 20, 41, 80, 157)
+              for t in taus[:-4] + [0.7, 0.9, 0.99, 1.0]]
+    e, t = np.array(cases).T
+    got = riesz._power_moments(e, t)
+    for q in range(3):
+        want = [_power_moment_mpmath(ek, tk, q) for ek, tk in cases]
+        assert_allclose(got[q], want, rtol=5e-15, atol=0)
 
 
 def test_auto_route_at_d7_agrees_with_newton():
@@ -437,7 +502,9 @@ def test_add_cells_matches_add_at():
 
 def test_assembly_does_not_depend_on_the_row_block(monkeypatch):
     # blocks of one row, and one block of all rows, give the same bits;
-    # at alpha = 2 the d = 3 exact route is an interpolant in alpha
+    # at alpha = 2 the d = 3 exact route is an interpolant in alpha.  The
+    # angular route has no row block: its far field is one product per
+    # octave, and its band cells go to _kernel 7 at a time or all at once
     monkeypatch.delenv("CHOQUARD_LAB_CACHE", raising=False)
     g = make_grid(3, 8.0, 40, 1.02)
     g4 = make_grid(4, 8.0, 40, 1.02)
@@ -455,8 +522,10 @@ def test_assembly_does_not_depend_on_the_row_block(monkeypatch):
                 sector_kernel(g4, 1.9, 1)]
 
     monkeypatch.setattr(riesz, "_BLOCK_ROWS", 1)
+    monkeypatch.setattr(riesz, "_BAND_PIECES", 7)
     by_row = assemble()
     monkeypatch.setattr(riesz, "_BLOCK_ROWS", g.n)
+    monkeypatch.setattr(riesz, "_BAND_PIECES", g.n * g.n)
     whole = assemble()
     clear_caches()
     for a, b in zip(by_row, whole):
