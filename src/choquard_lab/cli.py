@@ -32,6 +32,13 @@ EXIT_USAGE = 1
 EXIT_NOCONV = 2
 
 
+# the keys of each config section; any other key is a usage error, but a
+# verb may leave a known key or section unread
+_SECTION_KEYS = {"params": {"d", "alpha", "p"},
+                 "grid": {"r_max", "n", "stretch"},
+                 "sweep": {"d", "alphas", "ps"}, "solver": {"tol", "max_iter"}}
+
+
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
@@ -41,19 +48,37 @@ def _load_config(path: str | None) -> dict:
         raise UsageError(f"cannot read config {path}: {exc}")
     if not isinstance(cfg, dict):
         raise UsageError(f"config {path} is not a JSON object")
+    unknown = sorted(set(cfg) - {"out_dir", "model", *_SECTION_KEYS})
+    if unknown:
+        raise UsageError(f"unknown config keys {unknown}")
+    for name, keys in _SECTION_KEYS.items():
+        sec = cfg.get(name, {})
+        if not isinstance(sec, dict):
+            raise UsageError(f"config section {name!r} is not a JSON object")
+        unknown = sorted(set(sec) - keys)
+        if unknown:
+            raise UsageError(f"unknown {name} config keys {unknown} "
+                             f"(accepted: {', '.join(sorted(keys))})")
     return cfg
-
-
-def _section(cfg: dict, name: str) -> dict:
-    """The config's ``name`` section; an absent one is empty."""
-    sec = cfg.get(name, {})
-    if not isinstance(sec, dict):
-        raise UsageError(f"config section {name!r} is not a JSON object")
-    return sec
 
 
 class UsageError(Exception):
     pass
+
+
+def _integral(x) -> int:
+    """int(x) for an integral x; int() alone would truncate 3.9 to 3."""
+    if not float(x).is_integer():
+        raise ValueError(f"{x!r} is not an integer")
+    return int(x)
+
+
+def _refuse(args, mode: str, names) -> None:
+    """A flag that ``mode`` would ignore is a usage error."""
+    given = ["--" + a.replace("_", "-") for a in names
+             if getattr(args, a) is not None]
+    if given:
+        raise UsageError(f"{mode} ignores {', '.join(given)}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -67,12 +92,12 @@ class _Parser(argparse.ArgumentParser):
 def _grid_from(args, cfg, d):
     """Grid from flags over config; without a stretch, solver_grid's rule
     (last cell 25 times the first) derives it from n."""
-    gc = _section(cfg, "grid")
+    gc = cfg.get("grid", {})
     stretch = args.stretch if args.stretch is not None else gc.get("stretch")
     try:
         r_max = float(args.r_max if args.r_max is not None
                       else gc.get("r_max", 25.0))
-        n = int(args.n if args.n is not None else gc.get("n", 600))
+        n = _integral(args.n if args.n is not None else gc.get("n", 600))
         stretch = None if stretch is None else float(stretch)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad grid config (r_max, n, stretch): {exc}")
@@ -82,11 +107,7 @@ def _grid_from(args, cfg, d):
 
 
 def _opts_from(args, cfg) -> SolverOptions:
-    sc = _section(cfg, "solver")
-    unknown = sorted(set(sc) - {"tol", "max_iter"})
-    if unknown:
-        raise UsageError(f"unknown solver config keys {unknown} "
-                         "(accepted: tol, max_iter)")
+    sc = cfg.get("solver", {})
     tol = args.tol if args.tol is not None else sc.get("tol", 1e-10)
     try:
         return SolverOptions(tol=float(tol),
@@ -115,21 +136,23 @@ def _add_common(sub, grid=True, tol=True):
 
 def cmd_solve(args) -> int:
     cfg = _load_config(args.config)
-    pc = _section(cfg, "params")
+    pc = cfg.get("params", {})
     d = args.d if args.d is not None else pc.get("d")
     p = args.p if args.p is not None else pc.get("p")
     alpha = args.alpha if args.alpha is not None else pc.get("alpha")
     if d is None or p is None:
         raise UsageError("solve needs --d and --p (or a config)")
     try:
-        d, p = int(d), float(p)
+        d, p = _integral(d), float(p)
         alpha = None if alpha is None else float(alpha)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad params config (d, alpha, p): {exc}")
+    model = args.model or cfg.get("model", False)
+    if model:
+        _refuse(args, "solve --model", ["alpha"])
     opts = _opts_from(args, cfg)
     grid = _grid_from(args, cfg, d)
     out = _out_dir(args, cfg)
-    model = args.model or cfg.get("model", False)
     try:
         if model:
             state = solve_model(d, p, grid, opts)
@@ -189,13 +212,14 @@ def cmd_verify(args) -> int:
 
 def cmd_spectrum(args) -> int:
     cfg = _load_config(args.config)
-    out = _out_dir(args, cfg)
-    if args.ell not in (None, 0, 1):
-        raise UsageError(f"unsupported sector --ell {args.ell}")
     if args.zero_field:
+        if args.state:
+            raise UsageError("--zero-field takes no state file")
+        _refuse(args, "--zero-field", ["gap_tol"])
         ell = args.ell or 0
         if args.d is None:
             raise UsageError("--zero-field needs --d")
+        out = _out_dir(args, cfg)
         grid = _grid_from(args, cfg, args.d)
         alpha = args.alpha if args.alpha is not None else float(args.d - 2)
         state = state_from_zero_field(ChoquardParams(args.d, alpha, 2.0), grid)
@@ -205,11 +229,13 @@ def cmd_spectrum(args) -> int:
     else:
         if not args.state:
             raise UsageError("spectrum needs a state file or --zero-field")
-        if args.ell is not None:
-            raise UsageError("--ell needs --zero-field: the report on a "
-                             "state covers both sectors")
+        # the report on a state covers both sectors on the state's grid
+        _refuse(args, "the report on a state", ["ell", "d", "alpha", "r_max",
+                                                "n", "stretch"])
+        out = _out_dir(args, cfg)
         state = _load_state(args.state)
-        report = asdict(nondegeneracy_verdict(state, gap_tol=args.gap_tol,
+        gap_tol = 0.05 if args.gap_tol is None else args.gap_tol
+        report = asdict(nondegeneracy_verdict(state, gap_tol=gap_tol,
                                               k=args.k))
     text = json.dumps(report, indent=2)
     write_atomic(out / "spectral_report.json",
@@ -221,7 +247,7 @@ def cmd_spectrum(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
     opts = _opts_from(args, cfg)
-    sc = _section(cfg, "sweep")
+    sc = cfg.get("sweep", {})
     d = args.d if args.d is not None else sc.get("d")
     if d is None:
         raise UsageError("sweep needs --d")
@@ -230,7 +256,7 @@ def cmd_sweep(args) -> int:
     if not alphas or not ps:
         raise UsageError("sweep needs non-empty --alphas and --ps lattices")
     try:
-        d = int(d)
+        d = _integral(d)
         alphas, ps = [float(a) for a in alphas], [float(p) for p in ps]
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad sweep config (d, alphas, ps): {exc}")
@@ -303,9 +329,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(s, tol=False)
     s.add_argument("state", nargs="?", help="state file stem")
     s.add_argument("--ell", type=int,
-                   help="sector of the --zero-field check (default 0)")
+                   help="sector l >= 0 of the --zero-field check (default 0)")
     s.add_argument("--k", type=int, default=6)
-    s.add_argument("--gap-tol", type=float, default=0.05)
+    s.add_argument("--gap-tol", type=float,
+                   help="window of the report on a state (default 0.05)")
     s.add_argument("--zero-field", action="store_true",
                    help="free-operator sanity check")
     s.add_argument("--d", type=int)
@@ -336,10 +363,7 @@ def main(argv=None) -> int:
     try:
         args = ap.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ParameterError, GridError, RieszError, FitError,
+    except (UsageError, ParameterError, GridError, RieszError, FitError,
             SpectrumError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -255,8 +255,7 @@ def sweep_to_csv(records, path) -> None:
         for m in (rec.norms, rec.dist_to_newtonian):
             row += [f"{m.get(key, float('nan')):.17g}" for key in _CSV_NORMS]
         ss = rec.spectral_summary or {}
-        row.append(f"{ss.get('nearest_zero_ell0', float('nan')):.17g}")
-        row.append(f"{ss.get('nearest_zero_ell1', float('nan')):.17g}")
+        row += [f"{ss.get(key, float('nan')):.17g}" for key in cols[-2:]]
         lines.append(",".join(row))
     text = "\n".join(lines) + "\n"
     write_atomic(path, lambda fh: fh.write(text.encode()))

@@ -109,9 +109,6 @@ def pohozaev_report(state: GroundState) -> PohozaevReport:
 # ---------------------------------------------------------------------------
 # exponent-system feasibility (radial-symmetry parameter window)
 
-# subdivisions of each reciprocal-exponent interval in the lattice scan
-_SCAN_POINTS = 9
-
 
 @dataclass
 class ExponentWitness:
@@ -150,23 +147,15 @@ def _exponent_intervals(d: int, alpha: Fraction, p: Fraction):
 
 def _check_witness(d, alpha, p, w: ExponentWitness) -> bool:
     (lo_r, hi_r), (t_lo, t_hi) = _exponent_intervals(d, alpha, p)
-    for rr in (w.r, w.r1, w.r2, w.r3):
-        x = 1 / rr
-        if not (lo_r <= x <= hi_r):
-            return False
-    if not (w.r1 >= p - 2 and w.r2 >= p - 1 and w.r3 >= p - 1):
-        return False
-    for tt in (w.t, w.t1):
-        x = 1 / tt
-        # membership in [t_lo, t_hi) intersected with (0, 1)
-        if not (t_lo <= x < t_hi and 0 < x < 1):
-            return False
     xs = 1 / w.s
-    if not (Fraction(2, d) <= xs <= 1):
-        return False
-    if not (1 / w.r <= xs <= 1 / w.r + Fraction(2, d)):
-        return False
-    return all(e == 0 for e in w.equality_residuals(d, alpha, p))
+    # 1/t and 1/t1 lie in [t_lo, t_hi) intersected with (0, 1)
+    return (all(lo_r <= 1 / rr <= hi_r for rr in (w.r, w.r1, w.r2, w.r3))
+            and w.r1 >= p - 2 and w.r2 >= p - 1 and w.r3 >= p - 1
+            and all(t_lo <= 1 / tt < t_hi and 0 < 1 / tt < 1
+                    for tt in (w.t, w.t1))
+            and Fraction(2, d) <= xs <= 1
+            and 1 / w.r <= xs <= 1 / w.r + Fraction(2, d)
+            and all(e == 0 for e in w.equality_residuals(d, alpha, p)))
 
 
 def _remark_witness(d: int, alpha: Fraction, p: Fraction) -> ExponentWitness | None:
@@ -201,13 +190,30 @@ def _remark_witness(d: int, alpha: Fraction, p: Fraction) -> ExponentWitness | N
     return ExponentWitness(r=r, r1=r1, r2=r2, r3=r3, t=t, t1=t1, s=s)
 
 
+def _close(D: list) -> bool:
+    """Floyd-Warshall closure of the bounds D[i][j] = (c, closed) on
+    v_j - v_i (<= c, or < c if open): a sum of two bounds is closed when
+    both are, and min prefers the open one of equal c.  False when a cycle
+    bounds 0 below 0, so that no point meets the bounds."""
+    nodes = range(len(D))
+    for k in nodes:
+        for i in nodes:
+            for j in nodes:
+                (a, ca), (b, cb) = D[i][k], D[k][j]
+                D[i][j] = min(D[i][j], (a + b, ca and cb))
+    return all(D[i][i] == (0, True) for i in nodes)
+
+
 def feasible_exponents(params: ChoquardParams) -> FeasibilityReport:
-    """Search for exponents satisfying the coupling system exactly.
+    """Decide whether exponents satisfy the coupling system exactly.
 
     Works in reciprocal variables, where the three equalities are linear;
-    tries the closed-form witness first and falls back to a rational
-    lattice scan over the free parameters.  Infeasibility (no witness
-    found) is a valid outcome.
+    tries the closed-form witness first.  Else the equalities give 1/r2,
+    1/r3 and 1/t1, and the range of 1/r1 folds into a bound on 1/s - 1/r:
+    bounds on 1/r, 1/t, 1/s and their differences remain, a difference-
+    constraint system that its closure decides.  Each variable is then
+    fixed in turn at the midpoint of its interval; the witness is returned
+    once ``_check_witness`` accepts it.
     """
     d = params.d
     if d < 3:
@@ -222,61 +228,43 @@ def feasible_exponents(params: ChoquardParams) -> FeasibilityReport:
         return FeasibilityReport(True, w, w.equality_residuals(d, alpha, p))
 
     (lo_r, hi_r), (t_lo, t_hi) = _exponent_intervals(d, alpha, p)
-    t_lo = max(t_lo, Fraction(0))
-    t_hi = min(t_hi, Fraction(1))
-    if not (t_lo < t_hi):
+    r_cap = min(hi_r, 1 / (p - 1))   # r2, r3 >= p - 1
+    r1_cap = hi_r if p == 2 else min(hi_r, 1 / (p - 2))
+    # 1/t and 1/t1 lie in [t_lo, t_hi) and in (0, 1); t_hi = alpha/d < 1
+    t_min, t_max = (max(t_lo, 0), t_lo > 0), (t_hi, False)
+    # (i, j, lo, hi): lo <= v_j - v_i <= hi over v = (0, 1/r, 1/t, 1/s);
+    # then 1/r2 = (1/s - 1/t)/(p-1), 1/r3 = (1/t + alpha/d - 1/r)/(p-1),
+    # and 1/t1 = 1/s - 1/r - (p-2)/r1 for some 1/r1 in [lo_r, r1_cap]
+    bounds = [(0, 1, (lo_r, True), (hi_r, True)), (0, 2, t_min, t_max),
+              (0, 3, (Fraction(2, d), True), (1, True)),
+              (1, 3, (0, True), (Fraction(2, d), True)),
+              (2, 3, ((p - 1) * lo_r, True), ((p - 1) * r_cap, True)),
+              (1, 2, ((p - 1) * lo_r - t_hi, True),
+               ((p - 1) * r_cap - t_hi, True)),
+              (1, 3, (t_min[0] + (p - 2) * lo_r, t_min[1]),
+               (t_hi + (p - 2) * r1_cap, False))]
+    D = [[(0, True) if i == j else (math.inf, False) for j in range(4)]
+         for i in range(4)]
+    for i, j, lo, hi in bounds:
+        D[i][j] = min(D[i][j], hi)
+        D[j][i] = min(D[j][i], (-lo[0], lo[1]))
+    if not _close(D):
         return FeasibilityReport(False, None, [])
-
-    def lattice(lo, hi, m):
-        span = hi - lo
-        return sorted({lo + span * Fraction(k, m) for k in range(m + 1)})
-
-    def candidates(lo, hi):
-        """Sample points of [lo, hi]; the set often degenerates to a face,
-        so endpoints and a few interior rationals are all tried."""
-        if lo > hi:
-            return []
-        mid = (lo + hi) / 2
-        return sorted({lo, mid, hi, (lo + mid) / 2, (mid + hi) / 2})
-
-    ad = Fraction(alpha, d)
-    r_cap = min(hi_r, Fraction(1) / (p - 1))   # 1/r2, 1/r3 must stay below
+    for v in (1, 2, 3):
+        mid = (D[0][v][0] - D[v][0][0]) / 2
+        D[0][v], D[v][0] = (mid, True), (-mid, True)
+        _close(D)
+    xr, xt, xs = (D[0][v][0] for v in (1, 2, 3))
+    lo1, hi1 = lo_r, r1_cap
     if p > 2:
-        xr1_grid = lattice(lo_r, min(hi_r, 1 / (p - 2)), _SCAN_POINTS)
-    else:
-        xr1_grid = [lo_r]  # r1 unconstrained by the equalities when p = 2
-    for xr in lattice(lo_r, hi_r, _SCAN_POINTS):
-        # x_t window forced by the r3 membership through equality (3)
-        xt_lo = max(t_lo, (p - 1) * lo_r + xr - ad)
-        xt_hi = min(t_hi, (p - 1) * r_cap + xr - ad)
-        for xt in candidates(xt_lo, xt_hi):
-            if not (t_lo <= xt < t_hi and 0 < xt < 1):
-                continue
-            xr3 = (xt + ad - xr) / (p - 1)
-            if not (lo_r <= xr3 <= r_cap):
-                continue
-            for xr1 in xr1_grid:
-                # x_s window: s membership, r2 membership via equality (2),
-                # t1 membership via equality (1)
-                xs_lo = max(Fraction(2, d), xr,
-                            xt + (p - 1) * lo_r,
-                            xr + (p - 2) * xr1 + t_lo)
-                xs_hi = min(Fraction(1), xr + Fraction(2, d),
-                            xt + (p - 1) * r_cap,
-                            xr + (p - 2) * xr1 + t_hi)
-                for xs in candidates(xs_lo, xs_hi):
-                    xr2 = (xs - xt) / (p - 1)
-                    xt1 = xs - (p - 2) * xr1 - xr
-                    if not (lo_r <= xr2 <= r_cap):
-                        continue
-                    if not (t_lo <= xt1 < t_hi and 0 < xt1 < 1):
-                        continue
-                    w = ExponentWitness(r=1 / xr, r1=1 / xr1, r2=1 / xr2,
-                                        r3=1 / xr3, t=1 / xt, t1=1 / xt1,
-                                        s=1 / xs)
-                    if _check_witness(d, alpha, p, w):
-                        return FeasibilityReport(
-                            True, w, w.equality_residuals(d, alpha, p))
+        lo1 = max(lo1, (xs - xr - t_hi) / (p - 2))
+        hi1 = min(hi1, (xs - xr - t_min[0]) / (p - 2))
+    xr1 = (lo1 + hi1) / 2
+    w = ExponentWitness(r=1 / xr, r1=1 / xr1, r2=(p - 1) / (xs - xt),
+                        r3=(p - 1) / (xt + t_hi - xr), t=1 / xt,
+                        t1=1 / (xs - xr - (p - 2) * xr1), s=1 / xs)
+    if _check_witness(d, alpha, p, w):
+        return FeasibilityReport(True, w, w.equality_residuals(d, alpha, p))
     return FeasibilityReport(False, None, [])
 
 

@@ -499,8 +499,8 @@ def laplacian_sector(grid: RadialGrid, f: RadialField, ell: int) -> RadialField:
     as a pure differential-operator evaluation with a one-sided stencil
     so non-decaying test functions are not polluted by the fence.
     """
-    if ell < 0:
-        raise GridError(f"sector index must be >= 0, got {ell}")
+    if not isinstance(ell, (int, np.integer)) or ell < 0:
+        raise GridError(f"sector index must be an int >= 0, got {ell!r}")
     values = _check_field(grid, f)
     out = band_matvec(_pointwise_rows(grid, ell), values)
 
@@ -542,8 +542,8 @@ def sector_symmetric(grid: RadialGrid, ell: int) -> np.ndarray:
     (regularity), vanishing ghost value for l >= 1, Dirichlet fence beyond
     r_max.
     """
-    if ell < 0:
-        raise GridError(f"sector index must be >= 0, got {ell}")
+    if not isinstance(ell, (int, np.integer)) or ell < 0:
+        raise GridError(f"sector index must be an int >= 0, got {ell!r}")
     r = grid.nodes
     d = grid.d
     h = grid.spacings()

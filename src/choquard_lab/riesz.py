@@ -22,9 +22,10 @@ both sum the Gegenbauer expansion instead (DLMF 18.12.4 as 15.2.1),
     K_l(r,s) = |S^{d-1}| c_l r^l s^{-alpha-l}
                2F1(alpha/2+l, alpha/2-d/2+1; d/2+l; (r/s)^2),
 
-c_0 = 1, c_1 = alpha/d, whose terms are separable in r and s: the rows
-of one octave of r take it as one GEMM.  Two kernels are also elementary
-and keep a closed form, the "exact" route: d = 1 (l = 0, 1), where K_l =
+c_l = (alpha/2)_l / (d/2)_l, whose terms are separable in r and s: the
+rows of one octave of r take it as one GEMM.  Every sector l >= 0 takes
+these formulas.  Two kernels are also elementary and keep a closed form,
+the "exact" route: d = 1, whose sectors are l = 0, 1, where K_l =
 |s-r|^{-alpha} +- (s+r)^{-alpha}, and d = 3, l = 0, where K_0 s^2 is
 (2 pi s / r) ((s+r)^e - |s-r|^e) / e, e = 2 - alpha.  At the Newtonian
 exponent alpha = d-2 the l = 0 kernel collapses to |S^{d-1}|
@@ -78,20 +79,14 @@ _BAND_PIECES = 1 << 15
 # exact cell moments
 
 
-def _origin_moments(rule: _CellRule, gamma: float, kmax: int):
-    """M_k = int_a^b s^(k+gamma) ds on every cell, k = 0..kmax (gamma > -1)."""
-    out = []
-    for k in range(kmax + 1):
-        e = k + gamma + 1.0
-        out.append((rule.b ** e - rule.a ** e) / e)
-    return out
-
-
 def _cell_integrals(rule: _CellRule, values: np.ndarray,
                     gamma: float) -> np.ndarray:
     """int_a^b s^gamma f(s) ds on every cell, f the quadratic interpolant
-    of ``values`` (gamma > -1)."""
-    M = _origin_moments(rule, gamma, 2)
+    of ``values`` (gamma > -1), from the moments M_k of s^(k+gamma)."""
+    M = []
+    for k in range(3):
+        e = k + gamma + 1.0
+        M.append((rule.b ** e - rule.a ** e) / e)
     return sum(values[rule.j0 + m] * (lm[0] * M[0] + lm[1] * M[1]
                                       + lm[2] * M[2])
                for m, lm in enumerate(rule.lagrange))
@@ -196,9 +191,9 @@ def _term_table(d, ell, alpha, r: np.ndarray) -> dict:
 # kernel values for d >= 2 from the Gauss hypergeometric function
 #
 # The spherical mean is K_l = |S^{d-1}| (r+s)^{-alpha} c_l (z/4)^l
-# 2F1(alpha/2+l, (d-1)/2+l; d-1+2l; z), z = 4rs/(r+s)^2, c_0 = 1,
-# c_1 = alpha/d (DLMF 15.8(iii)).  A quadratic transformation (DLMF
-# 15.8.13) gives the better conditioned form used here,
+# 2F1(alpha/2+l, (d-1)/2+l; d-1+2l; z), z = 4rs/(r+s)^2, c_l =
+# (alpha/2)_l / (d/2)_l for every l >= 0 (DLMF 15.8(iii)).  A quadratic
+# transformation (DLMF 15.8.13) gives the better conditioned form used here,
 #   K_l = |S^{d-1}| c_l (rs)^l (r^2+s^2)^{-2a} F(a, a+1/2; c; y^2),
 # y = 2rs/(r^2+s^2), a = alpha/4 + l/2, c = d/2 + l.  Where y^2 > 3/4 the
 # connection formula (DLMF 15.8.4) in v = 1 - y^2, g = (d-1-alpha)/2, gives
@@ -250,6 +245,11 @@ def _series(a, b, c, x):
     return out.reshape(shape)
 
 
+def _sector_factor(d, ell, alpha) -> float:
+    """c_l = (alpha/2)_l / (d/2)_l: 1.0 at l = 0 and alpha/d at l = 1."""
+    return math.prod((alpha / 2.0 + k) / (d / 2.0 + k) for k in range(ell))
+
+
 def _kernel(d, ell, alpha, r, s, split=False):
     """K_l(r, s) at broadcast r, s, for g = (d-1-alpha)/2 not an integer.
 
@@ -258,7 +258,8 @@ def _kernel(d, ell, alpha, r, s, split=False):
     """
     a, c, g = alpha / 4.0 + ell / 2.0, d / 2.0 + ell, (d - 1 - alpha) / 2.0
     q = r * r + s * s
-    K = sphere_area(d) * (alpha / d * (r * s) if ell else 1.0) * q ** (-2 * a)
+    c_l = _sector_factor(d, ell, alpha)
+    K = sphere_area(d) * (c_l * (r * s) ** ell) * q ** (-2 * a)
     v = ((r - s) * (r + s) / q) ** 2
     G = math.gamma
     p1 = G(c) * G(g) / (G(c - a) * G(c - a - 0.5))
@@ -360,7 +361,7 @@ def _far_rows(d, ell, alpha, r, inner=False) -> np.ndarray:
     coef = _far_coefficients(d, ell, alpha)
     mant = np.frexp(r)[0]
     R = _powers(1.0 / mant if inner else mant, coef.size)
-    R *= sphere_area(d) * (alpha / d if ell else 1.0) * coef
+    R *= sphere_area(d) * _sector_factor(d, ell, alpha) * coef
     R *= (r ** (-alpha - ell) if inner else r ** ell)[:, None]
     return R
 
@@ -697,11 +698,6 @@ _APPLY_CACHE_BYTES = 512 << 20
 _CACHE_VERSION = 7
 
 
-def _cache_dir() -> Path | None:
-    path = os.environ.get("CHOQUARD_LAB_CACHE")
-    return Path(path) if path else None
-
-
 def clear_caches() -> None:
     _APPLY_CACHE.clear()
 
@@ -711,6 +707,21 @@ def _remember(key, W: np.ndarray) -> None:
     held = sum(v.nbytes for v in _APPLY_CACHE.values())
     while held > _APPLY_CACHE_BYTES and len(_APPLY_CACHE) > 1:
         held -= _APPLY_CACHE.popitem(last=False)[1].nbytes
+
+
+def _check_request(grid: RadialGrid, alpha: float, ell: int = 0) -> None:
+    """alpha in (0, d), and l an int >= 0 (at most 1 at d = 1) whose powers
+    of r in K_l, r^{2l+alpha}, stay in double range on the grid."""
+    d = grid.d
+    if not (0.0 < alpha < d):
+        raise RieszError(f"alpha outside (0,d): alpha={alpha}, d={d}")
+    if (not isinstance(ell, (int, np.integer)) or ell < 0
+            or (d == 1 and ell > 1)):
+        raise RieszError(f"no sector l={ell!r} at d={d}: l is an int >= 0, "
+                         "at most 1 at d = 1")
+    span = max(-math.log(grid.nodes[0]), math.log(2.0 * grid.nodes[-1]))
+    if (alpha + 2 * ell) * span > 700.0:
+        raise RieszError(f"sector l={ell} overflows on this grid")
 
 
 def riesz_apply_matrix(grid: RadialGrid, alpha: float, ell: int = 0,
@@ -732,10 +743,7 @@ def riesz_apply_matrix(grid: RadialGrid, alpha: float, ell: int = 0,
     if method not in ("auto", "newton", "exact", "angular"):
         raise RieszError(f"unknown method {method!r}; expected one of "
                          "'auto', 'newton', 'exact', 'angular'")
-    if not (0.0 < alpha < d):
-        raise RieszError(f"alpha outside (0,d): alpha={alpha}, d={d}")
-    if ell not in (0, 1):
-        raise RieszError(f"only sectors l in {{0,1}} are supported, got {ell}")
+    _check_request(grid, alpha, ell)
     closed_form = d == 1 or (d == 3 and ell == 0)
     if method == "auto":
         if ell == 0 and abs(alpha - (d - 2)) < 1e-14:
@@ -758,11 +766,11 @@ def riesz_apply_matrix(grid: RadialGrid, alpha: float, ell: int = 0,
     if W is not None:
         _APPLY_CACHE.move_to_end(key)
         return W
-    cdir = _cache_dir()
+    cache = os.environ.get("CHOQUARD_LAB_CACHE")
     fname = None
-    if cdir is not None:
+    if cache:
         tag = "_".join(str(k).replace(".", "p") for k in key)
-        fname = cdir / f"riesz_v{_CACHE_VERSION}_{tag}.npy"
+        fname = Path(cache) / f"riesz_v{_CACHE_VERSION}_{tag}.npy"
         try:
             W = np.load(fname)
         except (OSError, ValueError, EOFError):   # missing or unreadable
@@ -786,7 +794,7 @@ def riesz_apply_matrix(grid: RadialGrid, alpha: float, ell: int = 0,
                                          r)
     _remember(key, W)
     if fname is not None:
-        cdir.mkdir(parents=True, exist_ok=True)
+        fname.parent.mkdir(parents=True, exist_ok=True)
         # a handle: np.save adds no suffix
         write_atomic(fname, lambda fh: np.save(fh, W))
     return W
@@ -804,8 +812,7 @@ def riesz_at_zero(grid: RadialGrid, f: RadialField, alpha: float) -> float:
     """(|.|^{-alpha} * f)(0) = |S^{d-1}| int_0^inf f(s) s^{d-1-alpha} ds."""
     values = _check_field(grid, f)
     d = grid.d
-    if not (0.0 < alpha < d):
-        raise RieszError(f"alpha outside (0,d): alpha={alpha}, d={d}")
+    _check_request(grid, alpha)
     cells = _cell_integrals(_CellRule(grid), values, d - 1.0 - alpha)
     return sphere_area(d) * float(np.sum(cells))
 
@@ -828,10 +835,7 @@ def sector_kernel(grid: RadialGrid, alpha: float, ell: int) -> np.ndarray:
     through r s, r^2 + s^2, (r - s)^2 and r + s.
     """
     d = grid.d
-    if ell not in (0, 1):
-        raise RieszError(f"only sectors l in {{0,1}} are supported, got {ell}")
-    if not (0.0 < alpha < d):
-        raise RieszError(f"alpha outside (0,d): alpha={alpha}, d={d}")
+    _check_request(grid, alpha, ell)
     if alpha >= d - 1:
         raise RieszError(
             f"kernel matrix diverges on the diagonal for alpha >= d-1 "

@@ -215,31 +215,26 @@ def state_norms(grid: RadialGrid, values: np.ndarray) -> dict:
 def linearized_matrix(grid: RadialGrid, u: np.ndarray, p: float,
                       W: np.ndarray | None, ab=None):
     """Jacobian J = K - B of (-Delta_h + 1) u - N(u) about u (radial
-    sector), as a scipy LinearOperator; no n x n array is formed.
+    sector), as the function v -> J v; no n x n array is formed.
 
     K is the kinetic tridiagonal ``ab``.  For the nonlocal equation
     B v = (p-1) V v + p a W(a v) with V = (W |u|^p) |u|^{p-2} and
     a = |u|^{p-1}, the radial-sector restriction of the linearized
     operator; for the local model (W = None) B v = p |u|^{p-1} v.
     """
-    from scipy.sparse.linalg import LinearOperator
     if ab is None:
         ab = kinetic_tridiag(grid, 0)
     a = np.abs(u) ** (p - 1)
     if W is None:
-        def coupling(v):
-            return p * a * v
+        def matvec(v):
+            return band_matvec(ab, v) - p * a * v
     else:
         V = (W @ np.abs(u) ** p) * np.abs(u) ** (p - 2)
 
-        def coupling(v):
-            return (p - 1) * V * v + p * a * (W @ (a * v))
-
-    def matvec(v):
-        v = np.ravel(v)
-        return band_matvec(ab, v) - coupling(v)
-
-    return LinearOperator((grid.n, grid.n), matvec=matvec, dtype=float)
+        def matvec(v):
+            return band_matvec(ab, v) - ((p - 1) * V * v
+                                         + p * a * (W @ (a * v)))
+    return matvec
 
 
 def _krylov_step(J, G: np.ndarray, kinv):
@@ -270,7 +265,7 @@ def _krylov_step(J, G: np.ndarray, kinv):
     # rotations (c, s), and the rotated right-hand side beta e_1
     cols, rots, g = [], [], [beta]
     for k in range(_KRYLOV_CYCLE):
-        w = kinv(J.matvec(V[k]))
+        w = kinv(J(V[k]))
         h0 = float(np.linalg.norm(w))
         basis = V[:k + 1]
         h = basis @ w

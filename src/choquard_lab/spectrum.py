@@ -88,8 +88,6 @@ def assemble_lplus(state: GroundState, ell: int) -> SectorOperator:
     p u^{p-1} in total; for the nonlocal equation the raw sector kernel
     is contracted with the grid measure (requires alpha < d-1).
     """
-    if ell not in (0, 1):
-        raise SpectrumError(f"only sectors l in {{0,1}} are supported, got {ell}")
     grid = state.grid
     q = state.field.values
     params = state.params
@@ -116,8 +114,6 @@ def assemble_lplus(state: GroundState, ell: int) -> SectorOperator:
 
 def apply_lplus(state: GroundState, ell: int, xi: np.ndarray) -> np.ndarray:
     """Pointwise application of the sector operator to node values."""
-    if ell not in (0, 1):
-        raise SpectrumError(f"only sectors l in {{0,1}} are supported, got {ell}")
     grid = state.grid
     q = state.field.values
     params = state.params
@@ -228,24 +224,15 @@ def nondegeneracy_verdict(state: GroundState, gap_tol: float = 0.05,
         raise SpectrumError(
             f"state at (alpha,p)=({params.alpha},{params.p}) is outside the "
             f"near-Newtonian window (delta={_WINDOW_DELTA})")
-    pairs0 = eig_smallest(assemble_lplus(state, 0), k)
+    vals0 = [v for v, _ in eig_smallest(assemble_lplus(state, 0), k)]
     pairs1 = eig_smallest(assemble_lplus(state, 1), k)
-    vals0 = [v for v, _ in pairs0]
     vals1 = [v for v, _ in pairs1]
     tmode = translation_mode(state).values
-    corr_best = 0.0
-    found = False
-    for v, fld in pairs1:
-        if abs(v) < gap_tol:
-            c = correlation(state.grid, fld.values, tmode)
-            if c > corr_best:
-                corr_best = c
-            if c > 0.99:
-                found = True
-    trivial = not any(abs(v) < gap_tol for v in vals0)
+    corr_best = max((correlation(state.grid, fld.values, tmode)
+                     for v, fld in pairs1 if abs(v) < gap_tol), default=0.0)
     return NondegeneracyReport(
-        radial_kernel_trivial=trivial,
-        translation_mode_found=found,
+        radial_kernel_trivial=not any(abs(v) < gap_tol for v in vals0),
+        translation_mode_found=corr_best > 0.99,
         negative_count_ell0=sum(1 for v in vals0 if v < 0),
         nearest_eigenvalue_ell0=min(vals0, key=abs),
         nearest_eigenvalue_ell1=min(vals1, key=abs),

@@ -118,6 +118,36 @@ def test_unknown_solver_config_key_is_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "Q.csv").exists()
 
 
+@pytest.mark.parametrize("config,key", [
+    ({"grid": {"N": 800, "strech": 2}, "outdir": "x"}, "outdir"),
+    ({"grid": {"N": 800, "strech": 2}}, "strech"),
+    ({"params": {"d": 3, "alpha": 1, "P": 3}}, "'P'"),
+    ({"sweep": {"d": 3, "alpha": [1.0]}}, "'alpha'"),
+    ({"solver": {"tol": 1e-10, "maxiter": 5}}, "maxiter"),
+], ids=["top-level", "grid", "params", "sweep", "solver"])
+def test_unknown_config_key_is_a_usage_error(tmp_path, capsys, config, key):
+    # a misspelt key would otherwise leave its default in place unseen
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run(["solve", "--d", "3", "--alpha", "1", "--p", "2", "--n", "300",
+                "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "unknown" in err and key in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_section_the_verb_does_not_read_is_allowed(tmp_path):
+    # one config serves both solve and sweep
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "params": {"d": 3, "alpha": 1.0, "p": 2.0}, "grid": {"n": 300},
+        "sweep": {"d": 3, "alphas": [1.0], "ps": [2.0]},
+        "solver": {"tol": 1e-10}, "model": False,
+        "out_dir": str(tmp_path / "out")}))
+    assert run(["solve", "--config", str(cfg)]) == 0
+    assert run(["sweep", "--config", str(cfg)]) == 0
+
+
 _SOLVE = ["solve", "--d", "3", "--alpha", "1", "--p", "2", "--n", "300"]
 _SWEEP = ["sweep", "--d", "3", "--alphas", "1", "--ps", "2", "--n", "300"]
 
@@ -151,7 +181,13 @@ _SOLVE_D3 = ["solve", "--d", "3", "--alpha", "1", "--p", "2"]
      "bad params config"),
     (["sweep"], {"sweep": {"alphas": 5, "ps": [2.0], "d": 3}},
      "bad sweep config"),
-], ids=["grid-n", "grid-r_max", "params-d", "sweep-alphas"])
+    (_SOLVE_D3, {"grid": {"n": 300.7}}, "bad grid config"),
+    (["solve", "--alpha", "1"], {"params": {"d": 3.9, "p": 2}},
+     "bad params config"),
+    (["sweep"], {"sweep": {"alphas": [1.0], "ps": [2.0], "d": 3.5}},
+     "bad sweep config"),
+], ids=["grid-n", "grid-r_max", "params-d", "sweep-alphas", "grid-n-300.7",
+        "params-d-3.9", "sweep-d-3.5"])
 def test_config_value_of_the_wrong_type_is_a_usage_error(tmp_path, capsys,
                                                          argv, config,
                                                          message):
@@ -222,6 +258,20 @@ def test_verify_fails_an_under_resolved_state_at_the_window_edge(
     capsys.readouterr()
     assert run(["verify", str(tmp_path / "Q")]) == 2
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_verify_passes_where_the_exponent_scan_missed_a_witness(tmp_path,
+                                                                 capsys):
+    # a lattice scan found no exponents at (3, 0.68, 2.5), though the
+    # system has the witness r = 300/59, r1 = 300/149, r2 = 225/67,
+    # r3 = 225/38, t = 300/67, t1 = 40/9, s = 100/67
+    assert run(["solve", "--d", "3", "--alpha", "0.68", "--p", "2.5",
+                "--n", "700", "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert run(["verify", str(tmp_path / "Q")]) == 0
+    row = [ln for ln in capsys.readouterr().out.splitlines()
+           if ln.startswith("exponent system feasible")]
+    assert len(row) == 1 and row[0].endswith("PASS")
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "0"])
@@ -317,6 +367,43 @@ def test_spectrum_zero_field(tmp_path):
     rep = json.loads((tmp_path / "spectral_report.json").read_text())
     assert rep["zero_field"] is True
     assert rep["eigenvalues"][0] >= 0.95
+
+
+def test_spectrum_zero_field_in_a_higher_sector(tmp_path):
+    # -Delta_l + 1 with l(l+d-2)/r^2 > 0: every eigenvalue lies above 1
+    assert run(["spectrum", "--zero-field", "--d", "3", "--ell", "2",
+                "--n", "300", "--out-dir", str(tmp_path)]) == 0
+    rep = json.loads((tmp_path / "spectral_report.json").read_text())
+    assert rep["sector"] == 2 and min(rep["eigenvalues"]) > 1.0
+
+
+@pytest.mark.parametrize("ell", ["-1", "500"])
+def test_spectrum_zero_field_without_such_a_sector(tmp_path, capsys, ell):
+    # l = 500 overflows the powers of r in K_l on this grid
+    with np.errstate(all="raise"):
+        assert run(["spectrum", "--zero-field", "--d", "3", "--ell", ell,
+                    "--n", "300", "--out-dir", str(tmp_path)]) == 1
+    assert "sector" in capsys.readouterr().err
+    assert not (tmp_path / "spectral_report.json").exists()
+
+
+@pytest.mark.parametrize("argv,flags", [
+    (["spectrum", "{Q}", "--n", "50", "--r-max", "3", "--d", "5",
+      "--alpha", "9"], "--d, --alpha, --r-max, --n"),
+    (["spectrum", "{Q}", "--stretch", "1.0"], "--stretch"),
+    (["spectrum", "--zero-field", "--d", "3", "--gap-tol", "-5"],
+     "--gap-tol"),
+    (["spectrum", "{Q}", "--zero-field", "--d", "3"], "state file"),
+    (["solve", "--model", "--d", "1", "--p", "3", "--alpha", "0.5"],
+     "--alpha"),
+], ids=["state-grid", "state-stretch", "zero-field-gap-tol",
+        "zero-field-state", "model-alpha"])
+def test_a_flag_the_mode_ignores_is_a_usage_error(solved_dir, tmp_path,
+                                                  capsys, argv, flags):
+    argv = [a.replace("{Q}", str(solved_dir / "Q")) for a in argv]
+    assert run(argv + ["--out-dir", str(tmp_path / "out")]) == 1
+    assert flags in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_spectrum_unsupported_sector(solved_dir, tmp_path):

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import exp1
 
@@ -11,6 +13,7 @@ from choquard_lab import (ChoquardParams, ModelParams, ParameterError,
                           feasible_exponents, make_grid, model_soliton,
                           pohozaev_report, solve_choquard, solver_grid,
                           state_from_field)
+from choquard_lab.diagnostics import _check_witness
 
 
 def test_injected_exact_profile_satisfies_identities():
@@ -86,6 +89,71 @@ def test_feasibility_near_newtonian_perturbation():
 def test_feasibility_rejects_bad_inputs():
     with pytest.raises(ParameterError):
         feasible_exponents(ChoquardParams(3, 1.0, 1.5))
+
+
+def test_witness_that_a_lattice_scan_missed():
+    rep = feasible_exponents(ChoquardParams(3, 0.68, 2.5))
+    assert rep.feasible
+    w = rep.witness
+    assert (w.r, w.r1, w.r2, w.r3, w.t, w.t1, w.s) == (
+        Fraction(300, 59), Fraction(300, 149), Fraction(225, 67),
+        Fraction(225, 38), Fraction(300, 67), Fraction(40, 9),
+        Fraction(100, 67))
+    assert _check_witness(3, Fraction(17, 25), Fraction(5, 2), w)
+
+
+def _slack_lp(d, alpha, p):
+    """The largest margin eps by which the system holds, every strict
+    inequality by eps: a float LP in (1/r, 1/r1, 1/r2, 1/r3, 1/t, 1/t1,
+    1/s, eps), independent of the exact decision.  The system is feasible
+    iff eps > 0; None when the LP has no solution at all."""
+    from scipy.optimize import linprog
+    lo_r, hi_r = (d - 2) / (2 * d), 0.5
+    t_lo, ad = p * (d - 2) / (2 * d) - (d - alpha) / d, alpha / d
+    rows, rhs = [], []
+
+    def at_most(coef, bound, strict=False):   # coef . v (+ eps) <= bound
+        rows.append(list(coef) + [1.0 if strict else 0.0])
+        rhs.append(bound)
+    unit = np.eye(7)
+    for k in range(4):                         # 1/r .. 1/r3
+        at_most(-unit[k], -lo_r)
+        at_most(unit[k], hi_r)
+    if p > 2:
+        at_most(unit[1], 1 / (p - 2))
+    for k in (2, 3):
+        at_most(unit[k], 1 / (p - 1))
+    for k in (4, 5):                           # 1/t, 1/t1
+        at_most(-unit[k], -t_lo)
+        at_most(-unit[k], 0.0, strict=True)
+        at_most(unit[k], ad, strict=True)
+    at_most(-unit[6], -2 / d)
+    at_most(unit[6], 1.0)
+    at_most(unit[0] - unit[6], 0.0)
+    at_most(unit[6] - unit[0], 2 / d)
+    eq = [[1, p - 2, 0, 0, 0, 1, -1, 0], [0, 0, p - 1, 0, 1, 0, -1, 0],
+          [-1, 0, 0, -(p - 1), 1, 0, 0, 0]]
+    res = linprog(np.r_[np.zeros(7), -1.0],
+                  A_ub=rows, b_ub=rhs, A_eq=eq, b_eq=[0, 0, -ad],
+                  bounds=[(None, None)] * 7 + [(None, 1.0)])
+    return -res.fun if res.status == 0 else None
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.integers(3, 7), frac=st.floats(0.01, 0.99),
+       p=st.floats(2.0, 6.0))
+def test_feasibility_is_decided_exactly(d, frac, p):
+    # a witness passes the exact check; the LP agrees with the decision
+    # wherever its margin is clear of rounding
+    params = ChoquardParams(d, round(frac * d, 3), round(p, 3))
+    rep = feasible_exponents(params)
+    alpha, p = (Fraction(x).limit_denominator(10 ** 6)
+                for x in (params.alpha, params.p))
+    if rep.feasible:
+        assert _check_witness(d, alpha, p, rep.witness)
+    eps = _slack_lp(d, float(alpha), float(p))
+    if eps is None or abs(eps) > 1e-9:
+        assert rep.feasible == (eps is not None and eps > 0), eps
 
 
 def test_infeasible_outside_window_is_reported_not_raised():

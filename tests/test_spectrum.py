@@ -3,11 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from choquard_lab import (ChoquardParams, SpectrumError, apply_lplus,
-                          assemble_lplus, correlation, eig_smallest,
-                          lplus_identity_residual, make_grid,
-                          nondegeneracy_verdict, solve_model, solver_grid,
-                          state_from_zero_field, translation_mode)
+from choquard_lab import (ChoquardParams, GridError, RieszError,
+                          SpectrumError, apply_lplus, assemble_lplus,
+                          correlation, eig_smallest, lplus_identity_residual,
+                          make_grid, nondegeneracy_verdict, solve_choquard,
+                          solve_model, solver_grid, state_from_zero_field,
+                          translation_mode)
 from choquard_lab.riesz import riesz_apply_matrix
 
 
@@ -155,13 +156,31 @@ def test_apply_matches_assembled_action_on_smooth_field(state_312_coarse):
 
 
 def test_unsupported_sector_raises(state_312_coarse):
-    with pytest.raises(SpectrumError):
-        assemble_lplus(state_312_coarse, 2)
-    with pytest.raises(SpectrumError):
-        apply_lplus(state_312_coarse, 5, state_312_coarse.field.values)
+    # every int l >= 0 is a sector; a negative, a non-integral and an
+    # overflowing one are not
+    with pytest.raises(GridError):
+        assemble_lplus(state_312_coarse, -1)
+    with pytest.raises(GridError):
+        apply_lplus(state_312_coarse, 1.5, state_312_coarse.field.values)
+    for build in (lambda: assemble_lplus(state_312_coarse, 500),
+                  lambda: apply_lplus(state_312_coarse, 500,
+                                      state_312_coarse.field.values)):
+        with pytest.raises(RieszError):
+            build()
     op = assemble_lplus(state_312_coarse, 0)
     with pytest.raises(SpectrumError):
         eig_smallest(op, 11)
+
+
+def test_lowest_eigenvalue_rises_with_the_sector():
+    # the sectors l >= 2 lie above the translation sector: lambda_min of
+    # L+ restricted to degree l increases with l
+    state = solve_choquard(ChoquardParams(3, 0.97, 2.03),
+                           solver_grid(3, 25.0, 300))
+    lowest = [eig_smallest(assemble_lplus(state, ell), 1)[0][0]
+              for ell in range(2, 7)]
+    assert np.all(np.diff(lowest) > 0), lowest
+    assert lowest[0] > 0
 
 
 def test_eigenfields_normalized(state_312_coarse):
