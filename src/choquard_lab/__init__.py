@@ -17,8 +17,8 @@ from .diagnostics import (ExponentWitness, FeasibilityReport, PohozaevReport,
                           pohozaev_report, predicted_grad_mass_ratio)
 from .spectrum import (NondegeneracyReport, SectorOperator, SpectrumError,
                        apply_lplus, assemble_lplus, correlation, eig_smallest,
-                       lplus_identity_residual, nondegeneracy_verdict,
-                       state_from_zero_field, translation_mode)
+                       free_operator, lplus_identity_residual,
+                       nondegeneracy_verdict, translation_mode)
 from .continuation import (ContinuationError, SweepRecord, distances,
                            newton_continue, sweep, sweep_to_csv)
 

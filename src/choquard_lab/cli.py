@@ -24,8 +24,8 @@ from .grid import (ChoquardParams, GridError, ParameterError, RadialField,
 from .riesz import RieszError, riesz_radial
 from .solver import (ConvergenceError, FitError, GroundState, SolverOptions,
                      solve_choquard, solve_model)
-from .spectrum import (SpectrumError, assemble_lplus, eig_smallest,
-                       nondegeneracy_verdict, state_from_zero_field)
+from .spectrum import (SpectrumError, eig_smallest, free_operator,
+                       nondegeneracy_verdict)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -67,8 +67,9 @@ class UsageError(Exception):
 
 
 def _integral(x) -> int:
-    """int(x) for an integral x; int() alone would truncate 3.9 to 3."""
-    if not float(x).is_integer():
+    """int(x) for an integral x; int() alone would truncate 3.9 to 3, and
+    would take true for 1."""
+    if isinstance(x, bool) or not float(x).is_integer():
         raise ValueError(f"{x!r} is not an integer")
     return int(x)
 
@@ -107,11 +108,16 @@ def _grid_from(args, cfg, d):
 
 
 def _opts_from(args, cfg) -> SolverOptions:
-    sc = cfg.get("solver", {})
-    tol = args.tol if args.tol is not None else sc.get("tol", 1e-10)
+    """Options from flags over config; SolverOptions holds the defaults."""
+    given = dict(cfg.get("solver", {}))
+    if args.tol is not None:
+        given["tol"] = args.tol
     try:
-        return SolverOptions(tol=float(tol),
-                             max_iter=int(sc.get("max_iter", 2000)))
+        if "tol" in given:
+            given["tol"] = float(given["tol"])
+        if "max_iter" in given:
+            given["max_iter"] = _integral(given["max_iter"])
+        return SolverOptions(**given)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad solver options: {exc}")
 
@@ -221,22 +227,19 @@ def cmd_spectrum(args) -> int:
             raise UsageError("--zero-field needs --d")
         out = _out_dir(args, cfg)
         grid = _grid_from(args, cfg, args.d)
-        alpha = args.alpha if args.alpha is not None else float(args.d - 2)
-        state = state_from_zero_field(ChoquardParams(args.d, alpha, 2.0), grid)
-        pairs = eig_smallest(assemble_lplus(state, ell), args.k)
+        pairs = eig_smallest(free_operator(grid, ell), args.k)
         report = {"sector": ell, "zero_field": True,
                   "eigenvalues": [v for v, _ in pairs]}
     else:
         if not args.state:
             raise UsageError("spectrum needs a state file or --zero-field")
         # the report on a state covers both sectors on the state's grid
-        _refuse(args, "the report on a state", ["ell", "d", "alpha", "r_max",
-                                                "n", "stretch"])
+        _refuse(args, "the report on a state", ["ell", "d", "r_max", "n",
+                                                "stretch"])
         out = _out_dir(args, cfg)
         state = _load_state(args.state)
-        gap_tol = 0.05 if args.gap_tol is None else args.gap_tol
-        report = asdict(nondegeneracy_verdict(state, gap_tol=gap_tol,
-                                              k=args.k))
+        window = {} if args.gap_tol is None else {"gap_tol": args.gap_tol}
+        report = asdict(nondegeneracy_verdict(state, k=args.k, **window))
     text = json.dumps(report, indent=2)
     write_atomic(out / "spectral_report.json",
                  lambda fh: fh.write(text.encode()))
@@ -336,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--zero-field", action="store_true",
                    help="free-operator sanity check")
     s.add_argument("--d", type=int)
-    s.add_argument("--alpha", type=float)
     s.set_defaults(func=cmd_spectrum)
 
     s = sub.add_parser("sweep", help="parameter lattice sweep")

@@ -449,6 +449,24 @@ def band_matvec(ab: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
+def _centrifugal(grid: RadialGrid, ell) -> float:
+    """l(l+d-2), the centrifugal coefficient of sector l, once l is a
+    sector of the grid: an int >= 0, at most 1 at d = 1 (the even and odd
+    profiles), with l(l+d-2)/r_0^2 a finite float."""
+    if (not isinstance(ell, (int, np.integer)) or ell < 0
+            or (grid.d == 1 and ell > 1)):
+        raise GridError(f"no sector l={ell!r} at d={grid.d}: l is an int "
+                        ">= 0, at most 1 at d = 1")
+    try:
+        kappa = float(int(ell) * (int(ell) + grid.d - 2))
+    except OverflowError:
+        kappa = math.inf
+    if not math.isfinite(kappa / float(grid.nodes[0]) ** 2):
+        raise GridError(f"sector l={ell} overflows on this grid: "
+                        "l(l+d-2)/r_0^2 is not a finite float")
+    return kappa
+
+
 def _pointwise_rows(grid: RadialGrid, ell: int) -> np.ndarray:
     """Band of the pointwise sector operator, laid out as in
     ``kinetic_tridiag``.
@@ -459,7 +477,7 @@ def _pointwise_rows(grid: RadialGrid, ell: int) -> np.ndarray:
     """
     r = grid.nodes
     d = grid.d
-    kappa = ell * (ell + d - 2)
+    kappa = _centrifugal(grid, ell)
     h = grid.spacings()
     ab = np.zeros((3, grid.n))
 
@@ -499,15 +517,13 @@ def laplacian_sector(grid: RadialGrid, f: RadialField, ell: int) -> RadialField:
     as a pure differential-operator evaluation with a one-sided stencil
     so non-decaying test functions are not polluted by the fence.
     """
-    if not isinstance(ell, (int, np.integer)) or ell < 0:
-        raise GridError(f"sector index must be an int >= 0, got {ell!r}")
+    kappa = _centrifugal(grid, ell)
     values = _check_field(grid, f)
     out = band_matvec(_pointwise_rows(grid, ell), values)
 
     # replace the fence row by a one-sided evaluation of the operator
     r = grid.nodes
     d = grid.d
-    kappa = ell * (ell + d - 2)
     x = r[None, -3:]
     w2 = _fd_weights(r[-1:], x, 2)[0]
     w1 = _fd_weights(r[-1:], x, 1)[0]
@@ -542,8 +558,7 @@ def sector_symmetric(grid: RadialGrid, ell: int) -> np.ndarray:
     (regularity), vanishing ghost value for l >= 1, Dirichlet fence beyond
     r_max.
     """
-    if not isinstance(ell, (int, np.integer)) or ell < 0:
-        raise GridError(f"sector index must be an int >= 0, got {ell!r}")
+    kappa = _centrifugal(grid, ell)
     r = grid.nodes
     d = grid.d
     h = grid.spacings()
@@ -557,7 +572,7 @@ def sector_symmetric(grid: RadialGrid, ell: int) -> np.ndarray:
         ab[1, 0] += (0.5 * r[0]) ** (d - 1) / h[0]
     # fence flux (ghost value zero at r_max + h[0])
     ab[1, -1] += (r[-1] + 0.5 * h[0]) ** (d - 1) / h[0]
-    ab[1] += ell * (ell + d - 2) / r ** 2 * m
+    ab[1] += kappa / r ** 2 * m
     inv = 1.0 / np.sqrt(m)
     ab[0, 1:] = (-flux * inv[:-1]) * inv[1:]
     ab[1] = ab[1] * inv * inv

@@ -79,19 +79,6 @@ _BAND_PIECES = 1 << 15
 # exact cell moments
 
 
-def _cell_integrals(rule: _CellRule, values: np.ndarray,
-                    gamma: float) -> np.ndarray:
-    """int_a^b s^gamma f(s) ds on every cell, f the quadratic interpolant
-    of ``values`` (gamma > -1), from the moments M_k of s^(k+gamma)."""
-    M = []
-    for k in range(3):
-        e = k + gamma + 1.0
-        M.append((rule.b ** e - rule.a ** e) / e)
-    return sum(values[rule.j0 + m] * (lm[0] * M[0] + lm[1] * M[1]
-                                      + lm[2] * M[2])
-               for m, lm in enumerate(rule.lagrange))
-
-
 def _shift_poly(coeffs: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Rewrite sum_k coeffs[k] s^k in powers of (s - c).
 
@@ -809,12 +796,16 @@ def riesz_radial(grid: RadialGrid, f: RadialField, alpha: float,
 
 
 def riesz_at_zero(grid: RadialGrid, f: RadialField, alpha: float) -> float:
-    """(|.|^{-alpha} * f)(0) = |S^{d-1}| int_0^inf f(s) s^{d-1-alpha} ds."""
+    """(|.|^{-alpha} * f)(0) = |S^{d-1}| int_0^inf f(s) s^{d-1-alpha} ds,
+    f the quadratic interpolant.  The node weights are the far-field
+    moments at k = 0 (_far_moments): every cell, cell 0 included, written
+    in its far end's variable, tau in [-1, 0), E = d-1-alpha > -1."""
     values = _check_field(grid, f)
     d = grid.d
     _check_request(grid, alpha)
-    cells = _cell_integrals(_CellRule(grid), values, d - 1.0 - alpha)
-    return sphere_area(d) * float(np.sum(cells))
+    M = _far_moments(_CellRule(grid), np.frexp(grid.nodes)[1],
+                     d - 1.0 - alpha, 1, 1)
+    return sphere_area(d) * float(M[0] @ values)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ depth 5 accelerates the iteration, which then reaches the requested
 residual by itself.  A damped Newton-Krylov step (shared with the
 continuation module; GMRES preconditioned by the kinetic tridiagonal, no
 n x n Jacobian) is only the fallback, after a stall or when max_iter
-runs out.
+runs out.  Each piece looks the tridiagonal up itself, a read-only
+per-grid constant (``kinetic_tridiag``), so no band is passed around.
 
 The local model -u'' + u - u^p = 0 in d = 1 is additionally offered on a
 Numerov discretization (fourth order), accurate enough to compare
@@ -193,11 +194,9 @@ def nonlinear_term(u: np.ndarray, p: float, W: np.ndarray | None) -> np.ndarray:
 
 
 def equation_residual(grid: RadialGrid, u: np.ndarray, p: float,
-                      W: np.ndarray | None, ab=None) -> np.ndarray:
+                      W: np.ndarray | None) -> np.ndarray:
     """Pointwise residual (-Delta_h + 1) u - N(u)."""
-    if ab is None:
-        ab = kinetic_tridiag(grid, 0)
-    return band_matvec(ab, u) - nonlinear_term(u, p, W)
+    return band_matvec(kinetic_tridiag(grid, 0), u) - nonlinear_term(u, p, W)
 
 
 def state_norms(grid: RadialGrid, values: np.ndarray) -> dict:
@@ -213,17 +212,16 @@ def state_norms(grid: RadialGrid, values: np.ndarray) -> dict:
 
 
 def linearized_matrix(grid: RadialGrid, u: np.ndarray, p: float,
-                      W: np.ndarray | None, ab=None):
+                      W: np.ndarray | None):
     """Jacobian J = K - B of (-Delta_h + 1) u - N(u) about u (radial
     sector), as the function v -> J v; no n x n array is formed.
 
-    K is the kinetic tridiagonal ``ab``.  For the nonlocal equation
-    B v = (p-1) V v + p a W(a v) with V = (W |u|^p) |u|^{p-2} and
-    a = |u|^{p-1}, the radial-sector restriction of the linearized
-    operator; for the local model (W = None) B v = p |u|^{p-1} v.
+    K is the kinetic tridiagonal ``kinetic_tridiag(grid, 0)``.  For the
+    nonlocal equation B v = (p-1) V v + p a W(a v) with V = (W |u|^p)
+    |u|^{p-2} and a = |u|^{p-1}, the radial-sector restriction of the
+    linearized operator; for the local model (W = None) B v = p |u|^{p-1} v.
     """
-    if ab is None:
-        ab = kinetic_tridiag(grid, 0)
+    ab = kinetic_tridiag(grid, 0)
     a = np.abs(u) ** (p - 1)
     if W is None:
         def matvec(v):
@@ -301,30 +299,28 @@ def _krylov_step(J, G: np.ndarray, kinv):
 
 def _newton_refine(grid: RadialGrid, u: np.ndarray, p: float,
                    W: np.ndarray | None, tol: float, max_steps: int = 25,
-                   ab=None, kinv=None, G=None):
+                   G=None):
     """Damped Newton to the discrete root; returns (u, residuals).  Stops
-    at the first residual or Krylov step that is not finite.  ``kinv`` is
-    the ``tridiag_solver`` of ``ab``; it is factored here when not given.
-    ``G``, when given, is the residual ``equation_residual`` of u."""
-    if ab is None:
-        ab = kinetic_tridiag(grid, 0)
-    if kinv is None:
-        kinv = tridiag_solver(ab)
+    at the first residual or Krylov step that is not finite.  The GMRES
+    preconditioner is the kinetic tridiagonal, factored here, once per
+    call (O(n)).  ``G``, when given, is the residual ``equation_residual``
+    of u."""
+    kinv = tridiag_solver(kinetic_tridiag(grid, 0))
     res_hist = []
     if G is None:
-        G = equation_residual(grid, u, p, W, ab)
+        G = equation_residual(grid, u, p, W)
     res = float(np.max(np.abs(G)))
     res_hist.append(res)
     for _ in range(max_steps):
         if res <= tol or not math.isfinite(res):
             break
-        step = _krylov_step(linearized_matrix(grid, u, p, W, ab), G, kinv)
+        step = _krylov_step(linearized_matrix(grid, u, p, W), G, kinv)
         if not np.all(np.isfinite(step)):
             break
         theta = 1.0
         while theta > 1e-4:
             trial = u - theta * step
-            Gt = equation_residual(grid, trial, p, W, ab)
+            Gt = equation_residual(grid, trial, p, W)
             rt = float(np.max(np.abs(Gt)))
             if rt < res:
                 u, G, res = trial, Gt, rt
@@ -401,7 +397,7 @@ def _petviashvili(grid: RadialGrid, u0: np.ndarray, p: float,
         res_prev = res
         if stall >= 12:
             break
-    u, hist = _newton_refine(grid, u, p, W, opts.tol, ab=ab, kinv=kinv)
+    u, hist = _newton_refine(grid, u, p, W, opts.tol)
     res = hist[-1]
     n_iter += len(hist) - 1
     if res <= opts.tol:
@@ -411,10 +407,11 @@ def _petviashvili(grid: RadialGrid, u0: np.ndarray, p: float,
         last_residual=res, iterations=n_iter)
 
 
-def _initial_gaussian(grid: RadialGrid, p: float, W: np.ndarray | None,
-                      width: float = 1.0) -> np.ndarray:
-    """Gaussian seed scaled so the energy-balance identity holds exactly."""
-    g = np.exp(-grid.nodes ** 2 / (2.0 * width ** 2))
+def _initial_gaussian(grid: RadialGrid, p: float,
+                      W: np.ndarray | None) -> np.ndarray:
+    """Gaussian seed exp(-r^2/2) scaled so the energy-balance identity
+    holds exactly."""
+    g = np.exp(-grid.nodes ** 2 / 2.0)
     ab = kinetic_tridiag(grid, 0)
     m = grid.measure
     num = float(np.sum(m * g * band_matvec(ab, g)))

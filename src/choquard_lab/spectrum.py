@@ -17,6 +17,9 @@ harmonic.  Two discrete realisations are used deliberately:
   sector kernel contracted with the grid measure (second-order
   accurate), negated in its own n x n buffer, plus the symmetric band of
   the flux-form Laplacian.  It allocates no other n x n array.
+
+``free_operator`` is the limit Q -> 0 of that matrix, -Delta_l + 1 in the
+same basis: the band alone, with no kernel and no state.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .grid import (ChoquardParams, RadialField, RadialGrid,
                    differentiate, integrate_radial, laplacian_sector,
                    sector_symmetric)
 from .riesz import riesz_apply_matrix, sector_kernel
-from .solver import GroundState, ModelParams, state_from_field
+from .solver import GroundState
 
 
 class SpectrumError(RuntimeError):
@@ -45,7 +48,6 @@ class SectorOperator:
     """Dense symmetric form of L+ restricted to a harmonic sector."""
 
     ell: int
-    params: ChoquardParams | ModelParams
     grid: RadialGrid
     matrix: np.ndarray          # in the sqrt(w r^{d-1})-weighted basis
 
@@ -105,11 +107,26 @@ def assemble_lplus(state: GroundState, ell: int) -> SectorOperator:
     else:
         ab[1] -= p * np.abs(q) ** (p - 1)
         mat = np.zeros((grid.n, grid.n))
-    idx = np.arange(grid.n)
+    return SectorOperator(ell=ell, grid=grid, matrix=_add_band(mat, ab))
+
+
+def _add_band(mat: np.ndarray, ab: np.ndarray) -> np.ndarray:
+    """mat plus the (3, n) band ab (layout of ``kinetic_tridiag``), in
+    place."""
+    idx = np.arange(mat.shape[0])
     mat[idx, idx] += ab[1]
     mat[idx[:-1], idx[1:]] += ab[0, 1:]
     mat[idx[1:], idx[:-1]] += ab[2, :-1]
-    return SectorOperator(ell=ell, params=params, grid=grid, matrix=mat)
+    return mat
+
+
+def free_operator(grid: RadialGrid, ell: int) -> SectorOperator:
+    """-Delta_l + 1 in the basis of ``assemble_lplus``, the limit of L+ as
+    Q -> 0; its spectrum starts at 1."""
+    ab = sector_symmetric(grid, ell)
+    ab[1] += 1.0
+    return SectorOperator(ell=ell, grid=grid,
+                          matrix=_add_band(np.zeros((grid.n, grid.n)), ab))
 
 
 def apply_lplus(state: GroundState, ell: int, xi: np.ndarray) -> np.ndarray:
@@ -241,9 +258,3 @@ def nondegeneracy_verdict(state: GroundState, gap_tol: float = 0.05,
         eigenvalues_ell0=vals0,
         eigenvalues_ell1=vals1,
     )
-
-
-def state_from_zero_field(params, grid: RadialGrid) -> GroundState:
-    """Zero-profile state; its linearization is the free sector operator."""
-    return state_from_field(params, RadialField(grid=grid,
-                                                values=np.zeros(grid.n)))

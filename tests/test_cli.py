@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from choquard_lab import RadialField, make_grid, model_soliton, riesz_radial
-from choquard_lab import cli, continuation
+from choquard_lab import cli, continuation, riesz, spectrum
 from choquard_lab.cli import main
 
 
@@ -186,8 +186,18 @@ _SOLVE_D3 = ["solve", "--d", "3", "--alpha", "1", "--p", "2"]
      "bad params config"),
     (["sweep"], {"sweep": {"alphas": [1.0], "ps": [2.0], "d": 3.5}},
      "bad sweep config"),
+    # int() would run these with 3 and 1 iterations, and true as d = 1
+    (_SOLVE_D3, {"solver": {"max_iter": 3.9}}, "bad solver options"),
+    (_SOLVE_D3, {"solver": {"max_iter": True}}, "bad solver options"),
+    (_SOLVE_D3, {"grid": {"n": True}}, "bad grid config"),
+    (["solve", "--alpha", "1"], {"params": {"d": True, "p": 2}},
+     "bad params config"),
+    (["sweep"], {"sweep": {"alphas": [1.0], "ps": [2.0], "d": True}},
+     "bad sweep config"),
 ], ids=["grid-n", "grid-r_max", "params-d", "sweep-alphas", "grid-n-300.7",
-        "params-d-3.9", "sweep-d-3.5"])
+        "params-d-3.9", "sweep-d-3.5", "solver-max_iter-3.9",
+        "solver-max_iter-true", "grid-n-true", "params-d-true",
+        "sweep-d-true"])
 def test_config_value_of_the_wrong_type_is_a_usage_error(tmp_path, capsys,
                                                          argv, config,
                                                          message):
@@ -377,27 +387,65 @@ def test_spectrum_zero_field_in_a_higher_sector(tmp_path):
     assert rep["sector"] == 2 and min(rep["eigenvalues"]) > 1.0
 
 
-@pytest.mark.parametrize("ell", ["-1", "500"])
-def test_spectrum_zero_field_without_such_a_sector(tmp_path, capsys, ell):
-    # l = 500 overflows the powers of r in K_l on this grid
+def test_spectrum_zero_field_in_a_sector_whose_kernel_overflows(tmp_path):
+    # the powers of r in K_500 overflow on this grid, but the free
+    # operator has no kernel
     with np.errstate(all="raise"):
-        assert run(["spectrum", "--zero-field", "--d", "3", "--ell", ell,
-                    "--n", "300", "--out-dir", str(tmp_path)]) == 1
-    assert "sector" in capsys.readouterr().err
+        assert run(["spectrum", "--zero-field", "--d", "3", "--ell", "500",
+                    "--n", "300", "--out-dir", str(tmp_path)]) == 0
+    rep = json.loads((tmp_path / "spectral_report.json").read_text())
+    assert rep["sector"] == 500 and min(rep["eigenvalues"]) > 1.0
+
+
+@pytest.mark.parametrize("d,ell", [("3", "-1"), ("1", "2"),
+                                   ("3", "1" + "0" * 200)],
+                         ids=["-1", "d1-ell2", "ell-201-digits"])
+def test_spectrum_zero_field_without_such_a_sector(tmp_path, capsys, d, ell):
+    # d = 1 has the even and the odd sector only; l(l+1)/r_0^2 of the
+    # 201-digit l is no float
+    with np.errstate(all="raise"):
+        assert run(["spectrum", "--zero-field", "--d", d, "--ell", ell,
+                    "--n", "64", "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "sector" in err and "Traceback" not in err
     assert not (tmp_path / "spectral_report.json").exists()
+
+
+@pytest.mark.parametrize("d", ["1", "2"])
+@pytest.mark.parametrize("ell", ["0", "1"])
+def test_spectrum_zero_field_assembles_no_riesz_operator(
+        tmp_path, monkeypatch, d, ell):
+    # d = 1 has no finite K_l at all (alpha >= d - 1 = 0), and d = 2 has no
+    # alpha = d - 2 inside (0, d): the free operator needs neither
+    calls = []
+    monkeypatch.setattr(riesz, "sector_kernel",
+                        lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(spectrum, "sector_kernel",
+                        lambda *a, **k: calls.append(a))
+    riesz.clear_caches()
+    assert run(["spectrum", "--zero-field", "--d", d, "--ell", ell,
+                "--n", "64", "--out-dir", str(tmp_path)]) == 0
+    rep = json.loads((tmp_path / "spectral_report.json").read_text())
+    assert rep["sector"] == int(ell) and min(rep["eigenvalues"]) > 1.0
+    assert calls == [] and len(riesz._APPLY_CACHE) == 0
 
 
 @pytest.mark.parametrize("argv,flags", [
     (["spectrum", "{Q}", "--n", "50", "--r-max", "3", "--d", "5",
-      "--alpha", "9"], "--d, --alpha, --r-max, --n"),
+      "--alpha", "9"], "unrecognized arguments: --alpha"),
+    (["spectrum", "{Q}", "--n", "50", "--r-max", "3", "--d", "5"],
+     "--d, --r-max, --n"),
     (["spectrum", "{Q}", "--stretch", "1.0"], "--stretch"),
     (["spectrum", "--zero-field", "--d", "3", "--gap-tol", "-5"],
      "--gap-tol"),
     (["spectrum", "{Q}", "--zero-field", "--d", "3"], "state file"),
+    (["spectrum", "--zero-field", "--d", "3", "--alpha", "1"],
+     "unrecognized arguments: --alpha"),
     (["solve", "--model", "--d", "1", "--p", "3", "--alpha", "0.5"],
      "--alpha"),
-], ids=["state-grid", "state-stretch", "zero-field-gap-tol",
-        "zero-field-state", "model-alpha"])
+], ids=["state-grid", "state-grid-without-alpha", "state-stretch",
+        "zero-field-gap-tol", "zero-field-state", "zero-field-alpha",
+        "model-alpha"])
 def test_a_flag_the_mode_ignores_is_a_usage_error(solved_dir, tmp_path,
                                                   capsys, argv, flags):
     argv = [a.replace("{Q}", str(solved_dir / "Q")) for a in argv]
@@ -421,14 +469,6 @@ def test_spectrum_k_outside_1_to_10_is_a_usage_error(stored, k, solved_dir,
                 "--out-dir", str(tmp_path)]) == 1
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "spectral_report.json").exists()
-
-
-def test_spectrum_zero_field_at_the_d5_log_point(tmp_path):
-    # alpha = 2 is a log point of d = 5 below d - 1
-    assert run(["spectrum", "--zero-field", "--d", "5", "--alpha", "2",
-                "--n", "64", "--out-dir", str(tmp_path)]) == 0
-    rep = json.loads((tmp_path / "spectral_report.json").read_text())
-    assert np.all(np.isfinite(rep["eigenvalues"]))
 
 
 @pytest.mark.parametrize("gap_tol", ["-1", "nan", "0", "inf"])

@@ -156,6 +156,19 @@ def test_laplacian_rejects_negative_sector():
         laplacian_sector(g, RadialField(g, np.ones(g.n)), -1)
 
 
+@pytest.mark.parametrize("d,ell", [(3, -1), (3, 1.0), (1, 2),
+                                   (3, 10 ** 200), (3, 10 ** 154)])
+def test_both_sector_laplacians_refuse_what_is_no_sector(d, ell):
+    # d = 1 has the even and the odd sector only; l(l+1) of the 201-digit
+    # l is no float, and l(l+1)/r_0^2 of the 155-digit one overflows
+    g = make_grid(d, 8.0, 64, 1.0)
+    with np.errstate(all="raise"):
+        with pytest.raises(GridError, match="sector"):
+            laplacian_sector(g, RadialField(g, np.ones(g.n)), ell)
+        with pytest.raises(GridError, match="sector"):
+            sector_symmetric(g, ell)
+
+
 def test_grid_mismatch_raises():
     g1 = make_grid(3, 8.0, 64, 1.0)
     g2 = make_grid(3, 9.0, 64, 1.0)

@@ -88,6 +88,9 @@ def test_kernel_at_the_log_points(alpha):
         assert np.all(np.isfinite(W))
         if alpha < 3.0:
             assert np.all(np.isfinite(sector_kernel(g, alpha, ell)))
+            # (d-1-alpha)/2 is the same integer at alpha + 1 in d = 5
+            g5 = make_grid(5, 8.0, 60, 1.02)
+            assert np.all(np.isfinite(sector_kernel(g5, alpha + 1.0, ell)))
         # W is continuous in alpha through the log point
         f = g.nodes ** ell * np.exp(-g.nodes ** 2)
         near = riesz_apply_matrix(g, alpha + 1e-6, ell, "angular")
@@ -177,6 +180,46 @@ def test_exponential_potential_at_origin():
     g = make_grid(3, 30.0, 1500, 1.002)
     f = RadialField(g, np.exp(-g.nodes))
     assert abs(riesz_at_zero(g, f, 1.0) - 4 * math.pi) <= 1e-6
+
+
+def interpolant_at_zero_mpmath(grid, values, alpha):
+    """|S^{d-1}| int s^{d-1-alpha} f(s) ds of the per-cell quadratic
+    interpolant f at 40 digits: the monomial coefficients of each cell's
+    Lagrange stencil, integrated term by term."""
+    with mpmath.workdps(40):
+        x = [mpmath.mpf(float(t)) for t in grid.nodes]
+        v = [mpmath.mpf(float(t)) for t in values]
+        n, E = len(x), grid.d - 1 - mpmath.mpf(alpha)
+        total, a = mpmath.mpf(0), mpmath.mpf(0)
+        for j, b in enumerate(x):
+            j0 = min(max(j - 1, 0), n - 3)
+            c = [mpmath.mpf(0)] * 3
+            for m in range(3):
+                xm, (o1, o2) = x[j0 + m], [x[j0 + k] for k in range(3)
+                                           if k != m]
+                w = v[j0 + m] / ((xm - o1) * (xm - o2))
+                c[0] += w * o1 * o2
+                c[1] -= w * (o1 + o2)
+                c[2] += w
+            total += sum(c[k] * (b ** (E + k + 1) - a ** (E + k + 1))
+                         / (E + k + 1) for k in range(3))
+            a = b
+        return sphere_area(grid.d) * float(total)
+
+
+@pytest.mark.parametrize("grid,alpha", [
+    (solver_grid(1, 25.0, 600), 0.5),
+    (solver_grid(3, 25.0, 1200), 1.0),
+    (make_grid(3, 30.0, 1500, 1.002), 1.0),
+    (solver_grid(5, 25.0, 600), 2.97),
+], ids=["d1", "d3", "d3-criterion-3", "d5"])
+def test_potential_at_origin_against_mpmath(grid, alpha):
+    # the thin far cells cost no digits: each cell is written in its far
+    # end's variable, not in monomials of s
+    for f in (np.exp(-grid.nodes ** 2), np.exp(-grid.nodes)):
+        got = riesz_at_zero(grid, RadialField(grid, f), alpha)
+        assert_allclose(got, interpolant_at_zero_mpmath(grid, f, alpha),
+                        rtol=1e-14)
 
 
 def test_fast_path_matches_generic():

@@ -249,8 +249,8 @@ def test_krylov_step_matches_dense_solve(d, n, dalpha, dp):
     u = solve_choquard(params, grid).field.values
     # a smooth right-hand side far from the roundoff floor
     G = equation_residual(grid, _initial_gaussian(grid, params.p, W),
-                          params.p, W, ab)
-    step = _krylov_step(linearized_matrix(grid, u, params.p, W, ab), G,
+                          params.p, W)
+    step = _krylov_step(linearized_matrix(grid, u, params.p, W), G,
                         tridiag_solver(ab))
     want = np.linalg.solve(dense_jacobian(grid, u, params.p, W, ab), G)
     assert np.max(np.abs(step - want)) <= 1e-10 * np.max(np.abs(want))
@@ -266,7 +266,7 @@ def test_krylov_step_of_a_zero_residual_is_zero():
     grid = solver_grid(3, 25.0, 200)
     ab = kinetic_tridiag(grid, 0)
     u = _initial_gaussian(grid, 2.0, None)
-    J, calls = counted_matvecs(linearized_matrix(grid, u, 2.0, None, ab))
+    J, calls = counted_matvecs(linearized_matrix(grid, u, 2.0, None))
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
         step = _krylov_step(J, np.zeros(grid.n), tridiag_solver(ab))
@@ -282,7 +282,7 @@ def test_krylov_step_at_a_breakdown_is_the_preconditioned_residual():
     ab = kinetic_tridiag(grid, 0)
     kinv = tridiag_solver(ab)
     J, calls = counted_matvecs(
-        linearized_matrix(grid, np.zeros(grid.n), 2.0, None, ab))
+        linearized_matrix(grid, np.zeros(grid.n), 2.0, None))
     G = np.exp(-grid.nodes ** 2)
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
@@ -315,8 +315,8 @@ def test_krylov_step_of_a_nan_residual_is_not_finite():
     ab = kinetic_tridiag(grid, 0)
     W = riesz_apply_matrix(grid, 1.0, 0)
     u = _initial_gaussian(grid, 2.0, W)
-    J, calls = counted_matvecs(linearized_matrix(grid, u, 2.0, W, ab))
-    G = equation_residual(grid, u, 2.0, W, ab)
+    J, calls = counted_matvecs(linearized_matrix(grid, u, 2.0, W))
+    G = equation_residual(grid, u, 2.0, W)
     G[7] = np.nan
     step = _krylov_step(J, G, tridiag_solver(ab))
     assert not np.all(np.isfinite(step))
@@ -333,8 +333,8 @@ def test_krylov_step_iterations_on_the_continuation_path():
     u = solve_choquard(ChoquardParams(3, 1.0, 2.0), grid).field.values
     p = 2.034
     W = riesz_apply_matrix(grid, 0.97, 0)
-    J = linearized_matrix(grid, u, p, W, ab)
-    G = equation_residual(grid, u, p, W, ab)
+    J = linearized_matrix(grid, u, p, W)
+    G = equation_residual(grid, u, p, W)
     counted, calls = counted_matvecs(J)
     step = _krylov_step(counted, G, kinv)
     assert 1 <= len(calls) <= 12
@@ -348,11 +348,10 @@ def test_newton_step_allocates_no_dense_matrix():
     grid = solver_grid(3, 25.0, 1200)
     p = 2.03
     W = riesz_apply_matrix(grid, 0.97, 0)
-    ab = kinetic_tridiag(grid, 0)
     u = _initial_gaussian(grid, p, W)
     tracemalloc.start()
     try:
-        _, hist = _newton_refine(grid, u, p, W, 0.0, max_steps=1, ab=ab)
+        _, hist = _newton_refine(grid, u, p, W, 0.0, max_steps=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

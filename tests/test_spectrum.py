@@ -3,19 +3,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from choquard_lab import (ChoquardParams, GridError, RieszError,
+from choquard_lab import (ChoquardParams, GridError, RadialField, RieszError,
                           SpectrumError, apply_lplus, assemble_lplus,
-                          correlation, eig_smallest, lplus_identity_residual,
-                          make_grid, nondegeneracy_verdict, solve_choquard,
-                          solve_model, solver_grid, state_from_zero_field,
-                          translation_mode)
+                          correlation, eig_smallest, free_operator,
+                          lplus_identity_residual, make_grid,
+                          nondegeneracy_verdict, solve_choquard, solve_model,
+                          solver_grid, state_from_field, translation_mode)
 from choquard_lab.riesz import riesz_apply_matrix
 
 
 def test_free_operator_spectrum():
     grid = make_grid(3, 40.0, 700, 1.0)
-    state = state_from_zero_field(ChoquardParams(3, 1.0, 2.0), grid)
-    op = assemble_lplus(state, 0)
+    op = free_operator(grid, 0)
     assert op.symmetry_defect() <= 1e-10
     h = grid.nodes[0]
     vals = [v for v, _ in eig_smallest(op, 3)]
@@ -25,10 +24,20 @@ def test_free_operator_spectrum():
 
 def test_free_operator_ell1():
     grid = make_grid(3, 40.0, 500, 1.0)
-    state = state_from_zero_field(ChoquardParams(3, 1.0, 2.0), grid)
-    vals = [v for v, _ in eig_smallest(assemble_lplus(state, 1), 3)]
+    vals = [v for v, _ in eig_smallest(free_operator(grid, 1), 3)]
     h = grid.nodes[0]
     assert vals[0] >= 1.0 - 10 * h * h
+
+
+@pytest.mark.parametrize("ell", [0, 1, 2])
+def test_free_operator_is_lplus_at_the_zero_field(ell):
+    # Q = 0 zeroes the potential and the kernel block of assemble_lplus,
+    # which leaves the band, bit for bit
+    grid = solver_grid(3, 25.0, 200)
+    zero = state_from_field(ChoquardParams(3, 1.0, 2.0),
+                            RadialField(grid, np.zeros(grid.n)))
+    assert np.array_equal(free_operator(grid, ell).matrix,
+                          assemble_lplus(zero, ell).matrix)
 
 
 def test_lplus_identity(state_312):
