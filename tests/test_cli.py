@@ -471,6 +471,18 @@ def test_spectrum_k_outside_1_to_10_is_a_usage_error(stored, k, solved_dir,
     assert not (tmp_path / "spectral_report.json").exists()
 
 
+def test_spectrum_zero_field_at_the_d5_log_point(tmp_path):
+    # alpha = 2 is a log point of d = 5 below d - 1; the free operator
+    # takes no alpha, and K_l there stays finite on the same grid
+    assert run(["spectrum", "--zero-field", "--d", "5",
+                "--n", "64", "--out-dir", str(tmp_path)]) == 0
+    rep = json.loads((tmp_path / "spectral_report.json").read_text())
+    assert np.all(np.isfinite(rep["eigenvalues"]))
+    g = cli.solver_grid(5, 25.0, 64)
+    for ell in (0, 1):
+        assert np.all(np.isfinite(riesz.sector_kernel(g, 2.0, ell)))
+
+
 @pytest.mark.parametrize("gap_tol", ["-1", "nan", "0", "inf"])
 def test_spectrum_rejects_a_gap_tol_that_is_not_positive_and_finite(
         solved_dir, tmp_path, capsys, gap_tol):
