@@ -67,8 +67,7 @@ class UsageError(Exception):
 
 
 def _integral(x) -> int:
-    """int(x) for an integral x; int() alone would truncate 3.9 to 3, and
-    would take true for 1."""
+    """int(x) for an integral x; int() alone takes 3.9 for 3, true for 1."""
     if isinstance(x, bool) or not float(x).is_integer():
         raise ValueError(f"{x!r} is not an integer")
     return int(x)
@@ -112,12 +111,9 @@ def _opts_from(args, cfg) -> SolverOptions:
     given = dict(cfg.get("solver", {}))
     if args.tol is not None:
         given["tol"] = args.tol
+    read = {"tol": float, "max_iter": _integral}
     try:
-        if "tol" in given:
-            given["tol"] = float(given["tol"])
-        if "max_iter" in given:
-            given["max_iter"] = _integral(given["max_iter"])
-        return SolverOptions(**given)
+        return SolverOptions(**{k: read[k](v) for k, v in given.items()})
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad solver options: {exc}")
 

@@ -450,26 +450,24 @@ def band_matvec(ab: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _centrifugal(grid: RadialGrid, ell) -> float:
-    """l(l+d-2), the centrifugal coefficient of sector l, once l is a
-    sector of the grid: an int >= 0, at most 1 at d = 1 (the even and odd
-    profiles), with l(l+d-2)/r_0^2 a finite float."""
+    """l(l+d-2) once l is a sector of the grid: an int >= 0, at most 1 at
+    d = 1 (the even and odd profiles), whose terms l(l+d-2) max(1, m_i)/r_i^2
+    in the sector Laplacians stay finite floats with a factor 4 to spare."""
     if (not isinstance(ell, (int, np.integer)) or ell < 0
             or (grid.d == 1 and ell > 1)):
         raise GridError(f"no sector l={ell!r} at d={grid.d}: l is an int "
                         ">= 0, at most 1 at d = 1")
-    try:
-        kappa = float(int(ell) * (int(ell) + grid.d - 2))
-    except OverflowError:
-        kappa = math.inf
-    if not math.isfinite(kappa / float(grid.nodes[0]) ** 2):
+    kappa = int(ell) * (int(ell) + grid.d - 2)   # an int: compared exactly
+    scale = float(np.max(np.maximum(grid.measure, 1.0) / grid.nodes ** 2))
+    if kappa > float(np.finfo(float).max) / (4.0 * scale):
         raise GridError(f"sector l={ell} overflows on this grid: "
-                        "l(l+d-2)/r_0^2 is not a finite float")
-    return kappa
+                        "l(l+d-2) max(1, m_i)/r_i^2 is not a finite float")
+    return float(kappa)
 
 
-def _pointwise_rows(grid: RadialGrid, ell: int) -> np.ndarray:
+def _pointwise_rows(grid: RadialGrid, ell: int, kappa: float) -> np.ndarray:
     """Band of the pointwise sector operator, laid out as in
-    ``kinetic_tridiag``.
+    ``kinetic_tridiag``; kappa is ``_centrifugal(grid, ell)``.
 
     Rows are exact on quadratics.  Row 0 uses the origin parity (even
     two-point form for l = 0, vanishing ghost for l >= 1); the last row
@@ -477,7 +475,6 @@ def _pointwise_rows(grid: RadialGrid, ell: int) -> np.ndarray:
     """
     r = grid.nodes
     d = grid.d
-    kappa = _centrifugal(grid, ell)
     h = grid.spacings()
     ab = np.zeros((3, grid.n))
 
@@ -519,7 +516,7 @@ def laplacian_sector(grid: RadialGrid, f: RadialField, ell: int) -> RadialField:
     """
     kappa = _centrifugal(grid, ell)
     values = _check_field(grid, f)
-    out = band_matvec(_pointwise_rows(grid, ell), values)
+    out = band_matvec(_pointwise_rows(grid, ell, kappa), values)
 
     # replace the fence row by a one-sided evaluation of the operator
     r = grid.nodes
@@ -543,7 +540,7 @@ def kinetic_tridiag(grid: RadialGrid, ell: int) -> np.ndarray:
     ``RadialGrid._constant``: a solve asks for the l = 0 one several times.
     """
     def build():
-        ab = _pointwise_rows(grid, ell)
+        ab = _pointwise_rows(grid, ell, _centrifugal(grid, ell))
         ab[1] += 1.0
         return ab
 

@@ -796,10 +796,9 @@ def riesz_radial(grid: RadialGrid, f: RadialField, alpha: float,
 
 
 def riesz_at_zero(grid: RadialGrid, f: RadialField, alpha: float) -> float:
-    """(|.|^{-alpha} * f)(0) = |S^{d-1}| int_0^inf f(s) s^{d-1-alpha} ds,
-    f the quadratic interpolant.  The node weights are the far-field
-    moments at k = 0 (_far_moments): every cell, cell 0 included, written
-    in its far end's variable, tau in [-1, 0), E = d-1-alpha > -1."""
+    """(|.|^{-alpha} * f)(0) = |S^{d-1}| int_0^inf f(s) s^{d-1-alpha} ds
+    for the quadratic interpolant f, from the k = 0 far-field moments:
+    each cell in its far end's variable (tau in [-1, 0), E > -1)."""
     values = _check_field(grid, f)
     d = grid.d
     _check_request(grid, alpha)

@@ -12,8 +12,7 @@ depth 5 accelerates the iteration, which then reaches the requested
 residual by itself.  A damped Newton-Krylov step (shared with the
 continuation module; GMRES preconditioned by the kinetic tridiagonal, no
 n x n Jacobian) is only the fallback, after a stall or when max_iter
-runs out.  Each piece looks the tridiagonal up itself, a read-only
-per-grid constant (``kinetic_tridiag``), so no band is passed around.
+runs out.  Each piece fetches K itself (``kinetic_tridiag``).
 
 The local model -u'' + u - u^p = 0 in d = 1 is additionally offered on a
 Numerov discretization (fourth order), accurate enough to compare
@@ -301,10 +300,9 @@ def _newton_refine(grid: RadialGrid, u: np.ndarray, p: float,
                    W: np.ndarray | None, tol: float, max_steps: int = 25,
                    G=None):
     """Damped Newton to the discrete root; returns (u, residuals).  Stops
-    at the first residual or Krylov step that is not finite.  The GMRES
-    preconditioner is the kinetic tridiagonal, factored here, once per
-    call (O(n)).  ``G``, when given, is the residual ``equation_residual``
-    of u."""
+    at the first residual or Krylov step that is not finite.  GMRES is
+    preconditioned by K, factored here (O(n)).  ``G``, when given, is the
+    residual ``equation_residual`` of u."""
     kinv = tridiag_solver(kinetic_tridiag(grid, 0))
     res_hist = []
     if G is None:
@@ -409,8 +407,7 @@ def _petviashvili(grid: RadialGrid, u0: np.ndarray, p: float,
 
 def _initial_gaussian(grid: RadialGrid, p: float,
                       W: np.ndarray | None) -> np.ndarray:
-    """Gaussian seed exp(-r^2/2) scaled so the energy-balance identity
-    holds exactly."""
+    """Gaussian seed exp(-r^2/2) scaled so energy balance holds exactly."""
     g = np.exp(-grid.nodes ** 2 / 2.0)
     ab = kinetic_tridiag(grid, 0)
     m = grid.measure

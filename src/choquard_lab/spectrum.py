@@ -16,10 +16,8 @@ harmonic.  Two discrete realisations are used deliberately:
   weighted by sqrt(w_i r_i^{d-1}), used for eigenproblems: the raw
   sector kernel contracted with the grid measure (second-order
   accurate), negated in its own n x n buffer, plus the symmetric band of
-  the flux-form Laplacian.  It allocates no other n x n array.
-
-``free_operator`` is the limit Q -> 0 of that matrix, -Delta_l + 1 in the
-same basis: the band alone, with no kernel and no state.
+  the flux-form Laplacian.  It allocates no other n x n array.  Its
+  limit Q -> 0, ``free_operator``, is the band alone: no kernel, no state.
 """
 
 from __future__ import annotations
@@ -107,17 +105,18 @@ def assemble_lplus(state: GroundState, ell: int) -> SectorOperator:
     else:
         ab[1] -= p * np.abs(q) ** (p - 1)
         mat = np.zeros((grid.n, grid.n))
-    return SectorOperator(ell=ell, grid=grid, matrix=_add_band(mat, ab))
+    return _with_band(grid, ell, mat, ab)
 
 
-def _add_band(mat: np.ndarray, ab: np.ndarray) -> np.ndarray:
-    """mat plus the (3, n) band ab (layout of ``kinetic_tridiag``), in
-    place."""
-    idx = np.arange(mat.shape[0])
+def _with_band(grid: RadialGrid, ell: int, mat: np.ndarray,
+               ab: np.ndarray) -> SectorOperator:
+    """Sector ell's operator mat plus the (3, n) band ab (layout of
+    ``kinetic_tridiag``), added in place."""
+    idx = np.arange(grid.n)
     mat[idx, idx] += ab[1]
     mat[idx[:-1], idx[1:]] += ab[0, 1:]
     mat[idx[1:], idx[:-1]] += ab[2, :-1]
-    return mat
+    return SectorOperator(ell=ell, grid=grid, matrix=mat)
 
 
 def free_operator(grid: RadialGrid, ell: int) -> SectorOperator:
@@ -125,8 +124,7 @@ def free_operator(grid: RadialGrid, ell: int) -> SectorOperator:
     Q -> 0; its spectrum starts at 1."""
     ab = sector_symmetric(grid, ell)
     ab[1] += 1.0
-    return SectorOperator(ell=ell, grid=grid,
-                          matrix=_add_band(np.zeros((grid.n, grid.n)), ab))
+    return _with_band(grid, ell, np.zeros((grid.n, grid.n)), ab)
 
 
 def apply_lplus(state: GroundState, ell: int, xi: np.ndarray) -> np.ndarray:

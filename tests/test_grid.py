@@ -151,22 +151,18 @@ def test_constants_harmonic():
 
 
 def test_laplacian_rejects_negative_sector():
-    g = make_grid(3, 8.0, 64, 1.0)
-    with pytest.raises(GridError):
-        laplacian_sector(g, RadialField(g, np.ones(g.n)), -1)
-
-
-@pytest.mark.parametrize("d,ell", [(3, -1), (3, 1.0), (1, 2),
-                                   (3, 10 ** 200), (3, 10 ** 154)])
-def test_both_sector_laplacians_refuse_what_is_no_sector(d, ell):
-    # d = 1 has the even and the odd sector only; l(l+1) of the 201-digit
-    # l is no float, and l(l+1)/r_0^2 of the 155-digit one overflows
-    g = make_grid(d, 8.0, 64, 1.0)
-    with np.errstate(all="raise"):
-        with pytest.raises(GridError, match="sector"):
-            laplacian_sector(g, RadialField(g, np.ones(g.n)), ell)
-        with pytest.raises(GridError, match="sector"):
-            sector_symmetric(g, ell)
+    # and what else is no sector: d = 1 has the even and the odd sector
+    # only; l(l+1) of the 201-digit l is no float, l(l+1)/r_0^2 of the
+    # 155-digit one overflows, and at d = 10 l(l+8) m_i/r_i^2 of the
+    # 153-digit one overflows although l(l+8)/r_0^2 does not
+    for d, ell in [(3, -1), (3, 1.0), (1, 2), (3, 10 ** 200),
+                   (3, 10 ** 154), (10, 10 ** 152)]:
+        g = make_grid(d, 8.0, 64, 1.0)
+        with np.errstate(all="raise"):
+            with pytest.raises(GridError, match="sector"):
+                laplacian_sector(g, RadialField(g, np.ones(g.n)), ell)
+            with pytest.raises(GridError, match="sector"):
+                sector_symmetric(g, ell)
 
 
 def test_grid_mismatch_raises():
@@ -293,7 +289,7 @@ def test_grid_constants_are_derived_once_per_grid(d, r_max, n, stretch,
     uncached = (w[:, None, :] @ v[idx][:, :, None])[:, 0, 0]
     for _ in range(2):      # the first call derives, the second reuses
         assert np.array_equal(differentiate(g, v, order), uncached)
-    band = _pointwise_rows(g, 0)
+    band = _pointwise_rows(g, 0, 0.0)
     band[1] += 1.0
     assert kinetic_tridiag(g, 0) is kinetic_tridiag(g, 0)
     assert np.array_equal(kinetic_tridiag(g, 0), band)
