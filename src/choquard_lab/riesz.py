@@ -800,11 +800,10 @@ def riesz_at_zero(grid: RadialGrid, f: RadialField, alpha: float) -> float:
     for the quadratic interpolant f, from the k = 0 far-field moments:
     each cell in its far end's variable (tau in [-1, 0), E > -1)."""
     values = _check_field(grid, f)
-    d = grid.d
     _check_request(grid, alpha)
     M = _far_moments(_CellRule(grid), np.frexp(grid.nodes)[1],
-                     d - 1.0 - alpha, 1, 1)
-    return sphere_area(d) * float(M[0] @ values)
+                     grid.d - 1.0 - alpha, 1, 1)
+    return sphere_area(grid.d) * float(M[0] @ values)
 
 
 # ---------------------------------------------------------------------------

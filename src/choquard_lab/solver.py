@@ -304,11 +304,10 @@ def _newton_refine(grid: RadialGrid, u: np.ndarray, p: float,
     preconditioned by K, factored here (O(n)).  ``G``, when given, is the
     residual ``equation_residual`` of u."""
     kinv = tridiag_solver(kinetic_tridiag(grid, 0))
-    res_hist = []
     if G is None:
         G = equation_residual(grid, u, p, W)
     res = float(np.max(np.abs(G)))
-    res_hist.append(res)
+    res_hist = [res]
     for _ in range(max_steps):
         if res <= tol or not math.isfinite(res):
             break
@@ -409,9 +408,8 @@ def _initial_gaussian(grid: RadialGrid, p: float,
                       W: np.ndarray | None) -> np.ndarray:
     """Gaussian seed exp(-r^2/2) scaled so energy balance holds exactly."""
     g = np.exp(-grid.nodes ** 2 / 2.0)
-    ab = kinetic_tridiag(grid, 0)
     m = grid.measure
-    num = float(np.sum(m * g * band_matvec(ab, g)))
+    num = float(np.sum(m * g * band_matvec(kinetic_tridiag(grid, 0), g)))
     den = float(np.sum(m * g * nonlinear_term(g, p, W)))
     # <L(cg), cg> = <N(cg), cg>  =>  c^{2q-2} = num/den with q the
     # nonlinearity degree (2p-1 nonlocal, p local)

@@ -120,8 +120,7 @@ def _with_band(grid: RadialGrid, ell: int, mat: np.ndarray,
 
 
 def free_operator(grid: RadialGrid, ell: int) -> SectorOperator:
-    """-Delta_l + 1 in the basis of ``assemble_lplus``, the limit of L+ as
-    Q -> 0; its spectrum starts at 1."""
+    """-Delta_l + 1, L+ at Q = 0, in the basis of ``assemble_lplus``."""
     ab = sector_symmetric(grid, ell)
     ab[1] += 1.0
     return _with_band(grid, ell, np.zeros((grid.n, grid.n)), ab)
