@@ -15,31 +15,32 @@ u = |x - y| turns the angular integral into
 with A = r+s, B = |r-s|, t(u) = (r^2+s^2-u^2)/(2rs).  For every d >= 2
 the kernel is a Gauss hypergeometric function of z = 4rs/(r+s)^2, summed
 by its series: the one kernel-value layer, behind the band round the
-diagonal of the "angular" route and of the sector kernels.  Far from the
+diagonal of the "angular" route and of the sector kernels.  Two kernels
+are also elementary, and their closed forms give the band's values on
+the "exact" route: d = 1, whose sectors are l = 0, 1, where K_l =
+|s-r|^{-alpha} +- (s+r)^{-alpha}, and d = 3, l = 0, where K_0 =
+2 pi ((s+r)^e - |s-r|^e) / (r s e), e = 2 - alpha.  Far from the
 diagonal, r <= 0.8 s (_RHO_FAR) or, by the symmetry of K, s <= 0.8 r,
-both sum the Gegenbauer expansion instead (DLMF 18.12.4 as 15.2.1),
+every route but the Newtonian sums the Gegenbauer expansion instead
+(DLMF 18.12.4 as 15.2.1), at d = 1 too,
 
     K_l(r,s) = |S^{d-1}| c_l r^l s^{-alpha-l}
                2F1(alpha/2+l, alpha/2-d/2+1; d/2+l; (r/s)^2),
 
 c_l = (alpha/2)_l / (d/2)_l, whose terms are separable in r and s: the
 rows of one octave of r take it as one GEMM.  Every sector l >= 0 takes
-these formulas.  Two kernels are also elementary and keep a closed form,
-the "exact" route: d = 1, whose sectors are l = 0, 1, where K_l =
-|s-r|^{-alpha} +- (s+r)^{-alpha}, and d = 3, l = 0, where K_0 s^2 is
-(2 pi s / r) ((s+r)^e - |s-r|^e) / e, e = 2 - alpha.  At the Newtonian
-exponent alpha = d-2 the l = 0 kernel collapses to |S^{d-1}|
-max(r,s)^{2-d}.
+these formulas.  At the Newtonian exponent alpha = d-2 the l = 0 kernel
+collapses to |S^{d-1}| max(r,s)^{2-d}.
 
 Application operators integrate, cell by cell, the kernel against the
-quadratic interpolant of f alone.  The exact route takes every power
-weight by closed-form moments of monomials in s.  The angular route
-takes an entry whose cells all lie outside the band 0.8 r < s < r/0.8
-from the far series, term by term: c_k r^{2k+l} times the cell moments
-of s^{d-1-alpha-l-2k} l(s) beyond the band, and c_k r^{-alpha-l-2k} times
+quadratic interpolant of f alone.  The exact and angular routes share
+one assembly and differ only in the band's kernel values.  An entry
+whose cells all lie outside the band 0.8 r < s < r/0.8 comes from the
+far series, term by term: c_k r^{2k+l} times the cell moments of
+s^{d-1-alpha-l-2k} l(s) beyond the band, and c_k r^{-alpha-l-2k} times
 those of s^{d-1+l+2k} l(s) before it, l the Lagrange polynomial, exact
 and written in a cell end's own variable.  The band entries (about 10%)
-take the 2F1 kernel by Gauss on each cell, and the |s-r|^{d-1-alpha}
+take the kernel values by Gauss on each cell, and the |s-r|^{d-1-alpha}
 factor on the cells beside the diagonal by Gauss-Jacobi.  So the kink or
 integrable singularity on the diagonal costs no accuracy.  The Newtonian
 route is two rank-one triangles,
@@ -67,30 +68,13 @@ class RieszError(ValueError):
     """Invalid Riesz-potential request."""
 
 
-# Rows assembled together: every (rows, n) temporary of a block stays
-# small (0.5 MB at n = 1200), and no n x n temporary is held beside W.
+# Rows of the sector kernel's band filled together: every (rows, n)
+# temporary of a block stays small (0.5 MB at n = 1200), and no n x n
+# temporary is held beside K.
 _BLOCK_ROWS = 48
 # Band cells integrated together: every (cells, 8) temporary stays at
-# 2 MB, and on grids up to n = 500 the band takes one _kernel call.
-_BAND_PIECES = 1 << 15
-
-
-# ---------------------------------------------------------------------------
-# exact cell moments
-
-
-def _shift_poly(coeffs: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Rewrite sum_k coeffs[k] s^k in powers of (s - c).
-
-    ``coeffs`` has shape (deg+1, rows) and ``c`` shape (rows, 1); the
-    result has shape (deg+1, rows, 1).
-    """
-    out = np.zeros((len(coeffs),) + c.shape)
-    for k in range(len(coeffs)):
-        ck = coeffs[k][:, None]
-        for j in range(k + 1):
-            out[j] += ck * math.comb(k, j) * c ** (k - j)
-    return out
+# 0.5 MB, and on grids up to n = 270 the band is one block of rows.
+_BAND_PIECES = 1 << 13
 
 
 class _CellRule:
@@ -103,20 +87,11 @@ class _CellRule:
     def __init__(self, grid: RadialGrid):
         x = grid.nodes
         n = grid.n
-        self.edges = np.concatenate([[0.0], x])   # n + 1 cell edges
-        self.a = self.edges[:-1]
-        self.b = self.edges[1:]
+        edges = np.concatenate([[0.0], x])
+        self.a = edges[:-1]
+        self.b = edges[1:]
         self.j0 = np.clip(np.arange(n) - 1, 0, n - 3)
         self.xs = np.stack([x[self.j0 + m] for m in range(3)], axis=0)
-        # per stencil node m, the per-cell coefficients (l_m0, l_m1, l_m2)
-        # of the Lagrange polynomial l_m in powers of s
-        self.lagrange = []
-        for m in range(3):
-            others = [k for k in range(3) if k != m]
-            a1 = self.xs[others[0]]
-            a2 = self.xs[others[1]]
-            dm = (self.xs[m] - a1) * (self.xs[m] - a2)
-            self.lagrange.append((a1 * a2 / dm, -(a1 + a2) / dm, 1.0 / dm))
 
     def lagrange_local(self, c: np.ndarray, p: np.ndarray,
                        off: np.ndarray) -> list:
@@ -145,33 +120,25 @@ class _CellRule:
 # ---------------------------------------------------------------------------
 # the closed-form kernel of d = 1 and of d = 3, l = 0
 #
-# K_l(r,s) s^{d-1} = sum over terms of  poly(s) * weight(s)  with weight
-# (s+r)^g (side "A") or |s-r|^g (side "B"):
-#   d = 1:         |s-r|^{-alpha} +- (s+r)^{-alpha}  (+ for l = 0, - for l = 1)
-#   d = 3, l = 0:  (2 pi s / r) ((s+r)^e - |s-r|^e) / e,  e = 2 - alpha
+# Both split exactly as K = R + |s-r|^{d-1-alpha} S, R and S analytic:
+#   d = 1:         R = +-(s+r)^{-alpha} (+ for l = 0, - for l = 1), S = 1
+#   d = 3, l = 0:  R = 2 pi (s+r)^e / (r s e), S = -2 pi / (r s e), e = 2 - alpha
 
 
-def _term_table(d, ell, alpha, r: np.ndarray) -> dict:
-    """Term polynomials for every radius in ``r``: maps (side, exponent)
-    to coefficients in s of shape (deg+1, rows).
-
-    At d = 3 the terms divide by e = 2 - alpha, so within _LOG_STEP/2 of
-    alpha = 2 the table is the interpolant in alpha: the union of the
-    tables at the nodes, each scaled by its weight (the rows are linear
-    in the table).
-    """
-    if d == 3 and abs(alpha - 2.0) < _LOG_STEP / 2:
-        return {key: wk * coef for ak, wk in _log_nodes(d, alpha)
-                for key, coef in _term_table(d, ell, ak, r).items()}
+def _closed_kernel(d, ell, alpha, r, s, split=False):
+    """K_l(r, s) of the elementary kernels at broadcast r, s, for alpha
+    not 2 at d = 3.  With ``split``, (R, S) with K = R + |s-r|^{d-1-alpha}
+    S, at every point."""
     if d == 1:
-        e = round(-alpha, 12)
-        ones = np.ones((1, r.size))
-        return {("B", e): ones, ("A", e): (1.0 if ell == 0 else -1.0) * ones}
-    e = (1.0 - alpha) + 1.0
-    x = 2.0 * math.pi / r
-    zero = np.zeros(r.size)
-    return {("A", round(e, 12)): np.stack([zero, x / e]),
-            ("B", round(e, 12)): np.stack([zero, -x / e])}
+        R = (1.0 if ell == 0 else -1.0) * (s + r) ** -alpha
+        S = np.ones_like(R)
+    else:
+        e = 2.0 - alpha
+        S = (-2.0 * math.pi / e) / (r * s)
+        R = -S * (s + r) ** e
+    if split:
+        return R, S
+    return R + np.abs(s - r) ** (d - 1 - alpha) * S
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +159,11 @@ def _term_table(d, ell, alpha, r: np.ndarray) -> dict:
 # analytic.
 
 _TERMS = 200
+# The connection formula loses digits as l grows, most at y^2 just above
+# 3/4: against 50-digit mpmath, for d = 2..6 with alpha 0.1 or more from a
+# log point, on pairs below y^2 = 3/4 and in the band s/r >= 0.75, the
+# worst relative error is 6.3e-13 at l = 6 and 1.5e-12 at l = 7
+_MAX_SECTOR = 6
 _Y2_SPLIT = 0.75   # the series below, the connection formula above
 # s/r at which y^2 = _Y2_SPLIT, y = 2 rho / (1 + rho^2)
 _RHO_SPLIT = (1.0 - math.sqrt(1.0 - _Y2_SPLIT)) / math.sqrt(_Y2_SPLIT)
@@ -267,9 +239,10 @@ def _kernel(d, ell, alpha, r, s, split=False):
 def _log_nodes(d: int, alpha: float):
     """[(alpha_k, weight_k)], the Lagrange rule on the nodes
     m + k _LOG_STEP, k = +-1..4, that stands in for alpha within
-    _LOG_STEP/2 of a log point m = d-1-2j; None elsewhere."""
+    _LOG_STEP/2 of a log point m = d-1-2j; None elsewhere, and at d = 1,
+    whose elementary kernel is analytic in alpha at m = 0."""
     centre = d - 1 - 2 * round((d - 1 - alpha) / 2.0)
-    if abs(alpha - centre) >= _LOG_STEP / 2:
+    if d == 1 or abs(alpha - centre) >= _LOG_STEP / 2:
         return None
     nodes = centre + _LOG_STEP * np.array([-4, -3, -2, -1, 1, 2, 3, 4.0])
     return [(float(ak), float(np.prod((alpha - np.delete(nodes, k))
@@ -373,13 +346,19 @@ def _power_moments(E: np.ndarray, tau: np.ndarray) -> list:
             G.append((P - q * G[-1]) / (tau * (E + 1.0 + q)))
     near = np.minimum(abs(tau * (E + 2.0)), abs(tau * (E + 3.0))) < 0.5
     if near.any():
-        E, tau = np.broadcast_arrays(E, tau)
+        E, tau = (x[near] for x in np.broadcast_arrays(E, tau))
         t, w = _gauss_jacobi(12, 0.0)
         v = 0.5 * (1.0 + t)
-        f = np.exp(E[near][:, None] * np.log1p(tau[near][:, None] * v))
-        f *= 0.5 * w
+        out = np.empty((3, E.size))
+        # in chunks, so no (near, 12) temporary outgrows 0.4 MB
+        for k in range(0, E.size, 4096):
+            c = slice(k, k + 4096)
+            f = np.exp(E[c, None] * np.log1p(tau[c, None] * v))
+            f *= 0.5 * w
+            for q in range(3):
+                out[q, c] = f @ v ** q
         for q in range(3):
-            G[q][near] = f @ v ** q
+            G[q][near] = out[q]
     return G
 
 
@@ -453,43 +432,6 @@ def _far_field(grid: RadialGrid, rule: _CellRule, alpha: float, ell: int,
 
 # ---------------------------------------------------------------------------
 # application operators (product integration of f's interpolant)
-
-
-def _rows_from_groups(rule: _CellRule, groups, r: np.ndarray) -> np.ndarray:
-    """Operator rows at the radii ``r`` from a term table (``_term_table``).
-
-    Integrates poly(s) * |t|^e * l_m(s) exactly on every cell, t = s - c
-    (c = -r for the A side, r for the B side); the result multiplies the
-    f samples at the stencil nodes.  The antiderivatives
-    t^{q+1} |t|^e / (q+e+1) of t^q |t|^e are taken at the n + 1 cell
-    edges, combined into antiderivatives of s^k * term, k = 0..2, summed
-    over the groups, and differenced once per k.
-    """
-    G = [0.0, 0.0, 0.0]
-    for (side, e), poly in groups.items():
-        c = (-r if side == "A" else r)[:, None]
-        p = _shift_poly(poly, c)
-        t = rule.edges - c
-        at = np.abs(t)
-        # at t = 0, T = t^{q+1} zeroes F
-        w = np.where(at > 0, at, 1.0) ** e
-        # H[k]: antiderivative of t^k * term = sum_j p_j t^{j+k} |t|^e
-        H = [0.0, 0.0, 0.0]
-        T = t
-        for q in range(len(p) + 2):
-            F = T * w
-            for k in range(max(0, q - len(p) + 1), min(q, 2) + 1):
-                H[k] = H[k] + (p[q - k] / (q + e + 1)) * F
-            T = T * t
-        # s^k = (t + c)^k
-        G[0] = G[0] + H[0]
-        G[1] = G[1] + (H[1] + c * H[0])
-        G[2] = G[2] + (H[2] + c * (2.0 * H[1] + c * H[0]))
-    S = [np.diff(Gk, axis=1) for Gk in G]
-    W = np.zeros((r.size, rule.b.size))
-    for m, lm in enumerate(rule.lagrange):
-        rule.add_cells(W, lm[0] * S[0] + lm[1] * S[1] + lm[2] * S[2], m)
-    return W
 
 
 def _newton_matrix(grid: RadialGrid, rule: _CellRule) -> np.ndarray:
@@ -582,97 +524,116 @@ def _far_columns(rule: _CellRule, r: np.ndarray):
     return lo, hi, first[lo + 1], last[hi - 1]
 
 
-def _band(grid: RadialGrid, rule: _CellRule, alpha: float, ell: int,
-          lo: np.ndarray, hi: np.ndarray, c0: np.ndarray, c1: np.ndarray):
-    """(index, values): the cell integrals of the band entries, row i's
-    columns lo[i] < j < hi[i] from its cells c0[i]..c1[i], at the flat
-    indices i n + j of W (_far_columns).
+def _band(grid: RadialGrid, rule: _CellRule, kernel, alpha: float, ell: int,
+          W: np.ndarray, lo: np.ndarray, hi: np.ndarray, c0: np.ndarray,
+          c1: np.ndarray) -> None:
+    """Add the cell integrals of the band entries into W: row i's columns
+    lo[i] < j < hi[i], from its cells c0[i]..c1[i] (_far_columns), with
+    the kernel values of ``kernel`` (_kernel or _closed_kernel).
 
-    Each cell integral of K(r_i, s) s^{d-1} l_m(s) goes to 8-point Gauss,
-    in one _kernel call for every row.  On the two cells beside the
+    Each cell integral of K(r_i, s) s^{d-1} l_m(s) goes to 8-point Gauss.
+    A whole cell takes its nodes and the products w s^{d-1} l_m(s) there
+    from per-cell tables, built once.  On the two cells beside the
     diagonal, K = R + |s-r_i|^beta S, beta = d-1-alpha, with R and S
     analytic: R goes to Gauss-Legendre and |s-r_i|^beta S to Gauss-Jacobi,
-    in one more call, once the part of the cell with y^2 <= 3/4 (on
-    solver grids only in the first two cells) is split off to plain
-    Gauss.  l_m is taken in the piece's own coordinate
-    (_CellRule.lagrange_local).  Near a log point the values are the
-    interpolant in alpha (_log_nodes); the index does not depend on alpha.
+    once the part of the cell with y^2 <= 3/4 (on solver grids only in the
+    first two cells) is split off to plain Gauss; these parts take l_m in
+    their own coordinate (_CellRule.lagrange_local).  The rows go in
+    blocks of at most _BAND_PIECES band cells (at least one row), each
+    with one kernel call for its plain pieces and one for its split ones,
+    and every entry sums its pieces in one order whatever the block.  Near
+    a log point the values are the interpolant in alpha (_log_nodes).
     """
     d, n, r = grid.d, grid.n, grid.nodes
+    t, w = _gauss_jacobi(8, 0.0)
+    half = 0.5 * (rule.b - rule.a)[:, None]
+    nodes = rule.a[:, None] + half * (1.0 + t)
+    table = np.stack(rule.lagrange_local(np.arange(n), rule.a,
+                                         half * (1.0 + t)))
+    table *= half * w * nodes ** (d - 1)
+
+    def values(alpha, i, c, plain, split):
+        """(3, pieces): the cell integrals of the whole cells (i, c), then
+        of the parts ``plain`` and ``split``, each (row, cell, p, q,
+        side)."""
+        pi, pc, p, q, _ = plain
+        hw = 0.5 * (q - p)[:, None]
+        s = p[:, None] + hw * (1.0 + t)
+        K = kernel(d, ell, alpha, np.concatenate([r[i], r[pi]])[:, None],
+                   np.concatenate([nodes[c], s]))
+        weight = hw * w * s ** (d - 1)
+        lm = rule.lagrange_local(pc, p, hw * (1.0 + t))
+        out = [np.concatenate([np.einsum("pk,pk->p", K[:i.size], table[m, c]),
+                               np.einsum("pk,pk->p", K[i.size:],
+                                         weight * lm[m])])
+               for m in range(3)]
+        si, sc, p, q, side = split
+        beta = d - 1 - alpha
+        x, wj = _gauss_jacobi(8, beta)          # weight (1 - x)^beta
+        hw = 0.5 * (q - p)[:, None]
+        ri, side = r[si, None], side[:, None]
+        s = np.concatenate([p[:, None] + hw * (1.0 + t),
+                            ri + side * hw * (1.0 - x)], axis=1)
+        R, S = kernel(d, ell, alpha, ri, s, split=True)
+        vals = np.concatenate([hw * w * R[:, :8],
+                               hw ** (beta + 1.0) * wj * S[:, 8:]], axis=1)
+        vals *= s ** (d - 1)
+        off = np.concatenate([hw * (1.0 + t), hw * (1.0 - side * x)], axis=1)
+        return np.stack([np.concatenate([o, np.sum(vals * lm, axis=1)])
+                         for o, lm in zip(out, rule.lagrange_local(sc, p,
+                                                                   off))])
+
     rows = np.arange(n)
-    counts = c1 - c0 + 1
-    i = np.repeat(rows, counts)
-    c = np.arange(i.size) - np.repeat(np.cumsum(counts) - counts - c0,
-                                      counts)
-    off_diagonal = (c != i) & (c != i + 1)
-    i, c = i[off_diagonal], c[off_diagonal]
     right = np.minimum(rows + 1, n - 1)
     end = np.where(rows < n - 1, rule.b[right], r)
     cut = np.maximum(rule.a, _RHO_SPLIT * r)
     cut_right = np.minimum(end, r / _RHO_SPLIT)
-    # pieces (row, cell, p, q, side): plain Gauss (side 0), or split at
-    # r_i = q (side -1) or r_i = p (side 1); pieces of zero width go
-    pieces = [(i, c, rule.a[c], rule.b[c], 0), (rows, rows, rule.a, cut, 0),
-              (rows, right, cut_right, end, 0), (rows, rows, cut, r, -1),
-              (rows, right, r, cut_right, 1)]
-    groups = []
-    for sides in ((0,), (-1, 1)):
-        kept = [[x[q > p] for x in (i, c, p, q)] + [np.full((q > p).sum(), s)]
-                for i, c, p, q, s in pieces if s in sides]
-        groups.append([np.concatenate(x) for x in zip(*kept)])
-    index, keep = [], []
-    for i, c, *_ in groups:
-        for m in range(3):
-            j = rule.j0[c] + m
-            keep.append((j > lo[i]) & (j < hi[i]))
-            index.append((i * n + j)[keep[-1]])
-    t, w = _gauss_jacobi(8, 0.0)
-
-    def contract(vals, c, p, off):
-        return [np.sum(vals * lm, axis=1)
-                for lm in rule.lagrange_local(c, p, off)]
-
-    def plain(alpha, pieces):
-        i, c, p, q = (x[pieces] for x in groups[0][:4])
-        hw = 0.5 * (q - p)[:, None]
-        s = 0.5 * (p + q)[:, None] + hw * t
-        vals = hw * w * _kernel(d, ell, alpha, r[i, None], s) * s ** (d - 1)
-        return contract(vals, c, p, hw * (1.0 + t))
-
-    def values(alpha):
-        chunks = range(0, max(groups[0][0].size, 1), _BAND_PIECES)
-        out = [np.concatenate(m) for m in zip(
-            *(plain(alpha, slice(k, k + _BAND_PIECES)) for k in chunks))]
-        i, c, p, q, side = groups[1]
-        beta = d - 1 - alpha
-        x, wj = _gauss_jacobi(8, beta)          # weight (1 - x)^beta
-        hw = 0.5 * (q - p)[:, None]
-        ri, side = r[i, None], side[:, None]
-        s = np.concatenate([0.5 * (p + q)[:, None] + hw * t,
-                            ri + side * hw * (1.0 - x)], axis=1)
-        R, S = _kernel(d, ell, alpha, ri, s, split=True)
-        vals = np.concatenate([hw * w * R[:, :8],
-                               hw ** (beta + 1.0) * wj * S[:, 8:]], axis=1)
-        off = np.concatenate([hw * (1.0 + t), hw * (1.0 - side * x)], axis=1)
-        return out + contract(vals * s ** (d - 1), c, p, off)
-
-    nodes = _log_nodes(d, alpha) or [(alpha, 1.0)]
-    parts = [values(ak) for ak, _ in nodes]
-    vals = [sum(wk * v[m] for (_, wk), v in zip(nodes, parts))
-            for m in range(len(keep))]
-    return (np.concatenate(index),
-            np.concatenate([v[k] for v, k in zip(vals, keep)]))
+    counts = c1 - c0 + 1
+    total = np.cumsum(counts)
+    g0 = 0
+    while g0 < n:
+        g1 = max(g0 + 1, int(np.searchsorted(
+            total, total[g0] - counts[g0] + _BAND_PIECES, side="right")))
+        block, k = rows[g0:g1], counts[g0:g1]
+        i = np.repeat(block, k)
+        c = np.arange(i.size) - np.repeat(np.cumsum(k) - k - c0[block], k)
+        whole = (c != i) & (c != i + 1)
+        i, c = i[whole], c[whole]
+        # the cells beside the diagonal: plain Gauss (side 0), or split at
+        # r_i = q (side -1) or r_i = p (side 1); parts of zero width go
+        parts = [(block, block, rule.a[block], cut[block], 0),
+                 (block, right[block], cut_right[block], end[block], 0),
+                 (block, block, cut[block], r[block], -1),
+                 (block, right[block], r[block], cut_right[block], 1)]
+        groups = []
+        for sides in ((0,), (-1, 1)):
+            kept = [[x[q > p] for x in (i, c, p, q)]
+                    + [np.full((q > p).sum(), s)]
+                    for i, c, p, q, s in parts if s in sides]
+            groups.append([np.concatenate(x) for x in zip(*kept)])
+        vals = sum(wk * values(ak, i, c, *groups)
+                   for ak, wk in _log_nodes(d, alpha) or [(alpha, 1.0)])
+        at = np.concatenate([i, groups[0][0], groups[1][0]])
+        j = rule.j0[np.concatenate([c, groups[0][1], groups[1][1]])]
+        j = j + np.arange(3)[:, None]
+        keep = (j > lo[at]) & (j < hi[at])
+        j0, j1 = lo[g0] + 1, hi[g1 - 1]
+        index = (at - g0) * (j1 - j0) + j - j0
+        W[g0:g1, j0:j1] += np.bincount(
+            index[keep], vals[keep], (g1 - g0) * (j1 - j0)).reshape(
+                g1 - g0, j1 - j0)
+        g0 = g1
 
 
-def _angular_matrix(grid: RadialGrid, rule: _CellRule, alpha: float,
+def _product_matrix(grid: RadialGrid, rule: _CellRule, kernel, alpha: float,
                     ell: int) -> np.ndarray:
-    """The application operator of the 2F1 kernel: the separable far field
-    (_far_field), then the cell integrals of the band (_band)."""
+    """The application operator of the kernel values ``kernel``: the
+    separable far field (_far_field), then the cell integrals of the band
+    (_band)."""
     lo, hi, c0, c1 = _far_columns(rule, grid.nodes)
     W = np.zeros((grid.n, grid.n))
     _far_field(grid, rule, alpha, ell, W, lo, hi)
-    index, values = _band(grid, rule, alpha, ell, lo, hi, c0, c1)
-    np.add.at(W.reshape(-1), index, values)
+    _band(grid, rule, kernel, alpha, ell, W, lo, hi, c0, c1)
     return W
 
 
@@ -682,7 +643,7 @@ _APPLY_CACHE: OrderedDict = OrderedDict()
 _APPLY_CACHE_BYTES = 512 << 20
 # Leads every disk-cache file name; raise it whenever an assembly change
 # alters W, so files written by older code are never read.
-_CACHE_VERSION = 7
+_CACHE_VERSION = 8
 
 
 def clear_caches() -> None:
@@ -698,7 +659,8 @@ def _remember(key, W: np.ndarray) -> None:
 
 def _check_request(grid: RadialGrid, alpha: float, ell: int = 0) -> None:
     """alpha in (0, d), and l an int >= 0 (at most 1 at d = 1) whose powers
-    of r in K_l, r^{2l+alpha}, stay in double range on the grid."""
+    of r in K_l, r^{2l+alpha}, stay in double range on the grid, and at
+    most _MAX_SECTOR."""
     d = grid.d
     if not (0.0 < alpha < d):
         raise RieszError(f"alpha outside (0,d): alpha={alpha}, d={d}")
@@ -706,6 +668,9 @@ def _check_request(grid: RadialGrid, alpha: float, ell: int = 0) -> None:
             or (d == 1 and ell > 1)):
         raise RieszError(f"no sector l={ell!r} at d={d}: l is an int >= 0, "
                          "at most 1 at d = 1")
+    if ell > _MAX_SECTOR:
+        raise RieszError(f"sector l={ell} is above l={_MAX_SECTOR}, the "
+                         "largest whose 2F1 kernel values hold 1e-12")
     span = max(-math.log(grid.nodes[0]), math.log(2.0 * grid.nodes[-1]))
     if (alpha + 2 * ell) * span > 700.0:
         raise RieszError(f"sector l={ell} overflows on this grid")
@@ -716,13 +681,12 @@ def riesz_apply_matrix(grid: RadialGrid, alpha: float, ell: int = 0,
     """Dense operator W with (|.|^{-alpha} *_l f)(r_i) = (W f)_i.
 
     ``method``: "newton" (alpha = d-2, l = 0: the shell formula, built
-    from its two rank-one triangles), "exact"
-    (elementary reduced kernel, d = 1 and d = 3 with l = 0), "angular"
-    (the spherical mean in closed form, d >= 2: the separable Gegenbauer
-    far field wherever a column's cells lie wholly outside the band
-    0.8 r < s < r/0.8, and the Gauss 2F1 kernel by per-cell Gauss rules
-    within it), or "auto"
-    (newton where it applies, else exact where it exists, else angular).
+    from its two rank-one triangles), "angular" (d >= 2: the separable
+    Gegenbauer far field wherever a column's cells lie wholly outside the
+    band 0.8 r < s < r/0.8, and the Gauss 2F1 kernel by per-cell Gauss
+    rules within it), "exact" (the same with the elementary kernel's
+    values in the band, d = 1 and d = 3 with l = 0), or "auto" (newton
+    where it applies, else exact where it exists, else angular).
     Matrices are cached in memory and, when CHOQUARD_LAB_CACHE is set, on
     disk.
     """
@@ -767,18 +731,11 @@ def riesz_apply_matrix(grid: RadialGrid, alpha: float, ell: int = 0,
             return W   # anything else is assembled again and rewritten
 
     rule = _CellRule(grid)
-    n = grid.n
     if method == "newton":
         W = _newton_matrix(grid, rule)
-    elif method == "angular":
-        W = _angular_matrix(grid, rule, alpha, ell)
     else:
-        W = np.empty((n, n))
-        for lo in range(0, n, _BLOCK_ROWS):
-            hi = min(lo + _BLOCK_ROWS, n)
-            r = grid.nodes[lo:hi]
-            W[lo:hi] = _rows_from_groups(rule, _term_table(d, ell, alpha, r),
-                                         r)
+        W = _product_matrix(grid, rule, _kernel if method == "angular"
+                            else _closed_kernel, alpha, ell)
     _remember(key, W)
     if fname is not None:
         fname.parent.mkdir(parents=True, exist_ok=True)

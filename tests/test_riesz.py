@@ -43,13 +43,14 @@ def test_kernel_values_against_quadrature_oracle(d, ell, alpha):
 
 def kernel_mpmath(d, ell, alpha, r, s):
     """K_l(r, s) = |S^{d-1}| (r+s)^-alpha c_l (z/4)^l 2F1(alpha/2+l,
-    (d-1)/2+l; d-1+2l; z), z = 4rs/(r+s)^2, at 60 digits (not the
-    transformed form the package sums).  Two floats one ulp apart give
-    1 - z = ((r-s)/(r+s))^2 near 1e-33, so 30 digits would round z to 1."""
+    (d-1)/2+l; d-1+2l; z), z = 4rs/(r+s)^2, c_l = (alpha/2)_l / (d/2)_l,
+    at 60 digits (not the transformed form the package sums).  Two floats
+    one ulp apart give 1 - z = ((r-s)/(r+s))^2 near 1e-33, so 30 digits
+    would round z to 1."""
     with mpmath.workdps(60):
         r, s, a = mpmath.mpf(r), mpmath.mpf(s), mpmath.mpf(alpha)
         z = 4 * r * s / (r + s) ** 2
-        c = a / d if ell else 1
+        c = mpmath.rf(a / 2, ell) / mpmath.rf(mpmath.mpf(d) / 2, ell)
         return float(sphere_area(d) * (r + s) ** -a * c * (z / 4) ** ell
                      * mpmath.hyp2f1(a / 2 + ell, mpmath.mpf(d - 1) / 2 + ell,
                                      d - 1 + 2 * ell, z))
@@ -72,6 +73,27 @@ def test_kernel_values_against_mpmath(d, ell, frac, r, log_ratio):
     s = r * math.exp(log_ratio)
     got = float(_kernel_values(d, ell, alpha, np.asarray(r), np.asarray(s)))
     assert_allclose(got, kernel_mpmath(d, ell, alpha, r, s), rtol=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_kernel_values_at_the_largest_sector_against_mpmath(d):
+    # the connection formula (y^2 > 3/4) loses digits as l grows, and
+    # _check_request refuses every l above _MAX_SECTOR: at l = 7 this
+    # fails at d = 5 and 6 (1.3e-12), at l = 8 also at d = 3 and 4.
+    # Pairs below y^2 = 3/4 (s/r <= 0.268) and in the band, down to the
+    # straddling cells' s/r = 0.75; alpha 0.15 or more from a log point
+    # (nearer one the loss is ROADMAP item 2's).  Worst measured: 6.3e-13
+    ell = riesz._MAX_SECTOR
+    for alpha in (0.37, d - 1.17, d - 0.85):
+        for r in (0.07, 1.3, 9.0):
+            for rho in (0.01, 0.2, 0.26, 0.75, 0.8, 0.85, 0.9, 0.95, 0.99,
+                        1 - 1e-6, 1.0):
+                if rho == 1.0 and alpha >= d - 1:
+                    continue
+                got = _kernel_values(d, ell, alpha, np.array([r, r * rho]),
+                                     np.array([r * rho, r]))
+                want = kernel_mpmath(d, ell, alpha, r, r * rho)
+                assert_allclose(got, [want, want], rtol=1e-12)
 
 
 @pytest.mark.parametrize("alpha", [1.0, 3.0, 1.0 - 1e-7, 1.0 + 1e-7])
@@ -272,7 +294,8 @@ def test_exact_route_agrees_with_newton_and_angular():
 def _entry_oracle(g, alpha, ell, i, j):
     """W[i, j] by adaptive quadrature: the sum, over the cells whose
     stencil holds node j, of int K_l(r_i, s) s^{d-1} l_j(s) ds, with each
-    cell split at s = r_i."""
+    cell split at s = r_i.  At d = 1, K_l = |s-r|^{-alpha} +- (s+r)^{-alpha},
+    and quad's algebraic weight takes the cusp |s-r_i|^{-alpha}."""
     x = g.nodes
     edges = np.concatenate([[0.0], x])
     j0 = np.clip(np.arange(g.n) - 1, 0, g.n - 3)
@@ -280,21 +303,27 @@ def _entry_oracle(g, alpha, ell, i, j):
     for c in np.flatnonzero((j0 <= j) & (j <= j0 + 2)):
         u, v = (x[j0[c] + k] for k in range(3) if j0[c] + k != j)
 
+        def lj(s):
+            return (s - u) * (s - v) / ((x[j] - u) * (x[j] - v))
+
         def integrand(s):
-            lj = (s - u) * (s - v) / ((x[j] - u) * (x[j] - v))
+            if g.d == 1:
+                return (-1.0) ** ell * (s + x[i]) ** -alpha * lj(s)
             k = float(_kernel_values(g.d, ell, alpha, x[i], s))
-            return k * s ** (g.d - 1) * lj
+            return k * s ** (g.d - 1) * lj(s)
         a, b = edges[c], edges[c + 1]
         cuts = [a, x[i], b] if a < x[i] < b else [a, b]
+        opts = dict(epsabs=0.0, epsrel=1e-13, limit=200)
         for p, q in zip(cuts[:-1], cuts[1:]):
-            total += quad(integrand, p, q, epsabs=0.0, epsrel=1e-13,
-                          limit=200)[0]
+            total += quad(integrand, p, q, **opts)[0]
+            if g.d == 1 and x[i] in (p, q):
+                # the weight (s-p)^-alpha or (q-s)^-alpha
+                wvar = (-alpha, 0.0) if p == x[i] else (0.0, -alpha)
+                total += quad(lj, p, q, weight="alg", wvar=wvar, **opts)[0]
+            elif g.d == 1:
+                total += quad(lambda s: abs(s - x[i]) ** -alpha * lj(s),
+                              p, q, **opts)[0]
     return total
-
-
-_EXACT_ROUTE_DEFECT = pytest.mark.xfail(strict=True, reason=(
-    "the d = 3, l = 0 exact route is wrong entry by entry (monomial "
-    "Lagrange coefficients on thin cells); ROADMAP item 1"))
 
 
 @pytest.mark.parametrize("d,ell,method", [
@@ -303,7 +332,7 @@ _EXACT_ROUTE_DEFECT = pytest.mark.xfail(strict=True, reason=(
     (5, 0, "angular"), (5, 1, "angular"), (6, 0, "angular"),
     (6, 1, "angular"), (2, 2, "angular"), (3, 2, "angular"),
     (4, 3, "angular"), (5, 4, "angular"), (3, 4, "angular"),
-    pytest.param(3, 0, "exact", marks=_EXACT_ROUTE_DEFECT)])
+    (3, 0, "exact"), (1, 0, "exact"), (1, 1, "exact")])
 def test_application_entries_against_quadrature_oracle(d, ell, method):
     # smooth inputs hide entry errors, which telescope in W f; 20 seeded
     # entries, half of them within two columns of the diagonal, and in 4
@@ -311,33 +340,39 @@ def test_application_entries_against_quadrature_oracle(d, ell, method):
     # column before the band and the first after it, whose cells lie
     # wholly outside rho_0 r < s < r / rho_0, and the band columns beside
     # them, whose cells straddle rho_0 r and r / rho_0.  Worst measured:
-    # 3.7e-15 max|W| (angular); 1.0e-9 max|W| (exact)
+    # 3.7e-15 max|W| (angular); 3.3e-15 (exact, d = 3) and 1.3e-13 (d = 1)
     g = solver_grid(d, 25.0, 200)
-    alpha = d - 2 - 0.03 if d > 2 else 0.6
-    W = riesz_apply_matrix(g, alpha, ell, method)
+    lo, hi, *_ = riesz._far_columns(riesz._CellRule(g), g.nodes)
     rng = np.random.default_rng(12)
     rows = rng.integers(0, g.n, 20)
     cols = np.concatenate([rng.integers(0, g.n, 10),
                            np.clip(rows[10:] + rng.integers(-2, 3, 10),
                                    0, g.n - 1)])
-    lo, hi, *_ = riesz._far_columns(riesz._CellRule(g), g.nodes)
     idx = list(zip(rows, cols))
     for i in (1, 40, 120, 190):
         assert lo[i] < i < hi[i]
         idx += [(i, j) for j in (lo[i], lo[i] + 1, hi[i] - 1, hi[i])
                 if 0 <= j < g.n]
-    worst = max(abs(W[i, j] - _entry_oracle(g, alpha, ell, i, j))
-                for i, j in idx)
-    assert worst <= 1e-11 * np.max(np.abs(W))
+    for alpha in ((0.3, 0.6, 0.97) if d == 1
+                  else (d - 2 - 0.03 if d > 2 else 0.6,)):
+        W = riesz_apply_matrix(g, alpha, ell, method)
+        worst = max(abs(W[i, j] - _entry_oracle(g, alpha, ell, i, j))
+                    for i, j in idx)
+        assert worst <= (1e-12 if d == 1 else 1e-11) * np.max(np.abs(W))
 
 
-@_EXACT_ROUTE_DEFECT
-def test_exact_route_entries_agree_with_angular():
-    # 2.8e-8 max|W| here, 5.5e-6 at n = 700
-    g = solver_grid(3, 25.0, 200)
-    We = riesz_apply_matrix(g, 0.97, 0, "exact")
-    Wa = riesz_apply_matrix(g, 0.97, 0, "angular")
-    assert np.max(np.abs(We - Wa)) <= 1e-10 * np.max(np.abs(Wa))
+@pytest.mark.parametrize("n,alpha", [
+    (200, 0.97), (700, 0.97), (1200, 0.97),
+    (700, 1.996), (700, 2.0 + 1e-11), (700, 2.003)])
+def test_exact_route_entries_agree_with_angular(n, alpha):
+    # the two routes differ only in the band's kernel values; within
+    # _LOG_STEP/2 of alpha = 2 both are the interpolant in alpha.
+    # Measured at most 6.9e-16 max|W| at alpha = 0.97, 6.8e-15 near 2
+    g = solver_grid(3, 25.0, n)
+    We = riesz_apply_matrix(g, alpha, 0, "exact")
+    Wa = riesz_apply_matrix(g, alpha, 0, "angular")
+    tol = 1e-14 if alpha == 0.97 else 1e-13
+    assert np.max(np.abs(We - Wa)) <= tol * np.max(np.abs(Wa))
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])
@@ -429,11 +464,10 @@ def test_constant_input_gives_the_uniform_ball_potential(method):
     # product integration is exact on the constant interpolant, so every
     # cell, the two end cells included, must be counted once:
     # int_{|y|<R} |x-y|^{-1} dy = 2 pi (R^2 - |x|^2/3) for |x| <= R.
-    # The newton route's exact cell weights give 6e-16
+    # Measured 6e-16 (newton) and 3.3e-16 (exact)
     g = make_grid(3, 8.0, 240, 1.0)
     got = riesz_apply_matrix(g, 1.0, 0, method) @ np.ones(g.n)
-    assert_allclose(got, 2 * math.pi * (64.0 - g.nodes ** 2 / 3),
-                    rtol={"newton": 1e-14, "exact": 1e-11}[method])
+    assert_allclose(got, 2 * math.pi * (64.0 - g.nodes ** 2 / 3), rtol=1e-14)
 
 
 def _newton_entry_mpmath(g, i, j):
@@ -505,29 +539,58 @@ def test_newton_assembly_holds_no_n_by_n_temporary(monkeypatch):
     assert peak <= 1.1 * W.nbytes
 
 
-def _scaling_holds(d, method, alpha, r_max, stretch):
+@pytest.mark.parametrize("method", ["exact", "angular"])
+def test_band_assembly_holds_its_temporaries_in_blocks(monkeypatch, method):
+    # the band goes in row blocks of _BAND_PIECES cells and the Gauss
+    # branch of the far moments in chunks; measured 1.78 W.nbytes for both
+    # routes (the far moments' peak), against 5.1 for an unblocked band
+    monkeypatch.delenv("CHOQUARD_LAB_CACHE", raising=False)
+    clear_caches()
+    g = solver_grid(3, 25.0, 1200)
+    tracemalloc.start()
+    try:
+        W = riesz_apply_matrix(g, 0.97, 0, method)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        clear_caches()
+    assert peak <= 2 * W.nbytes
+
+
+def _scaling_holds(d, method, ell, alpha, r_max, stretch):
     # (|.|^-alpha * f(./2))(2r) = 2^(d-alpha) (|.|^-alpha * f)(r), and
     # doubling r_max doubles every node exactly: W on the doubled grid is
     # 2^(d-alpha) W, entry by entry
     g = make_grid(d, r_max, 60, stretch)
     g2 = make_grid(d, 2.0 * r_max, 60, stretch)
     assert np.array_equal(g2.nodes, 2.0 * g.nodes)
-    W = riesz_apply_matrix(g, alpha, 0, method)
-    assert_allclose(riesz_apply_matrix(g2, alpha, 0, method),
-                    2.0 ** (d - alpha) * W, rtol=1e-13)
+    W = 2.0 ** (d - alpha) * riesz_apply_matrix(g, alpha, ell, method)
+    # at d = 1 no s^{d-1} weights the clipped origin stencil, and W[1, 1]
+    # can cancel to 2e-4 of its cell integrals, so its rounding is taken
+    # against max|W|
+    atol = 1e-15 * np.max(np.abs(W)) if d == 1 else 0.0
+    assert_allclose(riesz_apply_matrix(g2, alpha, ell, method), W,
+                    rtol=1e-13, atol=atol)
 
 
 @settings(max_examples=40, deadline=None)
-@given(d=st.integers(3, 6), frac=st.floats(0.01, 0.99),
+@given(d=st.sampled_from([1, 3, 4, 5, 6]), frac=st.floats(0.01, 0.99),
        r_max=st.floats(1.0, 30.0), stretch=st.floats(1.0, 1.03))
 def test_application_operator_riesz_scaling(d, frac, r_max, stretch):
-    # the exact route misses by up to 7e-5 (its monomial cell weights,
-    # ROADMAP item 1), and the angular route within _LOG_STEP/2 of a log
-    # point is the interpolant in alpha, whose nodes scale as 2^-alpha_k
-    _scaling_holds(d, "newton", d - 2.0, r_max, stretch)
+    # within _LOG_STEP/2 of a log point the band is the interpolant in
+    # alpha, whose nodes scale as 2^-alpha_k; exact and angular share the
+    # far field and the band layout, so the exact route takes the scaling
+    # as the angular does (measured 1.6e-14 at d = 3, 2.6e-14 at d = 1,
+    # l = 1, entry by entry)
+    if d > 1:
+        _scaling_holds(d, "newton", 0, d - 2.0, r_max, stretch)
     alpha = frac * d
     assume(riesz._log_nodes(d, alpha) is None)
-    _scaling_holds(d, "angular", alpha, r_max, stretch)
+    routes = [("exact", 0), ("exact", 1)] if d == 1 else [("angular", 0)]
+    if d == 3:
+        routes.append(("exact", 0))
+    for method, ell in routes:
+        _scaling_holds(d, method, ell, alpha, r_max, stretch)
 
 
 def test_add_cells_matches_add_at():
@@ -545,18 +608,21 @@ def test_add_cells_matches_add_at():
 
 
 def test_assembly_does_not_depend_on_the_row_block(monkeypatch):
-    # blocks of one row, and one block of all rows, give the same bits;
-    # at alpha = 2 the d = 3 exact route is an interpolant in alpha.  The
-    # angular route has no row block: its far field is one product per
-    # octave, and its band cells go to _kernel 7 at a time or all at once
+    # blocks of one row, and one block of all rows, give the same bits:
+    # the sector kernel's band by _BLOCK_ROWS, and W's band by
+    # _BAND_PIECES, 7 cells (so one row) at a time or all at once; at
+    # alpha = 2 the d = 3 band is an interpolant in alpha.  W's far field
+    # is one product per octave, whatever the block
     monkeypatch.delenv("CHOQUARD_LAB_CACHE", raising=False)
     g = make_grid(3, 8.0, 40, 1.02)
+    g1 = make_grid(1, 8.0, 40, 1.02)
     g4 = make_grid(4, 8.0, 40, 1.02)
 
     def assemble():
         clear_caches()
         return [riesz_apply_matrix(g, 1.0, 0, "newton"),
                 riesz_apply_matrix(g, 1.3, 0, "exact"),
+                riesz_apply_matrix(g1, 0.6, 1, "exact"),
                 riesz_apply_matrix(g, 1.3, 1, "angular"),
                 riesz_apply_matrix(g, 2.0, 0, "exact"),
                 sector_kernel(g, 1.3, 1),
@@ -733,11 +799,11 @@ def test_sector_kernel_rejects_divergent_diagonal():
 
 
 @pytest.mark.parametrize("d,ell", [(3, -1), (3, 1.5), (3, 1.0), (1, 2),
-                                   (3, 67), (3, 100)])
+                                   (3, 7), (6, 7), (3, 67), (3, 100)])
 def test_a_sector_that_is_not_one_raises(d, ell):
-    # l is an int >= 0, at most 1 at d = 1; on solver_grid(3, 25, 600)
-    # the powers of r in K_l pass the double range beyond l = 66, and at
-    # l = 100 the unguarded kernel was NaN
+    # l is an int >= 0, at most 1 at d = 1, and at most _MAX_SECTOR = 6;
+    # on solver_grid(3, 25, 600) the powers of r in K_l pass the double
+    # range beyond l = 66, and at l = 100 the unguarded kernel was NaN
     g = solver_grid(d, 25.0, 600)
     with np.errstate(all="raise"):
         for build in (lambda: riesz_apply_matrix(g, 0.97, ell),
@@ -748,8 +814,9 @@ def test_a_sector_that_is_not_one_raises(d, ell):
 
 def test_the_largest_sector_on_the_grid_is_finite():
     g = solver_grid(3, 25.0, 600)
-    assert np.all(np.isfinite(riesz_apply_matrix(g, 0.97, 66)))
-    assert np.all(np.isfinite(sector_kernel(g, 0.97, 66)))
+    ell = riesz._MAX_SECTOR
+    assert np.all(np.isfinite(riesz_apply_matrix(g, 0.97, ell)))
+    assert np.all(np.isfinite(sector_kernel(g, 0.97, ell)))
 
 
 def test_ell1_application_against_tensor_oracle():
