@@ -450,11 +450,12 @@ def band_matvec(ab: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _centrifugal(grid: RadialGrid, ell) -> float:
-    """l(l+d-2) once l is a sector of the grid: an int >= 0, at most 1 at
-    d = 1 (the even and odd profiles), whose terms l(l+d-2) max(1, m_i)/r_i^2
-    in the sector Laplacians stay finite floats with a factor 4 to spare."""
-    if (not isinstance(ell, (int, np.integer)) or ell < 0
-            or (grid.d == 1 and ell > 1)):
+    """l(l+d-2) once l is a sector of the grid: an int >= 0 but no bool,
+    at most 1 at d = 1 (the even and odd profiles), whose terms l(l+d-2)
+    max(1, m_i)/r_i^2 in the sector Laplacians stay finite floats with a
+    factor 4 to spare."""
+    if (not isinstance(ell, (int, np.integer)) or isinstance(ell, bool)
+            or ell < 0 or (grid.d == 1 and ell > 1)):
         raise GridError(f"no sector l={ell!r} at d={grid.d}: l is an int "
                         ">= 0, at most 1 at d = 1")
     kappa = int(ell) * (int(ell) + grid.d - 2)   # an int: compared exactly

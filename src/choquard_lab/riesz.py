@@ -53,6 +53,7 @@ summed cell by cell.
 from __future__ import annotations
 
 import functools
+import hashlib
 import math
 import os
 from collections import OrderedDict
@@ -68,10 +69,6 @@ class RieszError(ValueError):
     """Invalid Riesz-potential request."""
 
 
-# Rows of the sector kernel's band filled together: every (rows, n)
-# temporary of a block stays small (0.5 MB at n = 1200), and no n x n
-# temporary is held beside K.
-_BLOCK_ROWS = 48
 # Band cells integrated together: every (cells, 8) temporary stays at
 # 0.5 MB, and on grids up to n = 270 the band is one block of rows.
 _BAND_PIECES = 1 << 13
@@ -81,7 +78,8 @@ class _CellRule:
     """Per-grid cell layout and interpolation stencils.
 
     Cells [x_{j-1}, x_j] (with x_{-1} = 0) carry the quadratic Lagrange
-    stencil on nodes (j0, j0+1, j0+2), j0 = clip(j-1, 0, n-3).
+    stencil on nodes (j0, j0+1, j0+2), j0 = clip(j-1, 0, n-3).  Column j
+    takes the cells first[j] .. last[j], whose stencils hold node j.
     """
 
     def __init__(self, grid: RadialGrid):
@@ -92,6 +90,9 @@ class _CellRule:
         self.b = edges[1:]
         self.j0 = np.clip(np.arange(n) - 1, 0, n - 3)
         self.xs = np.stack([x[self.j0 + m] for m in range(3)], axis=0)
+        cols = np.arange(n)
+        self.first = np.searchsorted(self.j0 + 2, cols)
+        self.last = np.searchsorted(self.j0, cols, side="right") - 1
 
     def lagrange_local(self, c: np.ndarray, p: np.ndarray,
                        off: np.ndarray) -> list:
@@ -440,8 +441,8 @@ def _newton_matrix(grid: RadialGrid, rule: _CellRule) -> np.ndarray:
 
     Times s^{d-1}, the kernel |S^{d-1}| max(r,s)^{2-d} is |S^{d-1}|
     r^{2-d} s^{d-1} on the cells inside r (c <= i) and |S^{d-1}| s on
-    those outside.  Column j takes the contiguous cells first[j] ..
-    last[j], so W[i, j] = |S^{d-1}| r_i^{2-d} A_j where they all lie
+    those outside.  Column j takes the cells first[j] .. last[j]
+    (_CellRule), so W[i, j] = |S^{d-1}| r_i^{2-d} A_j where they all lie
     inside r_i and B_j where they all lie outside, A_j and B_j the column
     sums of the cell integrals P_in = int s^{d-1} l_m and P_out =
     |S^{d-1}| int s l_m.  A (d//2 + 2)-point Gauss-Legendre rule in the
@@ -467,8 +468,7 @@ def _newton_matrix(grid: RadialGrid, rule: _CellRule) -> np.ndarray:
     W = np.empty((n, n))
     np.multiply(coef[:, None], A, out=W)
     cols = np.arange(n)
-    first = np.searchsorted(rule.j0 + 2, cols)
-    last = np.searchsorted(rule.j0, cols, side="right") - 1
+    first, last = rule.first, rule.last
     # row i: the columns from its first outside one on take B
     for i, k in enumerate(np.searchsorted(first, cols, side="right").tolist()):
         W[i, k:] = B[0, k:]
@@ -513,10 +513,7 @@ def _far_columns(rule: _CellRule, r: np.ndarray):
     the band, b <= _RHO_FAR r_i, are j <= lo[i], and those whose cells all
     lie beyond it, _RHO_FAR a >= r_i, are j >= hi[i]; the cells of the
     columns between are c0[i]..c1[i]."""
-    cols = np.arange(r.size)
-    # column j takes the cells whose stencil holds node j
-    first = np.searchsorted(rule.j0 + 2, cols)
-    last = np.searchsorted(rule.j0, cols, side="right") - 1
+    first, last = rule.first, rule.last
     before = np.searchsorted(rule.b, _RHO_FAR * r, side="right") - 1
     beyond = np.searchsorted(_RHO_FAR * rule.a, r)
     lo = np.searchsorted(last, before, side="right") - 1
@@ -641,9 +638,17 @@ def _product_matrix(grid: RadialGrid, rule: _CellRule, kernel, alpha: float,
 # matrices held pass the byte budget (a continuation adds one per alpha).
 _APPLY_CACHE: OrderedDict = OrderedDict()
 _APPLY_CACHE_BYTES = 512 << 20
-# Leads every disk-cache file name; raise it whenever an assembly change
-# alters W, so files written by older code are never read.
-_CACHE_VERSION = 8
+
+
+@functools.cache
+def _source_digest() -> str:
+    """Leads every disk-cache file name, so no file written by other code
+    is read: a digest of the code that assembles W (this file and grid.py)
+    and of numpy's version (the Gauss rules come from its LAPACK eigh)."""
+    h = hashlib.sha1(np.__version__.encode())
+    for name in ("riesz.py", "grid.py"):
+        h.update(Path(__file__).with_name(name).read_bytes())
+    return h.hexdigest()[:12]
 
 
 def clear_caches() -> None:
@@ -658,14 +663,14 @@ def _remember(key, W: np.ndarray) -> None:
 
 
 def _check_request(grid: RadialGrid, alpha: float, ell: int = 0) -> None:
-    """alpha in (0, d), and l an int >= 0 (at most 1 at d = 1) whose powers
-    of r in K_l, r^{2l+alpha}, stay in double range on the grid, and at
-    most _MAX_SECTOR."""
+    """alpha in (0, d), and l an int >= 0 but no bool (at most 1 at d = 1)
+    whose powers of r in K_l, r^{2l+alpha}, stay in double range on the
+    grid, and at most _MAX_SECTOR."""
     d = grid.d
     if not (0.0 < alpha < d):
         raise RieszError(f"alpha outside (0,d): alpha={alpha}, d={d}")
-    if (not isinstance(ell, (int, np.integer)) or ell < 0
-            or (d == 1 and ell > 1)):
+    if (not isinstance(ell, (int, np.integer)) or isinstance(ell, bool)
+            or ell < 0 or (d == 1 and ell > 1)):
         raise RieszError(f"no sector l={ell!r} at d={d}: l is an int >= 0, "
                          "at most 1 at d = 1")
     if ell > _MAX_SECTOR:
@@ -721,7 +726,7 @@ def riesz_apply_matrix(grid: RadialGrid, alpha: float, ell: int = 0,
     fname = None
     if cache:
         tag = "_".join(str(k).replace(".", "p") for k in key)
-        fname = Path(cache) / f"riesz_v{_CACHE_VERSION}_{tag}.npy"
+        fname = Path(cache) / f"riesz_{_source_digest()}_{tag}.npy"
         try:
             W = np.load(fname)
         except (OSError, ValueError, EOFError):   # missing or unreadable
@@ -771,14 +776,13 @@ def sector_kernel(grid: RadialGrid, alpha: float, ell: int) -> np.ndarray:
     """Reduced-kernel samples K_l(r_i, r_j), for every d >= 2; finite
     entries require alpha < d - 1.
 
-    The upper triangle (r_i <= r_j) is filled and its strict part
-    mirrored, so K is bitwise symmetric.  A far entry, r_i <= _RHO_FAR r_j,
-    sums the separable far-field series.  The rows of one octave, r_i =
-    m_i t with t = 2^e and m_i in [1/2, 1), take it as one GEMM of
-    _far_rows by (t / r_j)^{2k}, scaled by r_j^{-alpha-l}.  The GEMM runs
+    Each entry with r_i <= r_j is computed once and written to (i, j) and
+    (j, i), so K is bitwise symmetric.  A far entry, r_i <= _RHO_FAR r_j,
+    sums the far-field series: the rows of one octave, r_i = m_i 2^e with
+    m_i in [1/2, 1), take it as one GEMM of _far_rows by (2^e / r_j)^{2k},
     on scipy's BLAS, where the eigensolver that reads K runs.  The band
-    entries are 2F1 samples (_kernel_values), which depend on r, s only
-    through r s, r^2 + s^2, (r - s)^2 and r + s.
+    entries, r_j < r_i / _RHO_FAR, are 2F1 samples (_kernel_values), all
+    taken in one call.
     """
     d = grid.d
     _check_request(grid, alpha, ell)
@@ -794,6 +798,7 @@ def sector_kernel(grid: RadialGrid, alpha: float, ell: int) -> np.ndarray:
     far = np.searchsorted(_RHO_FAR * r, r)
     R = _far_rows(d, ell, alpha, r)
     col_scale = r ** (-alpha - ell)
+    cols = np.arange(n)
     for g0, g1, e in _octaves(r):
         j0 = int(far[g0])
         if j0 < n:
@@ -801,18 +806,11 @@ def sector_kernel(grid: RadialGrid, alpha: float, ell: int) -> np.ndarray:
             # (S R^T)^T from the views S^T and R^T: no operand is copied
             F = dgemm(1.0, S.T, R[g0:g1].T, trans_a=1).T
             F *= col_scale[j0:]
-            K[g0:g1, j0:] = F
-    for lo in range(0, n, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, n)
-        cols = np.arange(lo, far[hi - 1])
-        i, j = np.nonzero((cols >= np.arange(lo, hi)[:, None])
-                          & (cols < far[lo:hi, None]))
-        i += lo
-        j += lo
-        K[i, j] = _kernel_values(d, ell, alpha, r[i], r[j])
-        K[hi:, lo:hi] = K[lo:hi, hi:].T
-        square = K[lo:hi, lo:hi]
-        low = np.tril_indices(hi - lo, -1)
-        square[low] = square.T[low]
+            keep = cols[j0:] >= far[g0:g1, None]
+            np.copyto(K[g0:g1, j0:], F, where=keep)
+            np.copyto(K[j0:, g0:g1], F.T, where=keep.T)
+    counts = far - cols
+    i = np.repeat(cols, counts)
+    j = i + np.arange(i.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    K[i, j] = K[j, i] = _kernel_values(d, ell, alpha, r[i], r[j])
     return K
-

@@ -54,30 +54,18 @@ class SectorOperator:
         return float(np.max(np.abs(self.matrix - self.matrix.T)) / scale)
 
 
-def _matvec(W: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """W x by scipy's BLAS, for the phase that ends in scipy's eigh.
-
-    numpy and scipy each ship an OpenBLAS with its own thread pool, and
-    the idle threads of the pool used last hold one of two CPUs for the
-    next 0.1-0.4 s: after two numpy W x, eigh at n = 1200 takes 0.161 s
-    instead of 0.093 s.  So assemble_lplus keeps its BLAS on scipy's pool,
-    while apply_lplus and the identity residual, which sit beside the
-    solver, stay on numpy's like the solver.  dgemv on W.T, the
-    Fortran-ordered view of W, makes no copy."""
-    from scipy.linalg.blas import dgemv
-    return dgemv(1.0, W.T, x, trans=1)
-
-
-def _potential_V(state: GroundState, matvec=np.matmul) -> np.ndarray:
-    """(|.|^{-a} * Q^p) Q^{p-2}, or Q^{p-1} for the local model; the
-    product with W is ``matvec(W, Q^p)``."""
+def _potential_V(state: GroundState) -> np.ndarray:
+    """(|.|^{-a} * Q^p) Q^{p-2}, or Q^{p-1} for the local model.  W Q^p
+    goes through einsum, which calls no BLAS, so it wakes neither numpy's
+    nor scipy's OpenBLAS pool (README, "One BLAS pool per phase")."""
     grid = state.grid
     q = state.field.values
     params = state.params
     p = params.p
     if isinstance(params, ChoquardParams):
         W = riesz_apply_matrix(grid, params.alpha, 0)
-        return matvec(W, np.abs(q) ** p) * np.abs(q) ** (p - 2)
+        return (np.einsum("ij,j->i", W, np.abs(q) ** p)
+                * np.abs(q) ** (p - 2))
     return np.abs(q) ** (p - 1)
 
 
@@ -95,7 +83,7 @@ def assemble_lplus(state: GroundState, ell: int) -> SectorOperator:
     ab = sector_symmetric(grid, ell)
     ab[1] += 1.0
     if isinstance(params, ChoquardParams):
-        ab[1] -= (p - 1) * _potential_V(state, _matvec)
+        ab[1] -= (p - 1) * _potential_V(state)
         mat = sector_kernel(grid, params.alpha, ell)
         w = np.sqrt(grid.measure) * np.abs(q) ** (p - 1)
         # in K's own buffer: scale, negate (0 - K keeps +0), add the band

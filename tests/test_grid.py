@@ -151,11 +151,12 @@ def test_constants_harmonic():
 
 
 def test_laplacian_rejects_negative_sector():
-    # and what else is no sector: d = 1 has the even and the odd sector
-    # only; l(l+1) of the 201-digit l is no float, l(l+1)/r_0^2 of the
-    # 155-digit one overflows, and at d = 10 l(l+8) m_i/r_i^2 of the
-    # 153-digit one overflows although l(l+8)/r_0^2 does not
-    for d, ell in [(3, -1), (3, 1.0), (1, 2), (3, 10 ** 200),
+    # and what else is no sector: a bool, which would run as l = 1; d = 1
+    # has the even and the odd sector only; l(l+1) of the 201-digit l is
+    # no float, l(l+1)/r_0^2 of the 155-digit one overflows, and at d = 10
+    # l(l+8) m_i/r_i^2 of the 153-digit one overflows although
+    # l(l+8)/r_0^2 does not
+    for d, ell in [(3, -1), (3, 1.0), (3, True), (1, 2), (3, 10 ** 200),
                    (3, 10 ** 154), (10, 10 ** 152)]:
         g = make_grid(d, 8.0, 64, 1.0)
         with np.errstate(all="raise"):

@@ -557,6 +557,20 @@ def test_band_assembly_holds_its_temporaries_in_blocks(monkeypatch, method):
     assert peak <= 2 * W.nbytes
 
 
+@pytest.mark.parametrize("ell", [0, 1])
+def test_sector_kernel_holds_its_temporaries(ell):
+    # the far field goes one octave of rows at a time and the band's 2F1
+    # samples in one call; measured 1.85 K.nbytes at l = 0
+    g = solver_grid(3, 25.0, 1200)
+    tracemalloc.start()
+    try:
+        K = sector_kernel(g, 0.97, ell)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * K.nbytes
+
+
 def _scaling_holds(d, method, ell, alpha, r_max, stretch):
     # (|.|^-alpha * f(./2))(2r) = 2^(d-alpha) (|.|^-alpha * f)(r), and
     # doubling r_max doubles every node exactly: W on the doubled grid is
@@ -609,10 +623,9 @@ def test_add_cells_matches_add_at():
 
 def test_assembly_does_not_depend_on_the_row_block(monkeypatch):
     # blocks of one row, and one block of all rows, give the same bits:
-    # the sector kernel's band by _BLOCK_ROWS, and W's band by
-    # _BAND_PIECES, 7 cells (so one row) at a time or all at once; at
-    # alpha = 2 the d = 3 band is an interpolant in alpha.  W's far field
-    # is one product per octave, whatever the block
+    # W's band by _BAND_PIECES, 7 cells (so one row) at a time or all at
+    # once; at alpha = 2 the d = 3 band is an interpolant in alpha.  W's
+    # far field is one product per octave, whatever the block
     monkeypatch.delenv("CHOQUARD_LAB_CACHE", raising=False)
     g = make_grid(3, 8.0, 40, 1.02)
     g1 = make_grid(1, 8.0, 40, 1.02)
@@ -625,16 +638,12 @@ def test_assembly_does_not_depend_on_the_row_block(monkeypatch):
                 riesz_apply_matrix(g1, 0.6, 1, "exact"),
                 riesz_apply_matrix(g, 1.3, 1, "angular"),
                 riesz_apply_matrix(g, 2.0, 0, "exact"),
-                sector_kernel(g, 1.3, 1),
                 riesz_apply_matrix(g4, 1.9, 0, "angular"),
                 riesz_apply_matrix(g4, 1.9, 1, "angular"),
-                riesz_apply_matrix(g4, 1.0, 1, "angular"),
-                sector_kernel(g4, 1.9, 1)]
+                riesz_apply_matrix(g4, 1.0, 1, "angular")]
 
-    monkeypatch.setattr(riesz, "_BLOCK_ROWS", 1)
     monkeypatch.setattr(riesz, "_BAND_PIECES", 7)
     by_row = assemble()
-    monkeypatch.setattr(riesz, "_BLOCK_ROWS", g.n)
     monkeypatch.setattr(riesz, "_BAND_PIECES", g.n * g.n)
     whole = assemble()
     clear_caches()
@@ -651,8 +660,8 @@ def raw_sector_kernel(g, alpha, ell):
 def test_sector_kernel_symmetry_and_positivity():
     # every 2F1 sample depends on r, s only through r + s, r s, r^2 + s^2
     # and (r - s)^2, so the full mesh is bitwise symmetric; sector_kernel
-    # mirrors its upper triangle, and its far entries (the separable
-    # series) agree with the 2F1 samples to rounding
+    # writes each entry to both triangles, and its far entries (the
+    # separable series) agree with the 2F1 samples to rounding
     cases = [(d, alpha, g, ell)
              for d, alpha in ((3, 1.0), (4, 1.9), (5, 3.0), (6, 3.5))
              for g in (make_grid(d, 10.0, 90, 1.01), solver_grid(d, 25.0, 600))
@@ -798,12 +807,14 @@ def test_sector_kernel_rejects_divergent_diagonal():
         sector_kernel(g, 2.0, 2)
 
 
-@pytest.mark.parametrize("d,ell", [(3, -1), (3, 1.5), (3, 1.0), (1, 2),
-                                   (3, 7), (6, 7), (3, 67), (3, 100)])
+@pytest.mark.parametrize("d,ell", [(3, -1), (3, 1.5), (3, 1.0), (3, True),
+                                   (1, 2), (3, 7), (6, 7), (3, 67), (3, 100)])
 def test_a_sector_that_is_not_one_raises(d, ell):
-    # l is an int >= 0, at most 1 at d = 1, and at most _MAX_SECTOR = 6;
-    # on solver_grid(3, 25, 600) the powers of r in K_l pass the double
-    # range beyond l = 66, and at l = 100 the unguarded kernel was NaN
+    # l is an int >= 0 but no bool (True would run as l = 1, and name a
+    # disk-cache file of its own), at most 1 at d = 1, and at most
+    # _MAX_SECTOR = 6; on solver_grid(3, 25, 600) the powers of r in K_l
+    # pass the double range beyond l = 66, and at l = 100 the unguarded
+    # kernel was NaN
     g = solver_grid(d, 25.0, 600)
     with np.errstate(all="raise"):
         for build in (lambda: riesz_apply_matrix(g, 0.97, ell),
@@ -907,15 +918,36 @@ def test_disk_cache_ignores_files_of_an_older_format(tmp_path, monkeypatch):
     clear_caches()
     riesz_apply_matrix(g, 1.25)
     (path,) = tmp_path.glob("riesz_*.npy")
-    prefix = f"riesz_v{riesz._CACHE_VERSION}_"
+    prefix = f"riesz_{riesz._source_digest()}_"
     assert path.name.startswith(prefix)
-    # a well-formed matrix under the unversioned name of the same key
+    # the route stays the file name's last field
+    assert path.stem.rsplit("_", 1)[-1] == "exact"
+    # a well-formed matrix under the undigested name of the same key
     old = path.with_name("riesz_" + path.name[len(prefix):])
     np.save(old, np.zeros((g.n, g.n)))
     path.unlink()
     clear_caches()
     assert_allclose(riesz_apply_matrix(g, 1.25), fresh, rtol=0, atol=0)
     assert path.exists()
+    clear_caches()
+
+
+def test_disk_cache_ignores_files_of_other_source(tmp_path, monkeypatch):
+    # a change to the assembly's source changes the digest that leads the
+    # file name, so the file the old code wrote (here a well-formed zero
+    # matrix) is not read
+    g = make_grid(3, 8.0, 64, 1.0)
+    monkeypatch.setenv("CHOQUARD_LAB_CACHE", str(tmp_path))
+    clear_caches()
+    fresh = riesz_apply_matrix(g, 1.25)
+    (old,) = tmp_path.glob("riesz_*.npy")
+    np.save(old, np.zeros((g.n, g.n)))
+    digest = riesz._source_digest()
+    monkeypatch.setattr(riesz, "_source_digest", lambda: "0" * len(digest))
+    clear_caches()
+    assert_allclose(riesz_apply_matrix(g, 1.25), fresh, rtol=0, atol=0)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [old.name, old.name.replace(digest, "0" * len(digest))])
     clear_caches()
 
 

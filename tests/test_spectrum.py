@@ -61,7 +61,8 @@ def _assembly_peak(state, ell=0):
 
 def test_lplus_assembly_builds_the_kernel_block_in_place(state_312):
     # with W cached, L+ is built in the n x n buffer of the sector kernel;
-    # beside it only the kernel's row blocks and O(n) vectors are live
+    # beside it only the kernel's temporaries (an octave's far block, the
+    # band's samples) and O(n) vectors are live
     grid = state_312.grid
     riesz_apply_matrix(grid, state_312.params.alpha, 0)
     assert _assembly_peak(state_312) < 2.5 * grid.n ** 2 * 8
